@@ -205,7 +205,7 @@ def cmd_ucm_report(args) -> int:
     return 0
 
 
-def _trace_records(trace, steps_requested: int) -> str:
+def _trace_records(trace) -> str:
     lines = []
     n = len(trace.steps)
     for i, step in enumerate(trace.steps):
@@ -254,7 +254,7 @@ def cmd_envelop(args) -> int:
         trace = envelop_sweep(schedule, params, obj)
     except (SweepError, InfeasibleStartError, NonConvergedError):
         trace = EquilibriumTrace(steps=(), status="non-converged")
-    text = _trace_records(trace, args.steps)
+    text = _trace_records(trace)
     _emit(text, args.out, manifest)
     return 2 if trace.status == "non-converged" else 0
 

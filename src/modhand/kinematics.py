@@ -151,42 +151,33 @@ def batch_fingertips(
     return chain[:, :3, 3]
 
 
-class SplitMix64:
-    """Deterministic 64-bit generator (splitmix64), portable by construction.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MASK = (1 << 64) - 1
 
-    Doubles come from the top 53 bits of each output word, so any
-    implementation of the published splitmix64 recurrence reproduces the
-    exact sample stream.
+# Rows per block of the workspace path.  Each row's matmul and CSV text do not
+# depend on the stack they sit in, so the block size changes memory, not bytes.
+_BLOCK_ROWS = 4096
+
+
+def splitmix64_words(seed: int, start: int, count: int) -> np.ndarray:
+    """Words ``start + 1`` .. ``start + count`` of the splitmix64 stream from
+    ``seed`` (uint64; the first word of the stream is word 1).
+
+    The splitmix64 state after k steps is ``seed + k * gamma mod 2**64``, so
+    the stream is evaluated in counter form and any range of it stands alone.
     """
-
-    _MASK = (1 << 64) - 1
-
-    def __init__(self, seed: int):
-        self.state = int(seed) & self._MASK
-
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & self._MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
-        return z ^ (z >> 31)
-
-    def uniform(self, lo: float, hi: float) -> float:
-        u = self.next_u64() >> 11  # 53 significant bits
-        return lo + (hi - lo) * (u * (1.0 / (1 << 53)))
+    k = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = np.uint64(int(seed) & _MASK) + k * _GAMMA
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
 
 
 def derive_subseed(seed: int, index: int) -> int:
-    """Sub-seed for worker partition ``index`` of a master seed.
-
-    Partitioned runs must still emit samples in single-stream order; the
-    derivation exists so concurrent samplers never share a stream.
-    """
-    gen = SplitMix64(seed)
-    value = gen.next_u64()
-    for _ in range(index):
-        value = gen.next_u64()
-    return value
+    """Sub-seed of finger ``index`` of a hand cloud: word ``index + 1`` of
+    the master seed's stream, computed in O(1)."""
+    return int(splitmix64_words(seed, index, 1)[0])
 
 
 def coupled_flexion_range(params: FingerParams, coupling=None):
@@ -230,29 +221,33 @@ def sample_workspace(
 
     Per sample the stream is consumed in a fixed order: swing angle, then
     each flexion angle (free mode), or swing angle then the single coupled
-    flexion parameter (coupled mode).  The stream is sequential, so the
-    first m points of a run are exactly the m-point run with the same seed.
+    flexion parameter (coupled mode).  Each draw is ``lo + (hi - lo) * u``
+    with ``u`` the top 53 bits of one word over 2**53.  The stream is
+    evaluated in counter form, so row i depends only on the seed and i: the
+    first m points of a run are exactly the m-point run with the same seed,
+    and any row range can be regenerated on its own.
     """
     if n < 1:
         raise ValidationError("sample count n must be >= 1")
-    gen = SplitMix64(seed)
     limits = params.joint_limits
-    qs = np.empty((n, 4))
     if coupled:
         coupling = params.coupling_model()
         r0, r1, r2 = coupling.ratio
-        lo, hi = coupled_flexion_range(params, coupling)
-        for i in range(n):
-            qs[i, 0] = gen.uniform(limits[0][0], limits[0][1])
-            q1 = gen.uniform(lo, hi)
-            qs[i, 1] = q1
-            qs[i, 2] = q1 * r1 / r0
-            qs[i, 3] = q1 * r2 / r0
+        bounds = np.array([limits[0], coupled_flexion_range(params, coupling)])
     else:
-        for i in range(n):
-            for j in range(4):
-                qs[i, j] = gen.uniform(limits[j][0], limits[j][1])
-    points = batch_fingertips(qs, params)
+        bounds = np.array(limits)
+    lo, span = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
+    draws = len(bounds)
+    points = np.empty((n, 3))
+    for first in range(0, n, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, n - first)
+        words = splitmix64_words(seed, first * draws, rows * draws)
+        u = (words >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+        qs = lo + span * u.reshape(rows, draws)
+        if coupled:
+            q1 = qs[:, 1]
+            qs = np.column_stack([qs[:, 0], q1, q1 * r1 / r0, q1 * r2 / r0])
+        points[first:first + rows] = batch_fingertips(qs, params)
     return WorkspaceCloud(
         points=points, seed=seed, coupled=coupled, joint_limits=limits
     )
@@ -271,7 +266,10 @@ def project_workspace(cloud: WorkspaceCloud, plane: str) -> np.ndarray:
 
 def points_to_csv(points: np.ndarray, header: tuple) -> str:
     """CSV text with 9 significant digits, stable across platforms."""
-    lines = [",".join(header)]
-    for row in np.asarray(points):
-        lines.append(",".join(f"{v:.9g}" for v in row))
-    return "\n".join(lines) + "\n"
+    points = np.asarray(points)
+    row = ",".join(["%.9g"] * points.shape[1]) + "\n"
+    parts = [",".join(header) + "\n"]
+    for first in range(0, len(points), _BLOCK_ROWS):
+        block = points[first:first + _BLOCK_ROWS]
+        parts.append(row * len(block) % tuple(block.ravel().tolist()))
+    return "".join(parts)

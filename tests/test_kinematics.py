@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from modhand import kinematics
 from modhand.errors import PreconditionError, ValidationError
 from modhand.kinematics import (
-    SplitMix64,
     batch_fingertips,
     coupled_flexion_range,
     derive_subseed,
@@ -13,6 +15,7 @@ from modhand.kinematics import (
     points_to_csv,
     project_workspace,
     sample_workspace,
+    splitmix64_words,
 )
 from modhand.params import FingerParams, JointState, default_params
 
@@ -184,10 +187,8 @@ def test_coupled_projection_annulus():
 
 
 def test_splitmix_reference_stream():
-    # splitmix64 of seed 0: first outputs per the published recurrence.
-    gen = SplitMix64(0)
-    first = gen.next_u64()
-    assert first == 0xE220A8397B1DCDAF
+    # splitmix64 of seed 0: first output per the published recurrence.
+    assert int(splitmix64_words(0, 0, 1)[0]) == 0xE220A8397B1DCDAF
 
 
 def test_subseed_derivation_distinct():
@@ -198,3 +199,112 @@ def test_subseed_derivation_distinct():
 def test_csv_nine_significant_digits():
     text = points_to_csv(np.array([[1.23456789012, -2.0, 3.5e-4]]), ("x", "y", "z"))
     assert text.splitlines()[1] == "1.23456789,-2,0.00035"
+
+
+# --------------------------------------------------------------------------
+# Counter-form stream, blocked sampling and CSV against the sequential forms
+# --------------------------------------------------------------------------
+
+MASK = (1 << 64) - 1
+BLOCK = kinematics._BLOCK_ROWS
+
+
+def recurrence_words(seed: int, count: int) -> list:
+    """The first ``count`` words of the published sequential splitmix64
+    recurrence."""
+    state = seed & MASK
+    words = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & MASK
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+        words.append(z ^ (z >> 31))
+    return words
+
+
+def loop_joints(params: FingerParams, n: int, seed: int, coupled: bool) -> np.ndarray:
+    """Per-sample joint loop over the sequential stream, draw by draw."""
+    words = iter(recurrence_words(seed, n * (2 if coupled else 4)))
+
+    def uniform(lo, hi):
+        return lo + (hi - lo) * ((next(words) >> 11) * (1.0 / (1 << 53)))
+
+    limits = params.joint_limits
+    qs = np.empty((n, 4))
+    if coupled:
+        r0, r1, r2 = params.coupling_model().ratio
+        lo, hi = coupled_flexion_range(params)
+        for i in range(n):
+            qs[i, 0] = uniform(*limits[0])
+            q1 = uniform(lo, hi)
+            qs[i, 1:] = q1, q1 * r1 / r0, q1 * r2 / r0
+    else:
+        for i in range(n):
+            for j in range(4):
+                qs[i, j] = uniform(*limits[j])
+    return qs
+
+
+def row_csv(points, header) -> str:
+    """Row-by-row formatter: one f-string per value."""
+    lines = [",".join(header)]
+    for row in np.asarray(points):
+        lines.append(",".join(f"{v:.9g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+SEEDS = st.one_of(
+    st.integers(min_value=-(2**80), max_value=-1),
+    st.just(0),
+    st.integers(min_value=2**64, max_value=2**80),
+    st.integers(min_value=0, max_value=MASK),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, start=st.integers(0, 3000), count=st.integers(1, 40))
+def test_counter_words_equal_recurrence(seed, start, count):
+    want = recurrence_words(seed, start + count)[start:]
+    assert splitmix64_words(seed, start, count).tolist() == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=SEEDS, index=st.integers(0, 200))
+def test_subseed_is_word_index_plus_one(seed, index):
+    assert derive_subseed(seed, index) == recurrence_words(seed, index + 1)[index]
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_blocked_sampling_equals_loop(monkeypatch, n, coupled):
+    seed = -3 if coupled else 2**64 + 5
+    blocks = []
+
+    def recording(qs, params, base=None):
+        blocks.append(np.array(qs))
+        return batch_fingertips(qs, params, base)
+
+    monkeypatch.setattr(kinematics, "batch_fingertips", recording)
+    cloud = sample_workspace(P, n, seed=seed, coupled=coupled)
+    want_qs = loop_joints(P, n, seed, coupled)
+    assert max(len(b) for b in blocks) <= BLOCK
+    assert np.concatenate(blocks).tobytes() == want_qs.tobytes()
+    assert cloud.points.tobytes() == batch_fingertips(want_qs, P).tobytes()
+    assert points_to_csv(cloud.points, ("x", "y", "z")) == row_csv(cloud.points, ("x", "y", "z"))
+    proj = project_workspace(cloud, "xoz")
+    assert points_to_csv(proj, ("u", "v")) == row_csv(proj, ("u", "v"))
+
+
+def test_csv_special_values_equal_row_formatter():
+    special = np.array(
+        [
+            [-0.0, math.inf, -math.inf],
+            [math.nan, 1e21, 1e-300],
+            [5e-324, 1.7976931348623157e308, -123456789.5],
+            [1.23456789012, -2.0, 3.5e-4],
+        ]
+    )
+    bits = np.random.default_rng(8).integers(0, 2**64, size=(3 * BLOCK, 3), dtype=np.uint64)
+    for points in (special, bits.view(np.float64), special[:, :1], np.zeros((0, 3))):
+        assert points_to_csv(points, ("a", "b", "c")) == row_csv(points, ("a", "b", "c"))
