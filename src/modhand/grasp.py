@@ -16,7 +16,13 @@ iteration.
 
 The drive coordinate ``a`` is the serial coordinate of the flexion chain
 (what the flexion mode of the knuckle differential delivers); the lateral
-swing angle is held fixed during a sweep.
+swing angle is held fixed during a sweep.  So the flexion chain is planar in
+the swing frame, which a sweep builds once together with the object in its
+coordinates and the stiffness blocks.  One pass of closed forms in the
+cumulative flexion angles (``_kernel``) then gives every gap with its
+gradient and Hessian; the Newton polish and the curved quadratic model use
+these exact derivatives.  Contacts are mapped to world coordinates only when
+a result is reported.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,59 +119,169 @@ class Contact:
         object.__setattr__(self, "normal", tuple(float(x) for x in self.normal))
 
 
-def _segment_closest_param(p0, p1, target) -> float:
-    d = p1 - p0
-    denom = float(np.dot(d, d))
-    if denom < 1e-18:
-        return 0.0
-    t = float(np.dot(target - p0, d)) / denom
-    return min(1.0, max(0.0, t))
+# --------------------------------------------------------------------------
+# Swing-frame contact kernel
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Frame:
+    """The swing frame of a sweep and what every solve in it shares.
+
+    The swing angle is fixed, so the flexion chain lies in the frame's x-y
+    plane: joint k sits at J_k = sum_{j<k} L_j (cos c_j, sin c_j), with c_j
+    the cumulative flexion angle, and the flexion axes are the frame's z
+    axis.  ``obj`` is the object in frame coordinates (None when absent);
+    ``H`` and ``joint_drive`` are the energy's stiffness blocks."""
+
+    rotation: np.ndarray  # frame axes as world columns
+    origin: np.ndarray
+    params: FingerParams
+    obj: RigidObject | None
+    H: np.ndarray | None = None
+    joint_drive: np.ndarray | None = None
+
+    def contact(self, hit, force: float = 0.0) -> Contact:
+        """World-coordinate contact of a kernel hit."""
+        return Contact(
+            phalanx=hit.phalanx,
+            point=self.rotation @ hit.point + self.origin,
+            normal=self.rotation @ hit.normal,
+            gap=hit.gap,
+            force=force,
+        )
 
 
-def _phalanx_gap(p0, p1, cap_radius, obj: RigidObject):
-    """Signed gap, separation direction, axis point, and contact point for
-    one capsule segment against the object.
+def _frame(pose, params: FingerParams, obj: RigidObject | None, stiff=None) -> _Frame:
+    """Frame of the swing pose ``pose`` (a chain's first world transform) with
+    the object moved into it: a sphere keeps its out-of-plane centre offset,
+    a half-space its normal and a point of its boundary plane."""
+    rot, origin = pose[:3, :3], pose[:3, 3]
+    if obj is not None and obj.shape == "sphere":
+        obj = RigidObject.sphere(rot.T @ (np.asarray(obj.center) - origin), obj.radius)
+    elif obj is not None:
+        obj = RigidObject.half_space(
+            rot.T @ (np.asarray(obj.point) - origin), rot.T @ np.asarray(obj.normal)
+        )
+    return _Frame(
+        rot, origin, params, obj,
+        None if stiff is None else stiff.joint,
+        None if stiff is None else stiff.joint_drive,
+    )
 
-    A sphere center landing exactly on the capsule axis leaves the
-    separation direction undefined; a deterministic perpendicular fallback
-    keeps deep penetrations detectable."""
-    if obj.shape == "sphere":
-        center = np.asarray(obj.center)
-        t = _segment_closest_param(p0, p1, center)
-        axis_point = p0 + t * (p1 - p0)
-        diff = axis_point - center
-        dist = float(np.linalg.norm(diff))
-        if dist < 1e-12:
-            seg = p1 - p0
-            ref = np.zeros(3)
-            ref[int(np.argmin(np.abs(seg)))] = 1.0
-            n = np.cross(seg, ref)
-            n = n / np.linalg.norm(n)
-            gap = -cap_radius - obj.radius
-        else:
-            n = diff / dist
-            gap = dist - cap_radius - obj.radius
+
+def _solve_frame(q_aa: float, params: FingerParams, obj: RigidObject | None) -> _Frame:
+    """Frame for the solves at swing ``q_aa``: the DH chain defines the frame,
+    and the stiffness blocks are evaluated once."""
+    pose = forward_kinematics(JointState(q_aa=q_aa), params).frames[0]
+    return _frame(pose, params, obj, stiffness_matrices(params))
+
+
+class _Hit(NamedTuple):
+    """One phalanx against the object, in frame coordinates."""
+
+    phalanx: int    # 1 proximal .. 3 distal
+    t: float        # closest-point parameter along the phalanx axis
+    gap: float      # signed surface separation, mm
+    normal: tuple   # unit direction from the object toward the axis
+    point: tuple    # contact point on the capsule surface
+    grad: tuple     # d gap / d (q1, q2, q3)
+    hess: tuple     # d2 gap / d (q1, q2, q3)^2, three rows
+
+
+def _kernel(x, frame: _Frame) -> list:
+    """Gap, normal, contact point, gradient and Hessian of every phalanx at
+    flexion ``x`` in one pass of closed forms, proximal to distal.
+
+    A body-fixed point P of phalanx i moves with joint k <= i as
+    dP/dq_k = z x (P - J_k), so a gap with normal n has the gradient row
+    g_k = -n_x (P_y - J_k,y) + n_y (P_x - J_k,x).  The Hessian follows from
+    d2P/dq_k dq_l = -(P - J_max(k,l)):
+
+    * sphere, interior closest point: the gap is the distance to the axis
+      line, d = sqrt(s^2 + c_z^2) with s = (C - J_i) . u_i^perp, where
+      ds/dq_k = -(C - J_k) . u_i and d2s/dq_k dq_l = -(C - J_min(k,l)) .
+      u_i^perp;
+    * sphere, endpoint: the distance to that joint;
+    * half-space: linear in the closest endpoint.
+
+    A sphere centre on the axis leaves the normal undefined; the in-plane
+    perpendicular of the axis keeps deep penetrations detectable.
+    """
+    params, obj = frame.params, frame.obj
+    lengths, radii = params.link_lengths, params.link_radii
+    q1, q2, q3 = (float(v) for v in x)
+    cums = (q1, q1 + q2, q1 + q2 + q3)
+    ux = [math.cos(c) for c in cums]
+    uy = [math.sin(c) for c in cums]
+    jx, jy = [0.0], [0.0]
+    for length, co, si in zip(lengths, ux, uy):
+        jx.append(jx[-1] + length * co)
+        jy.append(jy[-1] + length * si)
+    sphere = obj.shape == "sphere"
+    if sphere:
+        cx, cy, cz = obj.center
     else:
-        n = np.asarray(obj.normal)
-        plane_point = np.asarray(obj.point)
-        g0 = float(np.dot(n, p0 - plane_point))
-        g1 = float(np.dot(n, p1 - plane_point))
-        if abs(g0 - g1) <= 1e-12:
-            t = 0.5
+        nx, ny, nz = obj.normal
+        px0, py0, pz0 = obj.point
+    hits = []
+    for i in range(3):
+        length, radius = lengths[i], radii[i]
+        hess = [[0.0] * 3 for _ in range(3)]
+        if sphere:
+            ex, ey = cx - jx[i], cy - jy[i]
+            t = min(1.0, max(0.0, (ex * ux[i] + ey * uy[i]) / length))
+            px = jx[i] + t * length * ux[i]
+            py = jy[i] + t * length * uy[i]
+            dx, dy = px - cx, py - cy
+            dist = math.sqrt(dx * dx + dy * dy + cz * cz)
+            if dist < 1e-12:
+                normal = (uy[i], -ux[i], 0.0)
+                gap = -radius - obj.radius
+            else:
+                normal = (dx / dist, dy / dist, -cz / dist)
+                gap = dist - radius - obj.radius
         else:
-            t = 0.0 if g0 < g1 else 1.0
-        axis_point = p0 + t * (p1 - p0)
-        gap = min(g0, g1) - cap_radius
-    contact_point = axis_point - cap_radius * n
-    return gap, n, axis_point, contact_point
-
-
-def _phalanx_gaps(chain: FingerPoseChain, params: FingerParams, obj: RigidObject):
-    """``_phalanx_gap`` of every phalanx, proximal to distal."""
-    return [
-        _phalanx_gap(p0, p1, radius, obj)
-        for (p0, p1), radius in zip(chain.segments(), params.link_radii)
-    ]
+            g0 = nx * (jx[i] - px0) + ny * (jy[i] - py0) - nz * pz0
+            g1 = nx * (jx[i + 1] - px0) + ny * (jy[i + 1] - py0) - nz * pz0
+            t = 0.5 if abs(g0 - g1) <= 1e-12 else (0.0 if g0 < g1 else 1.0)
+            px = jx[i] + t * (jx[i + 1] - jx[i])
+            py = jy[i] + t * (jy[i + 1] - jy[i])
+            normal = obj.normal
+            gap = min(g0, g1) - radius
+        n0, n1, n2 = normal
+        grad = [
+            -n0 * (py - jy[k]) + n1 * (px - jx[k]) if k <= i else 0.0
+            for k in range(3)
+        ]
+        for k in range(i + 1):
+            for l in range(k, i + 1):
+                if not sphere:
+                    value = -(n0 * (px - jx[l]) + n1 * (py - jy[l]))
+                elif dist < 1e-12:
+                    value = 0.0
+                elif 0.0 < t < 1.0:
+                    s = -ex * uy[i] + ey * ux[i]
+                    sk = -((cx - jx[k]) * ux[i] + (cy - jy[k]) * uy[i])
+                    sl = -((cx - jx[l]) * ux[i] + (cy - jy[l]) * uy[i])
+                    skl = (cx - jx[k]) * uy[i] - (cy - jy[k]) * ux[i]
+                    value = (sk * sl * cz * cz / (dist * dist) + s * skl) / dist
+                else:
+                    value = (
+                        (px - jx[k]) * (px - jx[l]) + (py - jy[k]) * (py - jy[l])
+                        - dx * (px - jx[l]) - dy * (py - jy[l])
+                        - grad[k] * grad[l]
+                    ) / dist
+                hess[k][l] = hess[l][k] = value
+        hits.append(_Hit(
+            phalanx=i + 1,
+            t=t,
+            gap=gap,
+            normal=normal,
+            point=(px - radius * n0, py - radius * n1, -radius * n2),
+            grad=tuple(grad),
+            hess=tuple(tuple(row) for row in hess),
+        ))
+    return hits
 
 
 def detect_contacts(
@@ -175,12 +292,11 @@ def detect_contacts(
 ):
     """Per-phalanx closest-point candidates with gap at most ``threshold``,
     sorted proximal to distal."""
+    frame = _frame(chain.frames[0], params, obj)
     return [
-        Contact(phalanx=idx, point=contact_point, normal=n, gap=gap, force=0.0)
-        for idx, (gap, n, _, contact_point) in enumerate(
-            _phalanx_gaps(chain, params, obj), start=1
-        )
-        if gap <= threshold
+        frame.contact(hit)
+        for hit in _kernel(chain.joint_state.flexion(), frame)
+        if hit.gap <= threshold
     ]
 
 
@@ -261,30 +377,16 @@ def _solve_qp(H, c, G, h, warm=None, feas_tol=1e-9, mult_tol=1e-9):
 # Equilibrium
 # --------------------------------------------------------------------------
 
-def _contact_rows(chain: FingerPoseChain, params: FingerParams, obj: RigidObject,
-                  threshold: float):
-    """Candidate contacts plus the gradient row of each gap with respect to
-    the flexion angles (joints distal to the contact have zero influence),
-    and the gap of every phalanx."""
-    axis = chain.frames[0][:3, 2]
-    joints = chain.joint_positions()[:3]
-    rows = []
-    gaps = []
-    for idx, (gap, n, axis_point, contact_point) in enumerate(
-        _phalanx_gaps(chain, params, obj), start=1
-    ):
-        gaps.append(gap)
-        if gap > threshold:
-            continue
-        grad = np.zeros(3)
-        for k in range(idx):
-            grad[k] = float(np.dot(n, np.cross(axis, axis_point - joints[k])))
-        contact = Contact(phalanx=idx, point=contact_point, normal=n, gap=gap)
-        rows.append((contact, grad))
-    return rows, gaps
+def _contact_rows(x, frame: _Frame, activation: float):
+    """Kernel hits of the candidate contacts (gap at most ``activation``) at
+    flexion ``x``, and the gap of every phalanx."""
+    if frame.obj is None:
+        return [], []
+    hits = _kernel(x, frame)
+    return [hit for hit in hits if hit.gap <= activation], [hit.gap for hit in hits]
 
 
-def _advance(x, target, q_aa, params, obj, rows, gaps, activation):
+def _advance(x, target, frame, rows, gaps, activation):
     """Farthest point on the straight joint-space path from ``x`` toward
     ``target`` that no phalanx without a QP row can reach the object by:
     conservative advancement.
@@ -300,13 +402,13 @@ def _advance(x, target, q_aa, params, obj, rows, gaps, activation):
     by their linearized gap instead; without this bound a phalanx farther
     than ``activation`` has no constraint at all and one outer step can
     carry it through the object."""
-    lengths = params.link_lengths
+    lengths = frame.params.link_lengths
     step = target - x
     reach = [
         sum(abs(step[k]) * sum(lengths[k:i + 1]) for k in range(i + 1))
         for i in range(3)
     ]
-    free = [i for i in range(3) if i + 1 not in {c.phalanx for c, _ in rows}]
+    free = [i for i in range(3) if i + 1 not in {hit.phalanx for hit in rows}]
     t = 0.0
     for _ in range(ADVANCE_STEPS):
         t = min(
@@ -315,15 +417,10 @@ def _advance(x, target, q_aa, params, obj, rows, gaps, activation):
         )
         if t >= 1.0:
             return target
-        chain = forward_kinematics(JointState(q_aa, *(x + t * step)), params)
-        gaps = [hit[0] for hit in _phalanx_gaps(chain, params, obj)]
+        gaps = [hit.gap for hit in _kernel(x + t * step, frame)]
         if min(gaps[i] for i in free) <= activation:
             break
     return x + t * step
-
-
-def _min_gap(chain, params, obj) -> float:
-    return min(hit[0] for hit in _phalanx_gaps(chain, params, obj))
 
 
 def equilibrium_solve(
@@ -343,36 +440,32 @@ def equilibrium_solve(
     constraint multipliers of the final quadratic program.  The swing angle
     is carried through unchanged.
     """
-    try:
-        state, trans, contacts, _, _ = _equilibrium_full(
-            a,
-            q_init,
-            params,
-            obj,
-            activation=activation,
-            max_outer=max_outer,
-            recovery_tol=recovery_tol,
-            warm_active=_warm_active,
-        )
-    except NonConvergedError as exc:
-        best = exc.best[:3] if exc.best is not None else None
-        raise NonConvergedError(str(exc), best=best) from None
+    state, trans, contacts, _, _ = _equilibrium_full(
+        a,
+        q_init,
+        _solve_frame(q_init.q_aa, params, obj),
+        activation=activation,
+        max_outer=max_outer,
+        recovery_tol=recovery_tol,
+        warm_active=_warm_active,
+    )
     return state, trans, contacts
 
 
 def _equilibrium_full(
     a: float,
     q_init: JointState,
-    params: FingerParams,
-    obj: RigidObject | None,
+    frame: _Frame,
     *,
     activation: float = ACTIVATION_THRESHOLD,
     max_outer: int = MAX_OUTER,
     recovery_tol: float = RECOVERY_TOL,
     warm_active=None,
 ):
-    """equilibrium_solve plus the joint-limit multipliers (6-vector, lower
-    rows then upper rows) and the final active set for warm starting."""
+    """equilibrium_solve in the swing frame ``frame`` (built at
+    ``q_init.q_aa``), plus the joint-limit multipliers (6-vector, lower rows
+    then upper rows) and the final active set for warm starting."""
+    params = frame.params
     if not q_init.within_limits(params):
         raise PreconditionError("q_init violates the joint limits")
     lo = np.array([pair[0] for pair in params.joint_limits[1:]])
@@ -380,21 +473,15 @@ def _equilibrium_full(
     x = np.clip(q_init.flexion(), lo, hi)
     q_aa = q_init.q_aa
 
-    if obj is not None:
-        chain0 = forward_kinematics(replace(q_init, q1=x[0], q2=x[1], q3=x[2]), params)
-        if _min_gap(chain0, params, obj) < -recovery_tol:
-            raise InfeasibleStartError(
-                "initial configuration penetrates the object beyond the recovery tolerance"
-            )
+    if min(_contact_rows(x, frame, activation)[1], default=0.0) < -recovery_tol:
+        raise InfeasibleStartError(
+            "initial configuration penetrates the object beyond the recovery tolerance"
+        )
 
-    stiff = stiffness_matrices(params)
-    H = np.asarray(stiff.joint)
-    c = np.asarray(stiff.joint_drive) * float(a)
-
-    def box_rows():
-        G = np.vstack([np.eye(3), -np.eye(3)])
-        h = np.concatenate([lo, -hi])
-        return G, h
+    H = frame.H
+    c = frame.joint_drive * float(a)
+    G_box = np.vstack([np.eye(3), -np.eye(3)])
+    h_box = np.concatenate([lo, -hi])
 
     warm = warm_active
     best = None
@@ -409,28 +496,23 @@ def _equilibrium_full(
     cut = False      # the trust radius cut the previous step
     grow = True      # no step has reversed yet
     for outer in range(max_outer):
-        state = JointState(q_aa=q_aa, q1=x[0], q2=x[1], q3=x[2])
-        chain = forward_kinematics(state, params)
-        G, h = box_rows()
-        rows, gaps = _contact_rows(chain, params, obj, activation) if obj else ([], [])
+        rows, gaps = _contact_rows(x, frame, activation)
+        G, h = G_box, h_box
         if rows:
-            Gc = np.vstack([grad for _, grad in rows])
-            hc = np.array([grad @ x - contact.gap for contact, grad in rows])
+            Gc = np.array([hit.grad for hit in rows])
+            hc = np.array([grad @ x - hit.gap for grad, hit in zip(Gc, rows)])
             G = np.vstack([G, Gc])
             h = np.concatenate([h, hc])
 
         sol = _solve_qp(H, c, G, h, warm=warm)
         if sol is None:
-            raise NonConvergedError(
-                "constraint system admits no feasible equilibrium", best=best
-            )
+            reason = "constraint system admits no feasible equilibrium"
+            break
         x_new, mult, warm = sol
         # H alone serves while the iteration converges at once; from the
         # third step on the QP also carries the contact curvature.
         if outer >= 2 and rows:
-            Hk = _curved_hessian(
-                H, x, q_aa, params, obj, activation, rows, mult[6:], G, warm
-            )
+            Hk = _curved_hessian(H, rows, mult[6:], G, warm)
             sol = _solve_qp(Hk, c + (H - Hk) @ x, G, h, warm=warm)
             if sol is not None:
                 x_new, _, warm = sol
@@ -446,12 +528,12 @@ def _equilibrium_full(
             if cut:
                 x_new = x + step * (trust / step_norm)
             prev_step = x_new - x
-        if obj is not None:
-            x_new = _advance(x, x_new, q_aa, params, obj, rows, gaps, activation)
+        if frame.obj is not None:
+            x_new = _advance(x, x_new, frame, rows, gaps, activation)
 
-        result = _certify_kkt(x_new, a, q_aa, H, c, lo, hi, params, obj, activation)
+        result = _certify_kkt(x_new, a, q_aa, frame, c, lo, hi, activation)
         if result is not None:
-            return result[:4] + (warm,)
+            return result + (warm,)
 
         # The frozen-gradient fixed point can be mildly repelling under high
         # contact curvature; once the active set repeats and steps are small,
@@ -461,28 +543,25 @@ def _equilibrium_full(
             and warm == prev_active
             and step_norm < 1e-2
         ):
-            x_polished = _newton_polish(
-                x_new, a, q_aa, H, c, lo, hi, params, obj, warm, activation
-            )
+            x_polished = _newton_polish(x_new, frame, c, lo, hi, warm, activation)
             # Accept the polish only where conservative advancement from the
             # iterate certifies the straight path to it.
             if x_polished is not None and np.array_equal(
-                _advance(x, x_polished, q_aa, params, obj, rows, gaps, activation),
-                x_polished,
+                _advance(x, x_polished, frame, rows, gaps, activation), x_polished
             ):
-                result = _certify_kkt(
-                    x_polished, a, q_aa, H, c, lo, hi, params, obj, activation
-                )
+                result = _certify_kkt(x_polished, a, q_aa, frame, c, lo, hi, activation)
                 if result is not None:
-                    return result[:4] + (warm,)
+                    return result + (warm,)
         prev_active = warm
-        best = _plain_result(x_new, a, q_aa, params, obj, activation)
-        x = x_new
+        best = x = x_new
+    else:
+        reason = "equilibrium iteration cap reached"
+    raise NonConvergedError(
+        reason, best=None if best is None else _plain_result(best, a, q_aa, frame, activation)
+    )
 
-    raise NonConvergedError("equilibrium iteration cap reached", best=best)
 
-
-def _curved_hessian(H, x, q_aa, params, obj, activation, rows, forces, G, active):
+def _curved_hessian(H, rows, forces, G, active):
     """QP Hessian whose curvature along the active constraints' null space is
     that of the Lagrangian, H minus the force-weighted gap Hessians, floored
     to stay positive; across the constraints it keeps H.
@@ -490,27 +569,11 @@ def _curved_hessian(H, x, q_aa, params, obj, activation, rows, forces, G, active
     A contact pressing hard on a curved surface cancels much of H along the
     surface, so steps taken with H alone are too short by the ratio of the
     two curvatures; past a fold of the contact branch (the contact slides
-    off) that ratio is unbounded and the iteration creeps.  Gap Hessians are
-    forward differences of the analytic gap gradients."""
+    off) that ratio is unbounded and the iteration creeps."""
     Hl = np.array(H, dtype=float)
-    step = 1e-6
-    for (contact, g_row), force in zip(rows, forces):
-        if force <= 0.0:
-            continue
-        hess = np.zeros((3, 3))
-        for j in range(3):
-            xj = x.copy()
-            xj[j] += step
-            chain = forward_kinematics(
-                JointState(q_aa=q_aa, q1=xj[0], q2=xj[1], q3=xj[2]), params
-            )
-            moved = [r for c, r in _contact_rows(chain, params, obj, activation)[0]
-                     if c.phalanx == contact.phalanx]
-            if not moved:
-                break
-            hess[:, j] = (moved[0] - g_row) / step
-        else:
-            Hl -= force * 0.5 * (hess + hess.T)
+    for hit, force in zip(rows, forces):
+        if force > 0.0:
+            Hl -= force * np.array(hit.hess)
     rows_active = G[list(active)]
     w, v = np.linalg.eigh(rows_active.T @ rows_active)
     across = w > 1e-12 * max(w[-1], 1.0)
@@ -520,58 +583,59 @@ def _curved_hessian(H, x, q_aa, params, obj, activation, rows, forces, G, active
     return Y @ (Y.T @ H @ Y) @ Y.T + Z @ ((v * np.maximum(w, floor)) @ v.T) @ Z.T
 
 
-def _newton_polish(x0, a, q_aa, H, c, lo, hi, params, obj, active, activation):
+def _kkt_system(z, frame, c, lo, hi, active, activation):
+    """Residual and exact Jacobian of the active-set KKT system at
+    z = (flexion angles, one multiplier per active row), or None when a
+    contact row of ``active`` is no longer a candidate.
+
+    Active rows below 6 are the joint limits (lower, then upper); row 6 + j is
+    the j-th candidate contact.  The residual stacks stationarity
+    H x + c - A^T f and the active constraint values; the Jacobian is
+    [[H - sum_k f_k Hess g_k, -A^T], [A, 0]] with the kernel's gap Hessians.
+    """
+    x, f = z[:3], z[3:]
+    rows = _contact_rows(x, frame, activation)[0]
+    if max(active, default=-1) - 6 >= len(rows):
+        return None
+    m = len(active)
+    A = np.zeros((m, 3))
+    cons = np.zeros(m)
+    curved = np.array(frame.H, dtype=float)
+    for k, i in enumerate(active):
+        if i < 3:
+            A[k, i] = 1.0
+            cons[k] = x[i] - lo[i]
+        elif i < 6:
+            A[k, i - 3] = -1.0
+            cons[k] = hi[i - 3] - x[i - 3]
+        else:
+            hit = rows[i - 6]
+            A[k] = hit.grad
+            cons[k] = hit.gap
+            curved -= f[k] * np.array(hit.hess)
+    residual = np.concatenate([frame.H @ x + c - A.T @ f, cons])
+    jac = np.block([[curved, -A.T], [A, np.zeros((m, m))]])
+    return residual, jac
+
+
+def _newton_polish(x0, frame, c, lo, hi, active, activation):
     """Damped Newton on the active-set KKT system with true curved gaps.
 
-    Unknowns are the flexion angles and one multiplier per active row; the
-    residual stacks stationarity and the active constraint values.  The
-    Jacobian is taken by forward differences.  Returns the polished angles or
-    None when the iteration leaves the active set's basin.
+    Unknowns are the flexion angles and one multiplier per active row.
+    Returns the polished angles or None when the iteration leaves the active
+    set's basin.
     """
-    box_idx = [i for i in active if i < 6]
-    contact_idx = [i - 6 for i in active if i >= 6]
-
-    def residual(x, f):
-        state = JointState(q_aa=q_aa, q1=x[0], q2=x[1], q3=x[2])
-        chain = forward_kinematics(state, params)
-        rows = _contact_rows(chain, params, obj, activation)[0]
-        if max(contact_idx, default=-1) >= len(rows):
-            return None
-        r_stat = H @ x + c
-        cons = []
-        for k, i in enumerate(box_idx):
-            if i < 3:
-                r_stat[i] -= f[k]
-                cons.append(x[i] - lo[i])
-            else:
-                r_stat[i - 3] += f[k]
-                cons.append(hi[i - 3] - x[i - 3])
-        for k, j in enumerate(contact_idx):
-            contact, g_row = rows[j]
-            r_stat -= f[len(box_idx) + k] * g_row
-            cons.append(contact.gap)
-        return np.concatenate([r_stat, cons])
-
-    m = len(box_idx) + len(contact_idx)
-    z = np.concatenate([x0, np.zeros(m)])
-    n = 3 + m
+    active = sorted(active)
+    z = np.concatenate([x0, np.zeros(len(active))])
     for _ in range(15):
-        r = residual(z[:3], z[3:])
-        if r is None:
+        system = _kkt_system(z, frame, c, lo, hi, active, activation)
+        if system is None:
             return None
+        r, jac = system
         if np.linalg.norm(r[3:]) < 1e-12 and np.linalg.norm(r[:3]) < 1e-9 * (
-            1.0 + np.linalg.norm(H @ z[:3] + c)
+            1.0 + np.linalg.norm(frame.H @ z[:3] + c)
         ):
             break
-        jac = np.zeros((n, n))
-        for col in range(n):
-            hstep = 1e-7 * (1.0 + abs(z[col]))
-            zp = z.copy()
-            zp[col] += hstep
-            rp = residual(zp[:3], zp[3:])
-            if rp is None:
-                return None
-            jac[:, col] = (rp - r) / hstep
         try:
             dz = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
@@ -585,34 +649,61 @@ def _newton_polish(x0, a, q_aa, H, c, lo, hi, params, obj, active, activation):
             return None
     if np.any(z[3:] < -1e-9):
         return None
-    x = np.clip(z[:3], lo, hi)
-    return x
+    return np.clip(z[:3], lo, hi)
 
 
-def _plain_result(x, a, q_aa, params, obj, activation):
-    """Result tuple for a non-certified iterate (reported forces zero)."""
+def _plain_result(x, a, q_aa, frame, activation):
+    """(state, transmission, contacts) of a non-certified iterate (reported
+    forces zero)."""
     state = JointState(q_aa=q_aa, q1=x[0], q2=x[1], q3=x[2])
-    chain = forward_kinematics(state, params)
-    contacts = detect_contacts(chain, params, obj, activation) if obj else []
-    return state, transmission_state(x, a, params), contacts, np.zeros(6), None
+    rows = _contact_rows(x, frame, activation)[0]
+    return (
+        state,
+        transmission_state(x, a, frame.params),
+        [frame.contact(hit) for hit in rows],
+    )
 
 
-def _certify_kkt(x, a, q_aa, H, c, lo, hi, params, obj, activation):
+def _fit_multipliers(A, grad):
+    """Multipliers f >= 0 minimizing |grad - A^T f|: nonnegative least squares
+    on the active rows themselves.
+
+    The least-squares solution over all rows is optimal when it is
+    nonnegative.  Otherwise every support of at most three rows is solved by
+    least squares and the nonnegative one with the smallest residual is kept:
+    by Caratheodory some optimal support is linearly independent, so it has
+    at most three rows."""
+    f = np.linalg.lstsq(A.T, grad, rcond=None)[0]
+    if np.all(f >= 0.0):
+        return f
+    best, best_res = np.zeros(len(A)), float(np.linalg.norm(grad))
+    for size in range(1, min(3, len(A)) + 1):
+        for support in combinations(range(len(A)), size):
+            rows = A[list(support)]
+            fs = np.linalg.lstsq(rows.T, grad, rcond=None)[0]
+            res = float(np.linalg.norm(grad - rows.T @ fs))
+            if np.all(fs >= 0.0) and res < best_res:
+                best, best_res = np.zeros(len(A)), res
+                best[list(support)] = fs
+    return best
+
+
+def _certify_kkt(x, a, q_aa, frame, c, lo, hi, activation):
     """Check the stationarity/complementarity/feasibility conditions of the
-    true (curved-gap) problem at ``x``, with multipliers solved fresh by
+    true (curved-gap) problem at ``x``, with multipliers fitted fresh by
     nonnegative least squares against the current contact geometry.
 
-    Returns the full result tuple when the point certifies, else None.  The
-    comparison carries a floor term because evaluating H @ x + c in doubles
-    has rounding of order eps * |H| * |x|, which dominates when the gradient
-    itself vanishes and the stiffnesses are very large.
+    Returns (state, transmission, contacts, joint-limit multipliers) when the
+    point certifies, else None.  The comparison carries a floor term because
+    evaluating H @ x + c in doubles has rounding of order eps * |H| * |x|,
+    which dominates when the gradient itself vanishes and the stiffnesses are
+    very large.
     """
-    state = JointState(q_aa=q_aa, q1=x[0], q2=x[1], q3=x[2])
-    chain = forward_kinematics(state, params)
-    rows, gaps = _contact_rows(chain, params, obj, activation) if obj else ([], [])
+    rows, gaps = _contact_rows(x, frame, activation)
     if min(gaps, default=0.0) < -PENETRATION_TOL:
         return None
 
+    H = frame.H
     grad = H @ x + c
 
     # Active rows: joint limits the iterate rests on, plus contacts whose
@@ -632,22 +723,14 @@ def _certify_kkt(x, a, q_aa, H, c, lo, hi, params, obj, activation):
             e[j] = -1.0
             act_rows.append(e)
             kinds.append(("hi", j))
-    for idx, (contact, g_row) in enumerate(rows):
-        if contact.gap <= TOUCH_TOL:
-            act_rows.append(g_row)
+    for idx, hit in enumerate(rows):
+        if hit.gap <= TOUCH_TOL:
+            act_rows.append(hit.grad)
             kinds.append(("contact", idx))
 
     if act_rows:
-        A = np.vstack(act_rows)
-        sol = _solve_qp(
-            A @ A.T + 1e-14 * np.eye(len(act_rows)) * max(1.0, float(np.max(A @ A.T))),
-            -(A @ grad),
-            np.eye(len(act_rows)),
-            np.zeros(len(act_rows)),
-        )
-        if sol is None:
-            return None
-        f = sol[0]
+        A = np.array(act_rows)
+        f = _fit_multipliers(A, grad)
         residual = grad - A.T @ f
     else:
         f = np.zeros(0)
@@ -668,20 +751,15 @@ def _certify_kkt(x, a, q_aa, H, c, lo, hi, params, obj, activation):
         elif tag == "hi":
             box_mult[3 + j] = value
         else:
-            forces[rows[j][0].phalanx] = float(value)
+            forces[rows[j].phalanx] = float(value)
 
-    out_contacts = []
-    for contact, _ in rows:
-        force = forces.get(contact.phalanx, 0.0)
-        if abs(force * contact.gap) > COMPLEMENTARITY_TOL:
-            return None
-        out_contacts.append(replace(contact, force=force))
+    if any(abs(forces.get(hit.phalanx, 0.0) * hit.gap) > COMPLEMENTARITY_TOL for hit in rows):
+        return None
     return (
-        state,
-        transmission_state(x, a, params),
-        out_contacts,
+        JointState(q_aa=q_aa, q1=x[0], q2=x[1], q3=x[2]),
+        transmission_state(x, a, frame.params),
+        [frame.contact(hit, forces.get(hit.phalanx, 0.0)) for hit in rows],
         box_mult,
-        None,
     )
 
 
@@ -748,15 +826,16 @@ def envelop_sweep(
         raise ValidationError("drive schedule must be nondecreasing")
 
     q = q_init if q_init is not None else JointState()
+    frame = _solve_frame(q.q_aa, params, obj)
+    released = replace(frame, obj=None)
     steps = []
     held = False  # some step so far had >= 2 touching contacts
     warm = None
     for i, a in enumerate(schedule):
         present = remove_object_at is None or i < remove_object_at
-        scene = obj if present else None
         try:
             q_new, trans, contacts, box_mult, warm = _equilibrium_full(
-                a, q, params, scene, warm_active=warm
+                a, q, frame if present else released, warm_active=warm
             )
         except NonConvergedError:
             return EquilibriumTrace(steps=tuple(steps), status="non-converged")

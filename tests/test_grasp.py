@@ -3,7 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from modhand import grasp
 from modhand.errors import (
     InfeasibleStartError,
     NonConvergedError,
@@ -11,6 +14,7 @@ from modhand.errors import (
     ValidationError,
 )
 from modhand.grasp import (
+    COMPLEMENTARITY_TOL,
     PENETRATION_TOL,
     RigidObject,
     detect_contacts,
@@ -460,3 +464,210 @@ def test_enveloping_pose_bisection():
     q1, center = enveloping_pose_for_radius(P, 20.0)
     _, radius = inscribed_sphere(P, q1)
     assert radius == pytest.approx(20.0, abs=1e-8)
+
+
+# --------------------------------------------------------------------------
+# swing-frame kernel against the world-frame DH oracle
+# --------------------------------------------------------------------------
+
+def world_gap(p0, p1, cap_radius, obj):
+    """Oracle: signed gap, unit normal, axis point and contact point of one
+    capsule segment against the object, in world coordinates of the DH
+    chain."""
+    if obj.shape == "sphere":
+        center = np.asarray(obj.center)
+        d = p1 - p0
+        t = min(1.0, max(0.0, float(np.dot(center - p0, d)) / float(np.dot(d, d))))
+        axis_point = p0 + t * d
+        diff = axis_point - center
+        dist = float(np.linalg.norm(diff))
+        n = diff / dist
+        gap = dist - cap_radius - obj.radius
+    else:
+        n = np.asarray(obj.normal)
+        g0 = float(np.dot(n, p0 - np.asarray(obj.point)))
+        g1 = float(np.dot(n, p1 - np.asarray(obj.point)))
+        t = 0.5 if abs(g0 - g1) <= 1e-12 else (0.0 if g0 < g1 else 1.0)
+        axis_point = p0 + t * (p1 - p0)
+        gap = min(g0, g1) - cap_radius
+    return gap, n, axis_point, axis_point - cap_radius * n
+
+
+def world_rows(joints, params, obj):
+    """Oracle: (gap, normal, contact point, gradient row) per phalanx; the
+    row is n . (axis x (axis point - joint k)) for the joints proximal to
+    the phalanx, with the flexion axis and joints taken from the DH
+    chain."""
+    chain = forward_kinematics(joints, params)
+    axis = chain.frames[0][:3, 2]
+    pivots = chain.joint_positions()[:3]
+    out = []
+    for i, ((p0, p1), radius) in enumerate(zip(chain.segments(), params.link_radii)):
+        gap, n, axis_point, point = world_gap(p0, p1, radius, obj)
+        grad = np.zeros(3)
+        for k in range(i + 1):
+            grad[k] = float(np.dot(n, np.cross(axis, axis_point - pivots[k])))
+        out.append((gap, n, point, grad))
+    return out
+
+
+def kernel_at(x, q_aa, params, obj):
+    frame = grasp._frame(
+        forward_kinematics(JointState(q_aa=q_aa), params).frames[0], params, obj
+    )
+    return grasp._kernel(np.asarray(x, dtype=float), frame)
+
+
+FLEX = st.floats(min_value=0.0, max_value=1.7)
+SWING = st.one_of(st.floats(-0.35, -1e-3), st.floats(1e-3, 0.35))
+COORD = st.floats(min_value=-40.0, max_value=100.0)
+SPHERES = st.builds(
+    lambda x, y, z, r: RigidObject.sphere((x, y, z), r),
+    COORD, COORD, st.one_of(st.floats(-30.0, -1e-3), st.floats(1e-3, 30.0)),
+    st.floats(min_value=2.0, max_value=30.0),
+)
+HALF_SPACES = st.builds(
+    lambda point, normal: RigidObject.half_space(point, normal),
+    st.tuples(COORD, COORD, COORD),
+    st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3).filter(
+        lambda n: np.linalg.norm(n) > 0.1 and abs(n[2]) > 1e-3
+    ),
+)
+OBJECTS = st.one_of(SPHERES, HALF_SPACES)
+
+
+def smooth_around(x, q_aa, params, obj, h):
+    """Whether every phalanx keeps its closest-point case (interior, one
+    endpoint, half-space endpoint) and a clear normal within ``h`` of ``x``,
+    so finite differences see one smooth branch."""
+    cases = None
+    for j in range(3):
+        for sign in (-1.0, 1.0):
+            xs = np.array(x, dtype=float)
+            xs[j] += sign * h
+            hits = kernel_at(xs, q_aa, params, obj)
+            here = [(hit.t if hit.t in (0.0, 1.0) else "in") for hit in hits]
+            cases = cases or here
+            if here != cases or any(hit.t == 0.5 and obj.shape != "sphere" for hit in hits):
+                return False
+            if obj.shape == "sphere" and any(
+                hit.gap + r + obj.radius < 1e-2 for hit, r in zip(hits, params.link_radii)
+            ):
+                return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(q_aa=SWING, x=st.tuples(FLEX, FLEX, FLEX), obj=OBJECTS)
+def test_kernel_matches_world_frame_oracle(q_aa, x, obj):
+    joints = JointState(q_aa, *x)
+    oracle = world_rows(joints, P, obj)
+    if obj.shape == "half_space":
+        chain = forward_kinematics(joints, P)
+        n = np.asarray(obj.normal)
+        for p0, p1 in chain.segments():
+            assume(abs(float(np.dot(n, p1 - p0))) > 1e-6)  # no end-point tie
+    contacts = detect_contacts(forward_kinematics(joints, P), P, obj, threshold=math.inf)
+    hits = kernel_at(x, q_aa, P, obj)
+    for (gap, n, point, grad), contact, hit in zip(oracle, contacts, hits):
+        assert contact.gap == pytest.approx(gap, abs=1e-9)
+        assert hit.gap == contact.gap
+        assert np.asarray(contact.normal) == pytest.approx(n, abs=1e-9)
+        assert np.asarray(contact.point) == pytest.approx(point, abs=1e-9)
+        assert np.asarray(hit.grad) == pytest.approx(grad, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q_aa=SWING, x=st.tuples(FLEX, FLEX, FLEX), obj=OBJECTS)
+def test_kernel_hessians_match_gradient_differences(q_aa, x, obj):
+    h = 1e-6
+    assume(smooth_around(x, q_aa, P, obj, h))
+    hits = kernel_at(x, q_aa, P, obj)
+    for i, hit in enumerate(hits):
+        fd = np.zeros((3, 3))
+        for j in range(3):
+            xp = np.array(x, dtype=float)
+            xm = np.array(x, dtype=float)
+            xp[j] += h
+            xm[j] -= h
+            fd[:, j] = (
+                np.asarray(kernel_at(xp, q_aa, P, obj)[i].grad)
+                - np.asarray(kernel_at(xm, q_aa, P, obj)[i].grad)
+            ) / (2 * h)
+        hess = np.asarray(hit.hess)
+        assert np.array_equal(hess, hess.T)
+        assert np.abs(hess - fd).max() <= 1e-5 * (1.0 + np.abs(hess).max())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    q_aa=SWING,
+    x=st.tuples(FLEX, FLEX, FLEX),
+    obj=OBJECTS,
+    active=st.lists(st.integers(0, 8), unique=True, min_size=1, max_size=5),
+    scale=st.floats(min_value=-200.0, max_value=2000.0),
+    a=st.floats(min_value=0.0, max_value=40.0),
+)
+def test_polish_jacobian_matches_residual_differences(q_aa, x, obj, active, scale, a):
+    h = 1e-6
+    assume(smooth_around(x, q_aa, ENV_PARAMS, obj, h))
+    frame = grasp._solve_frame(q_aa, ENV_PARAMS, obj)
+    lo = np.array([pair[0] for pair in ENV_PARAMS.joint_limits[1:]])
+    hi = np.array([pair[1] for pair in ENV_PARAMS.joint_limits[1:]])
+    c = frame.joint_drive * a
+    active = sorted(active)
+    z = np.concatenate([x, scale * np.linspace(0.5, 1.5, len(active))])
+    # every phalanx is a candidate, so contact row 6 + j is phalanx j + 1
+    r, jac = grasp._kkt_system(z, frame, c, lo, hi, active, math.inf)
+    for col in range(len(z)):
+        zp, zm = z.copy(), z.copy()
+        zp[col] += h
+        zm[col] -= h
+        rp = grasp._kkt_system(zp, frame, c, lo, hi, active, math.inf)[0]
+        rm = grasp._kkt_system(zm, frame, c, lo, hi, active, math.inf)[0]
+        fd = (rp - rm) / (2 * h)
+        # the difference quotient carries the rounding of residuals up to
+        # |f| * |g| ~ 1e5 in size
+        rounding = 64 * np.finfo(float).eps * max(np.abs(rp).max(), np.abs(rm).max()) / h
+        assert np.abs(jac[:, col] - fd).max() <= (
+            1e-5 * (1.0 + np.abs(jac[:, col]).max()) + rounding
+        )
+
+
+def test_ill_conditioned_kkt_vertex_certifies():
+    # Step 99 rests on the q1 lower stop and the q3 upper stop with a distal
+    # contact: the active rows' normal matrix has condition 2.8e6, which a
+    # regularized normal-equation multiplier fit cannot resolve.
+    obj = RigidObject.sphere((70.0, 40.0, 0.0), 12.0)
+    schedule = np.linspace(0.0, 60.0, 150)
+    trace = envelop_sweep(schedule, ENV_PARAMS, obj)
+    assert trace.status == "completed"
+    assert len(trace.steps) == len(schedule)
+    final = trace.final.joints
+    assert final.q1 == pytest.approx(0.0, abs=1e-9)
+    assert math.degrees(final.q2) == pytest.approx(14.707, abs=1e-3)
+    assert math.degrees(final.q3) == pytest.approx(100.0, abs=1e-9)
+    for step in trace.steps:
+        assert min_gap(step.joints, obj) >= -PENETRATION_TOL
+        assert_kkt(step, obj, ENV_PARAMS)
+
+
+def assert_kkt(step, obj, params, tol=1e-6):
+    """Independent first-order check of a trace step with the oracle's
+    gradient rows: nonnegative forces, complementarity, and a stationarity
+    residual that only the joint stops it rests on can balance."""
+    oracle = world_rows(step.joints, params, obj)
+    grad = elastic_energy_gradient(step.joints.flexion(), step.a, params)
+    residual = grad.copy()
+    for c in step.contacts:
+        assert c.force >= 0.0
+        assert abs(c.force * c.gap) <= COMPLEMENTARITY_TOL
+        residual -= c.force * oracle[c.phalanx - 1][3]
+    bound = tol * (1.0 + np.linalg.norm(grad))
+    for j, (value, (lo, hi)) in enumerate(zip(step.joints.flexion(), params.joint_limits[1:])):
+        if value - lo <= 1e-9:
+            assert residual[j] >= -bound
+        elif hi - value <= 1e-9:
+            assert residual[j] <= bound
+        else:
+            assert abs(residual[j]) <= bound
