@@ -24,14 +24,8 @@ import numpy as np
 
 from . import __version__
 from .drive import drive_to_mcp, rigid_coupled_flexion
-from .errors import (
-    InfeasibleStartError,
-    ModhandError,
-    NonConvergedError,
-    SweepError,
-    ValidationError,
-)
-from .grasp import RigidObject, envelop_sweep
+from .errors import ModhandError, SweepError, ValidationError
+from .grasp import EquilibriumTrace, RigidObject, envelop_sweep
 from .hand import default_layout, hand_fk, load_layout
 from .kinematics import points_to_csv, project_workspace, sample_workspace
 from .params import (
@@ -248,11 +242,9 @@ def cmd_envelop(args) -> int:
         seed=None,
         version=__version__,
     )
-    from .grasp import EquilibriumTrace
-
     try:
         trace = envelop_sweep(schedule, params, obj)
-    except (SweepError, InfeasibleStartError, NonConvergedError):
+    except SweepError:
         trace = EquilibriumTrace(steps=(), status="non-converged")
     text = _trace_records(trace)
     _emit(text, args.out, manifest)
@@ -366,9 +358,6 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except NonConvergedError:
-        print("error: solver did not converge", file=sys.stderr)
-        return 2
     except ModhandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -43,7 +43,7 @@ class NonConvergedError(ModhandError):
     """Equilibrium iteration hit the cap; ``best`` carries the last iterate.
 
     ``best`` is the (JointState, TransmissionState, contacts) triple of the
-    deepest iterate reached, so callers can inspect or resume.
+    last iterate reached, so callers can inspect or resume.
     """
 
     def __init__(self, message: str, best=None):

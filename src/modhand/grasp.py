@@ -56,6 +56,12 @@ MAX_OUTER = 20
 ADVANCE_FRACTION = 0.9       # share of a free phalanx's gap one advance may close
 ADVANCE_STEPS = 64           # advances per outer step, each re-measuring the gaps
 
+# Joint-limit rows of the QP, x_j >= lo_j then -x_j >= -hi_j; rows 6 and on
+# are the candidate contacts.  The certification's copy has +0.0 off the
+# diagonal: its least-squares fit sees the sign of a zero.
+_BOX_ROWS = np.vstack([np.eye(3), -np.eye(3)])
+_LIMIT_ROWS = _BOX_ROWS + 0.0
+
 
 @dataclass(frozen=True)
 class RigidObject:
@@ -131,12 +137,15 @@ class _Frame:
     plane: joint k sits at J_k = sum_{j<k} L_j (cos c_j, sin c_j), with c_j
     the cumulative flexion angle, and the flexion axes are the frame's z
     axis.  ``obj`` is the object in frame coordinates (None when absent);
-    ``H`` and ``joint_drive`` are the energy's stiffness blocks."""
+    ``lo``/``hi`` are the flexion limits and ``H`` and ``joint_drive`` the
+    energy's stiffness blocks."""
 
     rotation: np.ndarray  # frame axes as world columns
     origin: np.ndarray
     params: FingerParams
     obj: RigidObject | None
+    lo: np.ndarray
+    hi: np.ndarray
     H: np.ndarray | None = None
     joint_drive: np.ndarray | None = None
 
@@ -162,8 +171,9 @@ def _frame(pose, params: FingerParams, obj: RigidObject | None, stiff=None) -> _
         obj = RigidObject.half_space(
             rot.T @ (np.asarray(obj.point) - origin), rot.T @ np.asarray(obj.normal)
         )
+    limits = np.array(params.joint_limits[1:], dtype=float)
     return _Frame(
-        rot, origin, params, obj,
+        rot, origin, params, obj, limits[:, 0], limits[:, 1],
         None if stiff is None else stiff.joint,
         None if stiff is None else stiff.joint_drive,
     )
@@ -377,16 +387,50 @@ def _solve_qp(H, c, G, h, warm=None, feas_tol=1e-9, mult_tol=1e-9):
 # Equilibrium
 # --------------------------------------------------------------------------
 
-def _contact_rows(x, frame: _Frame, activation: float):
-    """Kernel hits of the candidate contacts (gap at most ``activation``) at
-    flexion ``x``, and the gap of every phalanx."""
+@dataclass(frozen=True)
+class _Solution:
+    """One solved step: the reported (joints, transmission, contacts) triple,
+    the joint-limit multipliers (lower rows, then upper rows) and the final
+    QP active set, which warm starts the next step of a sweep."""
+
+    joints: JointState
+    transmission: TransmissionState
+    contacts: list
+    box_mult: np.ndarray | None = None
+    active: tuple | None = None
+
+    @property
+    def triple(self):
+        return self.joints, self.transmission, self.contacts
+
+
+def _solution(x, a, q_aa, frame, rows, forces=None, box_mult=None, active=None):
+    """Record of flexion ``x`` at drive ``a`` with the candidate contacts
+    ``rows``; ``forces`` maps a phalanx to its force, zero when absent."""
+    forces = forces or {}
+    return _Solution(
+        JointState(q_aa=q_aa, q1=x[0], q2=x[1], q3=x[2]),
+        transmission_state(x, a, frame.params),
+        [frame.contact(hit, forces.get(hit.phalanx, 0.0)) for hit in rows],
+        box_mult,
+        active,
+    )
+
+
+def _contact_rows(x, frame: _Frame):
+    """Kernel hits of the candidate contacts (gap at most
+    ``ACTIVATION_THRESHOLD``) at flexion ``x``, and the gap of every
+    phalanx."""
     if frame.obj is None:
         return [], []
     hits = _kernel(x, frame)
-    return [hit for hit in hits if hit.gap <= activation], [hit.gap for hit in hits]
+    return (
+        [hit for hit in hits if hit.gap <= ACTIVATION_THRESHOLD],
+        [hit.gap for hit in hits],
+    )
 
 
-def _advance(x, target, frame, rows, gaps, activation):
+def _advance(x, target, frame, rows, gaps):
     """Farthest point on the straight joint-space path from ``x`` toward
     ``target`` that no phalanx without a QP row can reach the object by:
     conservative advancement.
@@ -397,11 +441,11 @@ def _advance(x, target, frame, rows, gaps, activation):
     the path may advance until that bound has used ``ADVANCE_FRACTION`` of
     each such phalanx's gap; the gaps are then measured again and the path
     advances further, until the target is reached, a phalanx comes within
-    ``activation`` of the object (it gets a row at the next outer step), or
-    ``ADVANCE_STEPS`` advances are used.  Phalanges with a row are held back
-    by their linearized gap instead; without this bound a phalanx farther
-    than ``activation`` has no constraint at all and one outer step can
-    carry it through the object."""
+    ``ACTIVATION_THRESHOLD`` of the object (it gets a row at the next outer
+    step), or ``ADVANCE_STEPS`` advances are used.  Phalanges with a row are
+    held back by their linearized gap instead; without this bound a phalanx
+    farther than the threshold has no constraint at all and one outer step
+    can carry it through the object."""
     lengths = frame.params.link_lengths
     step = target - x
     reach = [
@@ -418,7 +462,7 @@ def _advance(x, target, frame, rows, gaps, activation):
         if t >= 1.0:
             return target
         gaps = [hit.gap for hit in _kernel(x + t * step, frame)]
-        if min(gaps[i] for i in free) <= activation:
+        if min(gaps[i] for i in free) <= ACTIVATION_THRESHOLD:
             break
     return x + t * step
 
@@ -428,11 +472,6 @@ def equilibrium_solve(
     q_init: JointState,
     params: FingerParams,
     obj: RigidObject | None = None,
-    *,
-    activation: float = ACTIVATION_THRESHOLD,
-    max_outer: int = MAX_OUTER,
-    recovery_tol: float = RECOVERY_TOL,
-    _warm_active=None,
 ):
     """Flexion equilibrium at drive ``a`` from ``q_init``.
 
@@ -440,50 +479,26 @@ def equilibrium_solve(
     constraint multipliers of the final quadratic program.  The swing angle
     is carried through unchanged.
     """
-    state, trans, contacts, _, _ = _equilibrium_full(
-        a,
-        q_init,
-        _solve_frame(q_init.q_aa, params, obj),
-        activation=activation,
-        max_outer=max_outer,
-        recovery_tol=recovery_tol,
-        warm_active=_warm_active,
-    )
-    return state, trans, contacts
+    return _solve(a, q_init, _solve_frame(q_init.q_aa, params, obj)).triple
 
 
-def _equilibrium_full(
-    a: float,
-    q_init: JointState,
-    frame: _Frame,
-    *,
-    activation: float = ACTIVATION_THRESHOLD,
-    max_outer: int = MAX_OUTER,
-    recovery_tol: float = RECOVERY_TOL,
-    warm_active=None,
-):
+def _solve(a: float, q_init: JointState, frame: _Frame, warm=None) -> _Solution:
     """equilibrium_solve in the swing frame ``frame`` (built at
-    ``q_init.q_aa``), plus the joint-limit multipliers (6-vector, lower rows
-    then upper rows) and the final active set for warm starting."""
-    params = frame.params
-    if not q_init.within_limits(params):
+    ``q_init.q_aa``), with the QP active set ``warm`` tried first."""
+    if not q_init.within_limits(frame.params):
         raise PreconditionError("q_init violates the joint limits")
-    lo = np.array([pair[0] for pair in params.joint_limits[1:]])
-    hi = np.array([pair[1] for pair in params.joint_limits[1:]])
-    x = np.clip(q_init.flexion(), lo, hi)
+    x = np.clip(q_init.flexion(), frame.lo, frame.hi)
     q_aa = q_init.q_aa
 
-    if min(_contact_rows(x, frame, activation)[1], default=0.0) < -recovery_tol:
+    if min(_contact_rows(x, frame)[1], default=0.0) < -RECOVERY_TOL:
         raise InfeasibleStartError(
             "initial configuration penetrates the object beyond the recovery tolerance"
         )
 
     H = frame.H
     c = frame.joint_drive * float(a)
-    G_box = np.vstack([np.eye(3), -np.eye(3)])
-    h_box = np.concatenate([lo, -hi])
+    h_box = np.concatenate([frame.lo, -frame.hi])
 
-    warm = warm_active
     best = None
     # Trust region on the outer relinearization steps: large jumps make the
     # frozen contact gradients stale and the iteration can two-cycle; the
@@ -495,9 +510,9 @@ def _equilibrium_full(
     prev_active = None
     cut = False      # the trust radius cut the previous step
     grow = True      # no step has reversed yet
-    for outer in range(max_outer):
-        rows, gaps = _contact_rows(x, frame, activation)
-        G, h = G_box, h_box
+    for outer in range(MAX_OUTER):
+        rows, gaps = _contact_rows(x, frame)
+        G, h = _BOX_ROWS, h_box
         if rows:
             Gc = np.array([hit.grad for hit in rows])
             hc = np.array([grad @ x - hit.gap for grad, hit in zip(Gc, rows)])
@@ -529,35 +544,33 @@ def _equilibrium_full(
                 x_new = x + step * (trust / step_norm)
             prev_step = x_new - x
         if frame.obj is not None:
-            x_new = _advance(x, x_new, frame, rows, gaps, activation)
+            x_new = _advance(x, x_new, frame, rows, gaps)
 
-        result = _certify_kkt(x_new, a, q_aa, frame, c, lo, hi, activation)
-        if result is not None:
-            return result + (warm,)
+        fit = _certify_kkt(x_new, frame, c)
+        if fit is not None:
+            return _solution(x_new, a, q_aa, frame, *fit, warm)
 
         # The frozen-gradient fixed point can be mildly repelling under high
         # contact curvature; once the active set repeats and steps are small,
         # root-find the true stationarity-plus-contact system directly.
-        if (
-            rows
-            and warm == prev_active
-            and step_norm < 1e-2
-        ):
-            x_polished = _newton_polish(x_new, frame, c, lo, hi, warm, activation)
+        if rows and warm == prev_active and step_norm < 1e-2:
+            x_polished = _newton_polish(x_new, frame, c, warm)
             # Accept the polish only where conservative advancement from the
             # iterate certifies the straight path to it.
             if x_polished is not None and np.array_equal(
-                _advance(x, x_polished, frame, rows, gaps, activation), x_polished
+                _advance(x, x_polished, frame, rows, gaps), x_polished
             ):
-                result = _certify_kkt(x_polished, a, q_aa, frame, c, lo, hi, activation)
-                if result is not None:
-                    return result + (warm,)
+                fit = _certify_kkt(x_polished, frame, c)
+                if fit is not None:
+                    return _solution(x_polished, a, q_aa, frame, *fit, warm)
         prev_active = warm
         best = x = x_new
     else:
         reason = "equilibrium iteration cap reached"
     raise NonConvergedError(
-        reason, best=None if best is None else _plain_result(best, a, q_aa, frame, activation)
+        reason,
+        best=None if best is None
+        else _solution(best, a, q_aa, frame, _contact_rows(best, frame)[0]).triple,
     )
 
 
@@ -583,7 +596,7 @@ def _curved_hessian(H, rows, forces, G, active):
     return Y @ (Y.T @ H @ Y) @ Y.T + Z @ ((v * np.maximum(w, floor)) @ v.T) @ Z.T
 
 
-def _kkt_system(z, frame, c, lo, hi, active, activation):
+def _kkt_system(z, frame, c, active):
     """Residual and exact Jacobian of the active-set KKT system at
     z = (flexion angles, one multiplier per active row), or None when a
     contact row of ``active`` is no longer a candidate.
@@ -594,7 +607,7 @@ def _kkt_system(z, frame, c, lo, hi, active, activation):
     [[H - sum_k f_k Hess g_k, -A^T], [A, 0]] with the kernel's gap Hessians.
     """
     x, f = z[:3], z[3:]
-    rows = _contact_rows(x, frame, activation)[0]
+    rows = _contact_rows(x, frame)[0]
     if max(active, default=-1) - 6 >= len(rows):
         return None
     m = len(active)
@@ -602,12 +615,9 @@ def _kkt_system(z, frame, c, lo, hi, active, activation):
     cons = np.zeros(m)
     curved = np.array(frame.H, dtype=float)
     for k, i in enumerate(active):
-        if i < 3:
-            A[k, i] = 1.0
-            cons[k] = x[i] - lo[i]
-        elif i < 6:
-            A[k, i - 3] = -1.0
-            cons[k] = hi[i - 3] - x[i - 3]
+        if i < 6:
+            A[k] = _LIMIT_ROWS[i]
+            cons[k] = x[i] - frame.lo[i] if i < 3 else frame.hi[i - 3] - x[i - 3]
         else:
             hit = rows[i - 6]
             A[k] = hit.grad
@@ -618,7 +628,7 @@ def _kkt_system(z, frame, c, lo, hi, active, activation):
     return residual, jac
 
 
-def _newton_polish(x0, frame, c, lo, hi, active, activation):
+def _newton_polish(x0, frame, c, active):
     """Damped Newton on the active-set KKT system with true curved gaps.
 
     Unknowns are the flexion angles and one multiplier per active row.
@@ -628,7 +638,7 @@ def _newton_polish(x0, frame, c, lo, hi, active, activation):
     active = sorted(active)
     z = np.concatenate([x0, np.zeros(len(active))])
     for _ in range(15):
-        system = _kkt_system(z, frame, c, lo, hi, active, activation)
+        system = _kkt_system(z, frame, c, active)
         if system is None:
             return None
         r, jac = system
@@ -649,19 +659,7 @@ def _newton_polish(x0, frame, c, lo, hi, active, activation):
             return None
     if np.any(z[3:] < -1e-9):
         return None
-    return np.clip(z[:3], lo, hi)
-
-
-def _plain_result(x, a, q_aa, frame, activation):
-    """(state, transmission, contacts) of a non-certified iterate (reported
-    forces zero)."""
-    state = JointState(q_aa=q_aa, q1=x[0], q2=x[1], q3=x[2])
-    rows = _contact_rows(x, frame, activation)[0]
-    return (
-        state,
-        transmission_state(x, a, frame.params),
-        [frame.contact(hit) for hit in rows],
-    )
+    return np.clip(z[:3], frame.lo, frame.hi)
 
 
 def _fit_multipliers(A, grad):
@@ -688,48 +686,38 @@ def _fit_multipliers(A, grad):
     return best
 
 
-def _certify_kkt(x, a, q_aa, frame, c, lo, hi, activation):
+def _certify_kkt(x, frame, c):
     """Check the stationarity/complementarity/feasibility conditions of the
     true (curved-gap) problem at ``x``, with multipliers fitted fresh by
     nonnegative least squares against the current contact geometry.
 
-    Returns (state, transmission, contacts, joint-limit multipliers) when the
-    point certifies, else None.  The comparison carries a floor term because
-    evaluating H @ x + c in doubles has rounding of order eps * |H| * |x|,
-    which dominates when the gradient itself vanishes and the stiffnesses are
-    very large.
+    Returns (candidate contact rows, force per phalanx, joint-limit
+    multipliers) when the point certifies, else None.  The comparison carries
+    a floor term because evaluating H @ x + c in doubles has rounding of order
+    eps * |H| * |x|, which dominates when the gradient itself vanishes and the
+    stiffnesses are very large.
     """
-    rows, gaps = _contact_rows(x, frame, activation)
+    rows, gaps = _contact_rows(x, frame)
     if min(gaps, default=0.0) < -PENETRATION_TOL:
         return None
 
     H = frame.H
     grad = H @ x + c
 
-    # Active rows: joint limits the iterate rests on, plus contacts whose
-    # surfaces actually touch.  Candidates with a visible gap may not carry
-    # force (complementarity), so they stay out of the multiplier fit.
-    act_rows = []
-    kinds = []  # ("lo", j) | ("hi", j) | ("contact", index into rows)
-    bound_tol = 1e-9
+    # Active rows, numbered as in the QP: the joint limits the iterate rests
+    # on, then the candidates whose surfaces actually touch.  Candidates with
+    # a visible gap may not carry force (complementarity), so they stay out
+    # of the multiplier fit.
+    active = []
     for j in range(3):
-        if x[j] - lo[j] <= bound_tol:
-            e = np.zeros(3)
-            e[j] = 1.0
-            act_rows.append(e)
-            kinds.append(("lo", j))
-        elif hi[j] - x[j] <= bound_tol:
-            e = np.zeros(3)
-            e[j] = -1.0
-            act_rows.append(e)
-            kinds.append(("hi", j))
-    for idx, hit in enumerate(rows):
-        if hit.gap <= TOUCH_TOL:
-            act_rows.append(hit.grad)
-            kinds.append(("contact", idx))
+        if x[j] - frame.lo[j] <= 1e-9:
+            active.append(j)
+        elif frame.hi[j] - x[j] <= 1e-9:
+            active.append(3 + j)
+    active += [6 + k for k, hit in enumerate(rows) if hit.gap <= TOUCH_TOL]
 
-    if act_rows:
-        A = np.array(act_rows)
+    if active:
+        A = np.array([_LIMIT_ROWS[i] if i < 6 else rows[i - 6].grad for i in active])
         f = _fit_multipliers(A, grad)
         residual = grad - A.T @ f
     else:
@@ -744,23 +732,15 @@ def _certify_kkt(x, a, q_aa, frame, c, lo, hi, activation):
 
     box_mult = np.zeros(6)
     forces = {}
-    for value, kind in zip(f, kinds):
-        tag, j = kind
-        if tag == "lo":
-            box_mult[j] = value
-        elif tag == "hi":
-            box_mult[3 + j] = value
+    for value, i in zip(f, active):
+        if i < 6:
+            box_mult[i] = value
         else:
-            forces[rows[j].phalanx] = float(value)
+            forces[rows[i - 6].phalanx] = float(value)
 
     if any(abs(forces.get(hit.phalanx, 0.0) * hit.gap) > COMPLEMENTARITY_TOL for hit in rows):
         return None
-    return (
-        JointState(q_aa=q_aa, q1=x[0], q2=x[1], q3=x[2]),
-        transmission_state(x, a, frame.params),
-        [frame.contact(hit, forces.get(hit.phalanx, 0.0)) for hit in rows],
-        box_mult,
-    )
+    return rows, forces, box_mult
 
 
 # --------------------------------------------------------------------------
@@ -834,38 +814,35 @@ def envelop_sweep(
     for i, a in enumerate(schedule):
         present = remove_object_at is None or i < remove_object_at
         try:
-            q_new, trans, contacts, box_mult, warm = _equilibrium_full(
-                a, q, frame if present else released, warm_active=warm
-            )
+            sol = _solve(a, q, frame if present else released, warm)
         except NonConvergedError:
             return EquilibriumTrace(steps=tuple(steps), status="non-converged")
         except ModhandError as exc:
             raise SweepError(i, exc) from exc
 
-        energy = elastic_energy(q_new.flexion(), a, params)
         steps.append(
             TraceStep(
                 a=a,
-                joints=q_new,
-                transmission=trans,
-                contacts=tuple(contacts),
-                energy=energy,
+                joints=sol.joints,
+                transmission=sol.transmission,
+                contacts=tuple(sol.contacts),
+                energy=elastic_energy(sol.joints.flexion(), a, params),
                 object_present=present,
             )
         )
-        touching = sum(1 for c in contacts if touches(c))
+        touching = sum(1 for c in sol.contacts if touches(c))
         if present and held and touching == 0 and a > schedule[i - 1]:
             return EquilibriumTrace(steps=tuple(steps), status="ejected")
         # Saturated only when the drive is actively pressing every joint
         # into a travel stop (limit multipliers engaged), not merely resting
         # on one, and no contact is carrying the load instead.
         saturated = all(
-            box_mult[j] > 1e-9 or box_mult[3 + j] > 1e-9 for j in range(3)
+            sol.box_mult[j] > 1e-9 or sol.box_mult[3 + j] > 1e-9 for j in range(3)
         )
         if saturated:
             return EquilibriumTrace(steps=tuple(steps), status="limit-saturated")
         held = held or (present and touching >= 2)
-        q = q_new
+        q, warm = sol.joints, sol.active
     return EquilibriumTrace(steps=tuple(steps), status="completed")
 
 

@@ -36,21 +36,6 @@ _BASE_ALIGN = np.array(
 _PLANES = {"xoy": (0, 1), "xoz": (0, 2), "yoz": (1, 2)}
 
 
-def dh_transform(theta: float, d: float, a: float, alpha: float) -> np.ndarray:
-    """Single link transform: rotate theta about z, offset d along z,
-    length a along x, twist alpha about x."""
-    ct, st = np.cos(theta), np.sin(theta)
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    return np.array(
-        [
-            [ct, -st * ca, st * sa, a * ct],
-            [st, ct * ca, -ct * sa, a * st],
-            [0.0, sa, ca, d],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-
-
 @dataclass(frozen=True)
 class FingerPoseChain:
     """Rigid frames of one finger at a given joint state.
@@ -94,44 +79,24 @@ class FingerPoseChain:
         return ((pts[0], pts[1]), (pts[1], pts[2]), (pts[2], pts[3]))
 
 
-def forward_kinematics(
-    q: JointState, params: FingerParams, base: np.ndarray | None = None
-) -> FingerPoseChain:
-    """Pose chain of the 4-DoF finger at joint state ``q``.
+def _chain(qs: np.ndarray, params: FingerParams, base: np.ndarray | None):
+    """World transforms after each joint for an (n, 4) array of joint states:
+    four (n, 4, 4) stacks (swing, proximal, middle, distal).
 
-    ``base`` is an optional world transform of the finger root (4 x 4).
+    Each link multiplies the stack by its standard four-parameter transform:
+    rotate theta about z, length a along x, twist alpha about x.
     """
-    if base is None:
-        base = np.eye(4)
-    l1, l2, l3 = params.link_lengths
-    t_swing = base @ _BASE_ALIGN @ dh_transform(q.q_aa, 0.0, 0.0, np.pi / 2)
-    t_prox = t_swing @ dh_transform(q.q1, 0.0, l1, 0.0)
-    t_mid = t_prox @ dh_transform(q.q2, 0.0, l2, 0.0)
-    t_dist = t_mid @ dh_transform(q.q3, 0.0, l3, 0.0)
-    return FingerPoseChain(
-        base=base, frames=(t_swing, t_prox, t_mid, t_dist), joint_state=q
-    )
-
-
-def batch_fingertips(
-    qs: np.ndarray, params: FingerParams, base: np.ndarray | None = None
-) -> np.ndarray:
-    """Fingertip positions for an (n, 4) array of joint states, (n, 3) mm.
-
-    Same link-transform chain as forward_kinematics, evaluated with stacked
-    matrices so large Monte Carlo clouds stay cheap.
-    """
-    qs = np.asarray(qs, dtype=float)
     n = qs.shape[0]
     chain = np.broadcast_to(
         (_BASE_ALIGN if base is None else np.asarray(base) @ _BASE_ALIGN), (n, 4, 4)
-    ).copy()
+    )
     specs = [
         (qs[:, 0], 0.0, np.pi / 2),
         (qs[:, 1], params.link_lengths[0], 0.0),
         (qs[:, 2], params.link_lengths[1], 0.0),
         (qs[:, 3], params.link_lengths[2], 0.0),
     ]
+    stacks = []
     for theta, a, alpha in specs:
         ct, st = np.cos(theta), np.sin(theta)
         ca, sa = np.cos(alpha), np.sin(alpha)
@@ -148,7 +113,31 @@ def batch_fingertips(
         step[:, 2, 2] = ca
         step[:, 3, 3] = 1.0
         chain = chain @ step
-    return chain[:, :3, 3]
+        stacks.append(chain)
+    return stacks
+
+
+def forward_kinematics(
+    q: JointState, params: FingerParams, base: np.ndarray | None = None
+) -> FingerPoseChain:
+    """Pose chain of the 4-DoF finger at joint state ``q``: the one-row case
+    of the stacked chain.
+
+    ``base`` is an optional world transform of the finger root (4 x 4).
+    """
+    stacks = _chain(q.as_array()[None], params, base)
+    return FingerPoseChain(
+        base=np.eye(4) if base is None else base,
+        frames=tuple(stack[0] for stack in stacks),
+        joint_state=q,
+    )
+
+
+def batch_fingertips(
+    qs: np.ndarray, params: FingerParams, base: np.ndarray | None = None
+) -> np.ndarray:
+    """Fingertip positions for an (n, 4) array of joint states, (n, 3) mm."""
+    return _chain(np.asarray(qs, dtype=float), params, base)[-1][:, :3, 3]
 
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)

@@ -29,6 +29,7 @@ from modhand.grasp import (
 )
 from modhand.kinematics import forward_kinematics
 from modhand.params import JointState, default_params
+from modhand.ucm import transmission_state
 
 P = default_params()
 LINE = np.array([6.0, 7.0, 4.2])
@@ -204,6 +205,33 @@ def test_blocked_proximal_pins_q1_while_distal_grows():
     assert all(b > a for a, b in zip(q3s, q3s[1:]))
     assert abs(results[-1][1].parallel[0]) > 0.1       # coupling broken
     assert any(c.phalanx == 1 and c.force > 0 for c in results[-1][2])
+
+
+def test_non_converged_error_carries_last_iterate():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grasp, "MAX_OUTER", 1)
+        with pytest.raises(NonConvergedError) as info:
+            equilibrium_solve(10.0, JointState(), P, BLOCKER)
+    joints, trans, contacts = info.value.best
+    assert joints.within_limits(P)
+    assert trans == transmission_state(joints.flexion(), 10.0, P)
+    assert [c.phalanx for c in contacts] == [1]
+    assert all(c.force == 0.0 for c in contacts)
+
+
+def test_non_converged_sweep_keeps_solved_steps():
+    schedule = np.linspace(0.0, 10.0, 20)
+    full = envelop_sweep(schedule, P, BLOCKER)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grasp, "MAX_OUTER", 1)
+        capped = envelop_sweep(schedule, P, BLOCKER)
+        kept = len(capped.steps)
+        # the step right after the kept ones is the one that fails
+        shorter = envelop_sweep(schedule[:kept + 1], P, BLOCKER)
+    assert full.status == "completed"
+    assert capped.status == "non-converged" and shorter.status == "non-converged"
+    assert 0 < kept < len(schedule)
+    assert capped.steps == full.steps[:kept]
 
 
 def test_contact_complementarity_and_penetration():
@@ -612,26 +640,27 @@ def test_polish_jacobian_matches_residual_differences(q_aa, x, obj, active, scal
     h = 1e-6
     assume(smooth_around(x, q_aa, ENV_PARAMS, obj, h))
     frame = grasp._solve_frame(q_aa, ENV_PARAMS, obj)
-    lo = np.array([pair[0] for pair in ENV_PARAMS.joint_limits[1:]])
-    hi = np.array([pair[1] for pair in ENV_PARAMS.joint_limits[1:]])
     c = frame.joint_drive * a
     active = sorted(active)
     z = np.concatenate([x, scale * np.linspace(0.5, 1.5, len(active))])
-    # every phalanx is a candidate, so contact row 6 + j is phalanx j + 1
-    r, jac = grasp._kkt_system(z, frame, c, lo, hi, active, math.inf)
-    for col in range(len(z)):
-        zp, zm = z.copy(), z.copy()
-        zp[col] += h
-        zm[col] -= h
-        rp = grasp._kkt_system(zp, frame, c, lo, hi, active, math.inf)[0]
-        rm = grasp._kkt_system(zm, frame, c, lo, hi, active, math.inf)[0]
-        fd = (rp - rm) / (2 * h)
-        # the difference quotient carries the rounding of residuals up to
-        # |f| * |g| ~ 1e5 in size
-        rounding = 64 * np.finfo(float).eps * max(np.abs(rp).max(), np.abs(rm).max()) / h
-        assert np.abs(jac[:, col] - fd).max() <= (
-            1e-5 * (1.0 + np.abs(jac[:, col]).max()) + rounding
-        )
+    with pytest.MonkeyPatch.context() as mp:
+        # every phalanx is a candidate, so contact row 6 + j is phalanx j + 1
+        mp.setattr(grasp, "ACTIVATION_THRESHOLD", math.inf)
+        r, jac = grasp._kkt_system(z, frame, c, active)
+        for col in range(len(z)):
+            zp, zm = z.copy(), z.copy()
+            zp[col] += h
+            zm[col] -= h
+            rp = grasp._kkt_system(zp, frame, c, active)[0]
+            rm = grasp._kkt_system(zm, frame, c, active)[0]
+            fd = (rp - rm) / (2 * h)
+            # the difference quotient carries the rounding of residuals up to
+            # |f| * |g| ~ 1e5 in size
+            largest = max(np.abs(rp).max(), np.abs(rm).max())
+            rounding = 64 * np.finfo(float).eps * largest / h
+            assert np.abs(jac[:, col] - fd).max() <= (
+                1e-5 * (1.0 + np.abs(jac[:, col]).max()) + rounding
+            )
 
 
 def test_ill_conditioned_kkt_vertex_certifies():

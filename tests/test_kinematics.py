@@ -17,9 +17,47 @@ from modhand.kinematics import (
     sample_workspace,
     splitmix64_words,
 )
+from modhand.hand import default_layout
 from modhand.params import FingerParams, JointState, default_params
 
 P = default_params()
+
+# Base alignment of the documented frame convention (first link frame to base).
+BASE_ALIGN = np.array(
+    [
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, -1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+    ]
+)
+
+
+def dh_transform(theta: float, d: float, a: float, alpha: float) -> np.ndarray:
+    """Oracle link transform: rotate theta about z, offset d along z, length
+    a along x, twist alpha about x."""
+    ct, st = np.cos(theta), np.sin(theta)
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    return np.array(
+        [
+            [ct, -st * ca, st * sa, a * ct],
+            [st, ct * ca, -ct * sa, a * st],
+            [0.0, sa, ca, d],
+            [0.0, 0.0, 0.0, 1.0],
+        ]
+    )
+
+
+def scalar_dh_chain(q: JointState, params: FingerParams, base=None):
+    """Oracle: the four world frames as a product of single 4 x 4 link
+    transforms, one joint at a time."""
+    base = np.eye(4) if base is None else base
+    l1, l2, l3 = params.link_lengths
+    t_swing = base @ BASE_ALIGN @ dh_transform(q.q_aa, 0.0, 0.0, np.pi / 2)
+    t_prox = t_swing @ dh_transform(q.q1, 0.0, l1, 0.0)
+    t_mid = t_prox @ dh_transform(q.q2, 0.0, l2, 0.0)
+    t_dist = t_mid @ dh_transform(q.q3, 0.0, l3, 0.0)
+    return t_swing, t_prox, t_mid, t_dist
 
 
 def planar_oracle(q: JointState, lengths):
@@ -58,7 +96,21 @@ def test_batch_fingertips_matches_single_fk():
     batch = batch_fingertips(qs, P)
     for row, tip in zip(qs, batch):
         single = forward_kinematics(JointState(*row), P).tip
-        assert np.max(np.abs(single - tip)) < 1e-12
+        assert single.tobytes() == tip.tobytes()
+
+
+def test_fk_frames_equal_scalar_dh_chain():
+    # Scalar FK is the one-row case of the stacked chain; every frame must be
+    # bitwise the single-transform product, with and without a finger base.
+    # Bytes, not values: a -0.0 prints as "-0" in the CLI's tip reports.
+    rng = np.random.default_rng(17)
+    qs = rng.uniform(-3.2, 3.2, size=(300, 4))
+    for base in [None] + [mount.base for mount in default_layout().fingers]:
+        for row in qs:
+            q = JointState(*row)
+            frames = forward_kinematics(q, P, base).frames
+            for got, want in zip(frames, scalar_dh_chain(q, P, base)):
+                assert got.tobytes() == want.tobytes()
 
 
 def test_link_lengths_preserved():
