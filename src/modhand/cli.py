@@ -24,13 +24,14 @@ import numpy as np
 
 from . import __version__
 from .drive import drive_to_mcp, rigid_coupled_flexion
-from .errors import ModhandError, SweepError, ValidationError
+from .errors import ConfigSchemaError, ModhandError, SweepError, ValidationError
 from .grasp import EquilibriumTrace, RigidObject, envelop_sweep
 from .hand import default_layout, hand_fk, load_layout
 from .kinematics import points_to_csv, project_workspace, sample_workspace
 from .params import (
     DriveState,
     JointState,
+    _check,
     params_to_dict,
     resolve_params,
 )
@@ -226,9 +227,12 @@ def _trace_records(trace) -> str:
 
 def cmd_envelop(args) -> int:
     params = resolve_params(args.config)
-    center = [float(v) for v in args.center.split(",")]
+    try:
+        center = [float(v) for v in args.center.split(",")]
+    except ValueError:
+        center = []
     if len(center) != 3:
-        raise ValidationError("--center expects x,y,z")
+        raise ValidationError(f"--center: expected x,y,z in mm, got {args.center!r}")
     if args.sphere_d <= 0:
         raise ValidationError("--sphere-d must be positive")
     if args.steps < 1:
@@ -244,7 +248,8 @@ def cmd_envelop(args) -> int:
     )
     try:
         trace = envelop_sweep(schedule, params, obj)
-    except SweepError:
+    except SweepError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         trace = EquilibriumTrace(steps=(), status="non-converged")
     text = _trace_records(trace)
     _emit(text, args.out, manifest)
@@ -257,12 +262,14 @@ def cmd_hand_fk(args) -> int:
         states = [JointState() for _ in layout.fingers]
     else:
         with open(args.joints, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, list) or len(doc) != len(layout.fingers):
-            raise ValidationError(
-                f"--joints file must hold {len(layout.fingers)} joint vectors"
-            )
-        states = [JointState(*[float(v) for v in row]) for row in doc]
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigSchemaError("--joints", f"invalid JSON: {exc}") from exc
+        n = len(layout.fingers)
+        vector4 = {"type": "array", "items": {"type": "number"}, "minItems": 4, "maxItems": 4}
+        _check(doc, {"type": "array", "items": vector4, "minItems": n, "maxItems": n}, "--joints")
+        states = [JointState(*row) for row in doc]
     chains = hand_fk(states, layout)
 
     manifest = RunManifest(
@@ -358,10 +365,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except ModhandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ModhandError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

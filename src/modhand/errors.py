@@ -10,8 +10,13 @@ class ModhandError(Exception):
 class ConfigSchemaError(ModhandError):
     """A configuration document violates the schema.
 
-    The offending field path is kept in ``field`` and always appears in the
-    message so CLI users can locate the problem without a traceback.
+    The offending field path is kept in ``field`` and always starts the
+    message ("<field>: ...") so CLI users can locate the problem without a
+    traceback.  Object keys are joined by dots and list indices follow in
+    brackets, as in ``springs.radial``, ``links_mm[1]`` or ``limits.aa[0]``;
+    a CLI input names its option first (``--joints[0][1]``).  ``<root>``
+    stands for the document itself, ``<file>`` and ``<document>`` for a file
+    that cannot be read or parsed.
     """
 
     def __init__(self, field: str, message: str):

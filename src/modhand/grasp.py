@@ -83,16 +83,20 @@ class RigidObject:
         if self.shape == "sphere":
             if not (math.isfinite(self.radius) and self.radius > 0):
                 raise ValidationError("sphere radius must be strictly positive")
-            object.__setattr__(
-                self, "center", tuple(float(c) for c in self.center)
-            )
+            center = tuple(float(c) for c in self.center)
+            if not all(map(math.isfinite, center)):
+                raise ValidationError("sphere center must be finite")
+            object.__setattr__(self, "center", center)
         else:
             n = np.asarray(self.normal, dtype=float)
             norm = np.linalg.norm(n)
             if not norm > 0:
                 raise ValidationError("half-space normal must be nonzero")
             object.__setattr__(self, "normal", tuple(n / norm))
-            object.__setattr__(self, "point", tuple(float(c) for c in self.point))
+            point = tuple(float(c) for c in self.point)
+            if not all(map(math.isfinite, point)):
+                raise ValidationError("half-space point must be finite")
+            object.__setattr__(self, "point", point)
 
     @classmethod
     def sphere(cls, center, radius: float) -> "RigidObject":
@@ -802,6 +806,8 @@ def envelop_sweep(
     schedule = [float(v) for v in a_schedule]
     if len(schedule) == 0:
         raise ValidationError("drive schedule must not be empty")
+    if not all(map(math.isfinite, schedule)):
+        raise ValidationError("drive schedule must be finite")
     if any(b < a for a, b in zip(schedule, schedule[1:])):
         raise ValidationError("drive schedule must be nondecreasing")
 
@@ -863,7 +869,7 @@ def fingertip_force(
     only contact touching or pressing the object."""
     q_init = q_init if q_init is not None else JointState()
     _, _, contacts = equilibrium_solve(a, q_init, params, obj)
-    touching = [c for c in contacts if c.force > 1e-9 or abs(c.gap) <= 1e-6]
+    touching = [c for c in contacts if touches(c)]
     if len(touching) != 1 or touching[0].phalanx != 3:
         raise PreconditionError(
             "fingertip force requires a single distal-phalanx contact"

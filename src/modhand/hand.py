@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigSchemaError, ValidationError
 from .kinematics import derive_subseed, forward_kinematics, sample_workspace
-from .params import FingerParams, JointState, parse_angle, params_from_dict
+from .params import FingerParams, JointState, _check, parse_angle, params_from_dict
 
 ACTIVE_KIND = "active-modular"
 AUXILIARY_KIND = "auxiliary-passive-aa"
@@ -58,8 +58,8 @@ class FingerMount:
 
     def __post_init__(self):
         base = np.array(self.base, dtype=float)
-        if base.shape != (4, 4):
-            raise ValidationError(f"{self.name}: base must be a 4x4 transform")
+        if base.shape != (4, 4) or not np.isfinite(base).all():
+            raise ValidationError(f"{self.name}: base must be a finite 4x4 transform")
         base.setflags(write=False)
         object.__setattr__(self, "base", base)
         if self.kind not in (ACTIVE_KIND, AUXILIARY_KIND):
@@ -164,7 +164,16 @@ def hand_workspace(layout: HandLayout, n: int, seed: int, coupled: bool = False)
 
 _LAYOUT_TOP_KEYS = {"version", "fingers"}
 _FINGER_KEYS = {"name", "base", "kind", "params", "aa_spring"}
-_BASE_KEYS = {"translation", "axis", "angle"}
+_VECTOR3 = {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3}
+_BASE = {
+    "type": "object",
+    "additionalProperties": False,
+    "properties": {
+        "translation": _VECTOR3,
+        "axis": _VECTOR3,
+        "angle": {"$ref": "#/$defs/angle"},
+    },
+}
 
 
 def layout_from_dict(doc: Mapping) -> HandLayout:
@@ -194,10 +203,7 @@ def layout_from_dict(doc: Mapping) -> HandLayout:
         base = np.eye(4)
         if "base" in entry:
             spec = entry["base"]
-            if not isinstance(spec, Mapping) or set(spec) - _BASE_KEYS:
-                raise ConfigSchemaError(
-                    f"{where}.base", "expected translation/axis/angle"
-                )
+            _check(spec, _BASE, f"{where}.base")
             translation = spec.get("translation", (0.0, 0.0, 0.0))
             axis = spec.get("axis", (0.0, 0.0, 1.0))
             angle = parse_angle(spec.get("angle", 0.0), f"{where}.base.angle")
@@ -206,6 +212,8 @@ def layout_from_dict(doc: Mapping) -> HandLayout:
             params_from_dict(entry["params"]) if "params" in entry else FingerParams()
         )
         aa_spring = entry.get("aa_spring")
+        if aa_spring is not None:
+            _check(aa_spring, {"type": "number"}, f"{where}.aa_spring")
         mounts.append(
             FingerMount(
                 name=str(entry["name"]),

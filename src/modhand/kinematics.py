@@ -62,10 +62,6 @@ class FingerPoseChain:
     def tip(self) -> np.ndarray:
         return self.frames[3][:3, 3]
 
-    @property
-    def tip_rotation(self) -> np.ndarray:
-        return self.frames[3][:3, :3]
-
     def joint_positions(self) -> np.ndarray:
         """Stacked positions of the composite joint, the two inter-phalanx
         joints, and the fingertip (4 x 3, mm)."""

@@ -5,17 +5,20 @@ are immutable value objects: safe to share across workers, hashable where it
 matters, and exactly round-trippable through the JSON config format.
 
 Units are fixed package-wide: radians, millimeters, newtons, N*mm torques.
-Config documents may write angles as raw radians or as strings with an
-explicit suffix ("20deg", "0.35rad").
+Config documents are checked against the shipped schema
+(schema/finger_config.schema.json); angles are raw radians or strings with
+an explicit suffix ("20deg", "0.35rad").
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import re
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -44,28 +47,82 @@ DEFAULT_LIMITS = (
 _LIMIT_KEYS = ("aa", "mcp", "pip", "dip")
 
 
-def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+_SCHEMA_PATH = Path(__file__).parent / "schema" / "finger_config.schema.json"
+_SCHEMA = json.loads(_SCHEMA_PATH.read_text(encoding="utf-8"))
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, Mapping),
+    "array": lambda v: isinstance(v, (list, tuple)),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: _TYPES["number"](v) and (isinstance(v, int) or v.is_integer()),
+}
+
+
+def _check(value: Any, schema: Mapping, where: str) -> None:
+    """Raise ConfigSchemaError unless ``value`` conforms to ``schema``.
+
+    Interprets the JSON Schema 2020-12 keywords the shipped schema uses, with
+    the same verdicts (a bool is no number, 22.0 is an integer, NaN passes
+    ``exclusiveMinimum``), and ignores annotations; a tuple is an array.
+    ``where`` is the field path so far, "" at the document root.
+    """
+    at = where or "<root>"
+    if "$ref" in schema:
+        _check(value, _SCHEMA["$defs"][schema["$ref"].rpartition("/")[2]], where)
+    if "oneOf" in schema and sum(_conforms(value, s) for s in schema["oneOf"]) != 1:
+        form = schema.get("description", "exactly one allowed form")
+        raise ConfigSchemaError(at, f"expected {form}, got {value!r}")
+    kind = schema.get("type")
+    if kind and not _TYPES[kind](value):
+        raise ConfigSchemaError(at, f"expected {kind}, got {type(value).__name__}")
+    if "const" in schema:
+        const = schema["const"]
+        if value != const or isinstance(value, bool) != isinstance(const, bool):
+            raise ConfigSchemaError(at, f"expected {const!r}, got {value!r}")
+    if _TYPES["number"](value):
+        if "minimum" in schema and value < schema["minimum"]:
+            raise ConfigSchemaError(at, f"must be >= {schema['minimum']}")
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            raise ConfigSchemaError(at, f"must be > {schema['exclusiveMinimum']}")
+    elif _TYPES["string"](value):
+        if "pattern" in schema and not re.search(schema["pattern"], value):
+            raise ConfigSchemaError(at, f"{value!r} does not match {schema['pattern']}")
+    elif _TYPES["array"](value):
+        if len(value) < schema.get("minItems", 0):
+            raise ConfigSchemaError(at, f"expected at least {schema['minItems']} entries")
+        if len(value) > schema.get("maxItems", len(value)):
+            raise ConfigSchemaError(at, f"expected at most {schema['maxItems']} entries")
+        for i, item in enumerate(value):
+            _check(item, schema.get("items", {}), f"{where}[{i}]")
+    elif _TYPES["object"](value):
+        props = schema.get("properties", {})
+        for key, item in value.items():
+            path = f"{where}.{key}" if where else str(key)
+            if key in props:
+                _check(item, props[key], path)
+            elif schema.get("additionalProperties") is False:
+                raise ConfigSchemaError(path, "unknown key")
+
+
+def _conforms(value: Any, schema: Mapping) -> bool:
+    try:
+        _check(value, schema, "")
+    except ConfigSchemaError:
+        return False
+    return True
 
 
 def parse_angle(value: Any, field_name: str = "angle") -> float:
-    """Parse an angle: raw number = radians, "20deg"/"0.3rad" = suffixed."""
-    if isinstance(value, bool):
-        raise ConfigSchemaError(field_name, "angle must be a number or suffixed string")
-    if isinstance(value, (int, float)):
-        if not math.isfinite(value):
-            raise ConfigSchemaError(field_name, "angle must be finite")
+    """Parse an angle of the schema's ``angle`` form: a raw number is radians,
+    a string carries a lowercase suffix ("20deg", "-0.35 rad")."""
+    _check(value, _SCHEMA["$defs"]["angle"], field_name)
+    if not isinstance(value, str):
         return float(value)
-    if isinstance(value, str):
-        text = value.strip().lower()
-        for suffix, scale in (("deg", math.pi / 180.0), ("rad", 1.0)):
-            if text.endswith(suffix):
-                try:
-                    return float(text[: -len(suffix)]) * scale
-                except ValueError:
-                    break
-        raise ConfigSchemaError(field_name, f"cannot parse angle {value!r}")
-    raise ConfigSchemaError(field_name, f"cannot parse angle {value!r}")
+    text = value.strip()
+    return float(text[:-3]) * (math.pi / 180.0 if text.endswith("deg") else 1.0)
 
 
 @dataclass(frozen=True)
@@ -163,22 +220,16 @@ class FingerParams:
         if len(teeth) != 3:
             raise ValidationError("drive_teeth must have 3 entries")
         for z in teeth:
-            if isinstance(z, bool) or not isinstance(z, (int, float)) or z != int(z):
-                raise ValidationError(f"drive_teeth entries must be integers, got {z!r}")
-            if int(z) < 1:
-                raise ValidationError(f"drive_teeth entries must be >= 1, got {z}")
+            if not (_TYPES["integer"](z) and z >= 1):
+                raise ValidationError(f"drive_teeth entries must be integers >= 1, got {z!r}")
         object.__setattr__(self, "drive_teeth", tuple(int(z) for z in teeth))
 
-        for name, n in (
-            ("drive_radii", 3),
-            ("coupling_radii", 3),
-            ("spring_parallel", 3),
-            ("link_lengths", 3),
-            ("link_radii", 3),
+        for name in (
+            "drive_radii", "coupling_radii", "spring_parallel", "link_lengths", "link_radii"
         ):
             vals = tuple(float(v) for v in getattr(self, name))
-            if len(vals) != n:
-                raise ValidationError(f"{name} must have {n} entries")
+            if len(vals) != 3:
+                raise ValidationError(f"{name} must have 3 entries")
             if not all(math.isfinite(v) and v > 0 for v in vals):
                 raise ValidationError(f"{name} entries must be strictly positive")
             object.__setattr__(self, name, vals)
@@ -208,21 +259,25 @@ class FingerParams:
         return sum(self.link_lengths)
 
 
+class _FiniteState:
+    """Base of the state records: every field becomes a finite float."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = float(getattr(self, f.name))
+            if not math.isfinite(v):
+                raise ValidationError(f"{f.name} must be finite")
+            object.__setattr__(self, f.name, v)
+
+
 @dataclass(frozen=True)
-class JointState:
+class JointState(_FiniteState):
     """Joint-space configuration: lateral swing plus three flexion angles, rad."""
 
     q_aa: float = 0.0
     q1: float = 0.0
     q2: float = 0.0
     q3: float = 0.0
-
-    def __post_init__(self):
-        for name in ("q_aa", "q1", "q2", "q3"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValidationError(f"{name} must be finite")
-            object.__setattr__(self, name, v)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.q_aa, self.q1, self.q2, self.q3])
@@ -238,36 +293,22 @@ class JointState:
 
 
 @dataclass(frozen=True)
-class DriveState:
+class DriveState(_FiniteState):
     """Motor output angles of the two-actuator drive, rad."""
 
     a1: float = 0.0
     a2: float = 0.0
-
-    def __post_init__(self):
-        for name in ("a1", "a2"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValidationError(f"{name} must be finite")
-            object.__setattr__(self, name, v)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a1, self.a2])
 
 
 @dataclass(frozen=True)
-class PlanetaryState:
+class PlanetaryState(_FiniteState):
     """Planetary gear revolution/rotation angles at the composite joint, rad."""
 
     theta1: float = 0.0
     theta2: float = 0.0
-
-    def __post_init__(self):
-        for name in ("theta1", "theta2"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValidationError(f"{name} must be finite")
-            object.__setattr__(self, name, v)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.theta1, self.theta2])
@@ -298,131 +339,35 @@ PRESETS = {
 # Config document I/O
 # --------------------------------------------------------------------------
 
-_TOP_KEYS = {
-    "version",
-    "teeth",
-    "drive_radii_mm",
-    "coupling_radii_mm",
-    "springs",
-    "links_mm",
-    "link_radii_mm",
-    "limits",
-    "differential",
-}
-_SPRING_KEYS = {"serial", "parallel"}
-_DIFF_KEYS = {"output_stage", "coupling", "motor_stage", "swap_modes"}
-
-
-def _require_number_list(doc, key: str, n: int, where: str) -> tuple:
-    val = doc[key]
-    if not isinstance(val, (list, tuple)) or len(val) != n:
-        raise ConfigSchemaError(f"{where}{key}", f"expected a list of {n} numbers")
-    out = []
-    for i, x in enumerate(val):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigSchemaError(f"{where}{key}[{i}]", "expected a number")
-        out.append(float(x))
-    return tuple(out)
-
-
-def _matrix2(doc, key: str, where: str) -> tuple:
-    val = doc[key]
-    if (
-        not isinstance(val, (list, tuple))
-        or len(val) != 2
-        or any(not isinstance(r, (list, tuple)) or len(r) != 2 for r in val)
-    ):
-        raise ConfigSchemaError(f"{where}{key}", "expected a 2x2 matrix")
-    return tuple(tuple(float(x) for x in row) for row in val)
+# Config-document number lists and the FingerParams fields they fill.
+_LISTS = (
+    ("teeth", "drive_teeth"),
+    ("drive_radii_mm", "drive_radii"),
+    ("coupling_radii_mm", "coupling_radii"),
+    ("links_mm", "link_lengths"),
+    ("link_radii_mm", "link_radii"),
+)
 
 
 def params_from_dict(doc: Mapping) -> FingerParams:
-    """Validate a parsed config tree and build FingerParams.
+    """Check a parsed config tree against the schema and build FingerParams.
 
     Unknown keys are errors; omitted keys fall back to the documented
     defaults.  Raises ConfigSchemaError naming the offending field, or
     ValidationError if the values break a model invariant.
     """
-    if not isinstance(doc, Mapping):
-        raise ConfigSchemaError("<root>", "config must be a key/value tree")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ConfigSchemaError(sorted(unknown)[0], "unknown key")
-    if "version" in doc and doc["version"] != SCHEMA_VERSION:
-        raise ConfigSchemaError("version", f"unsupported version {doc['version']!r}")
-
-    kwargs: dict = {}
-    if "teeth" in doc:
-        teeth = doc["teeth"]
-        if not isinstance(teeth, (list, tuple)) or len(teeth) != 3:
-            raise ConfigSchemaError("teeth", "expected a list of 3 integers")
-        kwargs["drive_teeth"] = tuple(teeth)
-    if "drive_radii_mm" in doc:
-        kwargs["drive_radii"] = _require_number_list(doc, "drive_radii_mm", 3, "")
-    if "coupling_radii_mm" in doc:
-        kwargs["coupling_radii"] = _require_number_list(doc, "coupling_radii_mm", 3, "")
-    if "links_mm" in doc:
-        kwargs["link_lengths"] = _require_number_list(doc, "links_mm", 3, "")
-    if "link_radii_mm" in doc:
-        kwargs["link_radii"] = _require_number_list(doc, "link_radii_mm", 3, "")
-
-    if "springs" in doc:
-        springs = doc["springs"]
-        if not isinstance(springs, Mapping):
-            raise ConfigSchemaError("springs", "expected an object")
-        unknown = set(springs) - _SPRING_KEYS
-        if unknown:
-            raise ConfigSchemaError(f"springs.{sorted(unknown)[0]}", "unknown key")
-        if "serial" in springs:
-            v = springs["serial"]
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigSchemaError("springs.serial", "expected a number")
-            kwargs["spring_serial"] = float(v)
-        if "parallel" in springs:
-            kwargs["spring_parallel"] = _require_number_list(
-                springs, "parallel", 3, "springs."
-            )
-
+    _check(doc, _SCHEMA, "")
+    kwargs: dict = {name: tuple(doc[key]) for key, name in _LISTS if key in doc}
+    # The schema admits only "serial" and "parallel" under "springs".
+    kwargs.update({f"spring_{key}": v for key, v in doc.get("springs", {}).items()})
     if "limits" in doc:
         limits = doc["limits"]
-        if not isinstance(limits, Mapping):
-            raise ConfigSchemaError("limits", "expected an object")
-        unknown = set(limits) - set(_LIMIT_KEYS)
-        if unknown:
-            raise ConfigSchemaError(f"limits.{sorted(unknown)[0]}", "unknown key")
-        pairs = []
-        for key, default in zip(_LIMIT_KEYS, DEFAULT_LIMITS):
-            if key not in limits:
-                pairs.append(default)
-                continue
-            pair = limits[key]
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ConfigSchemaError(f"limits.{key}", "expected [min, max]")
-            pairs.append(
-                (
-                    parse_angle(pair[0], f"limits.{key}[0]"),
-                    parse_angle(pair[1], f"limits.{key}[1]"),
-                )
-            )
-        kwargs["joint_limits"] = tuple(pairs)
-
+        kwargs["joint_limits"] = tuple(
+            tuple(map(parse_angle, limits[key])) if key in limits else default
+            for key, default in zip(_LIMIT_KEYS, DEFAULT_LIMITS)
+        )
     if "differential" in doc:
-        diff = doc["differential"]
-        if not isinstance(diff, Mapping):
-            raise ConfigSchemaError("differential", "expected an object")
-        unknown = set(diff) - _DIFF_KEYS
-        if unknown:
-            raise ConfigSchemaError(f"differential.{sorted(unknown)[0]}", "unknown key")
-        dkw: dict = {}
-        for key in ("output_stage", "coupling", "motor_stage"):
-            if key in diff:
-                dkw[key] = _matrix2(diff, key, "differential.")
-        if "swap_modes" in diff:
-            if not isinstance(diff["swap_modes"], bool):
-                raise ConfigSchemaError("differential.swap_modes", "expected a boolean")
-            dkw["swap_modes"] = diff["swap_modes"]
-        kwargs["differential"] = DifferentialTrain(**dkw)
-
+        kwargs["differential"] = DifferentialTrain(**doc["differential"])
     return FingerParams(**kwargs)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -109,7 +110,7 @@ def test_drive_map_rigid_chain(capsys):
 
 def test_envelop_infeasible_exits_2(tmp_path, capsys):
     out = tmp_path / "trace.jsonl"
-    code, _, _ = run_cli(
+    code, _, err = run_cli(
         [
             "envelop",
             "--sphere-d", "20",
@@ -123,6 +124,9 @@ def test_envelop_infeasible_exits_2(tmp_path, capsys):
     assert code == 2
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert records[-1]["status"] == "non-converged"
+    assert err.startswith(
+        "error: sweep failed at step 0: initial configuration penetrates"
+    )
 
 
 def test_envelop_successful_trace(tmp_path, capsys):
@@ -176,6 +180,56 @@ def test_hand_fk_joints_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert set(payload["fingers"]) == {"thumb", "index", "middle", "ring", "little"}
+
+
+def _layout(index, **entry):
+    """A five-finger layout document with ``entry`` merged into one finger."""
+    fingers = [
+        {"name": name, "kind": "active-modular"} for name in ("thumb", "index", "middle")
+    ] + [
+        {"name": name, "kind": "auxiliary-passive-aa", "aa_spring": 150.0}
+        for name in ("ring", "little")
+    ]
+    fingers[index].update(entry)
+    return json.dumps({"fingers": fingers})
+
+
+ENVELOP = ["envelop", "--sphere-d", "20"]
+
+
+@pytest.mark.parametrize(
+    "text, argv, error",
+    [
+        (json.dumps([[0, 0, 0]] * 5), ["hand-fk", "--joints"], "--joints[0]: "),
+        (json.dumps([[0, "0.5", 0, 0]] * 5), ["hand-fk", "--joints"], "--joints[0][1]: "),
+        ("[[0, 0, 0, 0],", ["hand-fk", "--joints"], "--joints: invalid JSON"),
+        (
+            _layout(0, base={"translation": [1.0, 2.0]}),
+            ["hand-fk", "--layout"],
+            "fingers[0].base.translation: ",
+        ),
+        (_layout(3, aa_spring="stiff"), ["hand-fk", "--layout"], "fingers[3].aa_spring: "),
+        (
+            _layout(1, base={"translation": [0.0, math.nan, 0.0]}),
+            ["hand-fk", "--layout"],
+            "index: base must be a finite 4x4 transform",
+        ),
+        (None, ENVELOP + ["--a-max", "5", "--center", "30,a,0"], "--center: "),
+        (None, ENVELOP + ["--a-max", "5", "--center", "nan,0,0"], "sphere center must be finite"),
+        (None, ENVELOP + ["--a-max", "nan", "--center", "60,10,0"], "drive schedule must be finite"),
+    ],
+    ids=["short-row", "string-entry", "bad-json", "short-translation", "string-spring",
+         "nan-translation", "bad-center", "nan-center", "nan-drive"],
+)
+def test_bad_outside_input_exits_1(tmp_path, capsys, text, argv, error):
+    if text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        argv = argv + [str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {error}")
 
 
 def test_console_entry_point_runs():

@@ -10,8 +10,10 @@ from modhand.errors import ConfigSchemaError, ValidationError
 from modhand.params import (
     CouplingModel,
     DifferentialTrain,
+    DriveState,
     FingerParams,
     JointState,
+    PlanetaryState,
     default_params,
     load_params,
     params_from_dict,
@@ -55,7 +57,7 @@ def test_load_params_spring_defaults():
 
 
 def test_load_params_rejects_negative_length():
-    with pytest.raises(ValidationError, match="link_lengths"):
+    with pytest.raises(ConfigSchemaError, match=r"links_mm\[1\]"):
         params_from_dict({"links_mm": [45.0, -5.0, 20.0]})
 
 
@@ -151,6 +153,17 @@ def test_coupling_model_rejects_mismatched_ratio():
 def test_joint_state_requires_finite():
     with pytest.raises(ValidationError):
         JointState(q1=float("nan"))
+    with pytest.raises(ValidationError, match="a2"):
+        DriveState(a2=math.inf)
+    with pytest.raises(ValidationError, match="theta1"):
+        PlanetaryState(theta1=math.nan)
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, 1.5, True, 0, "22"])
+def test_teeth_must_be_integers_from_one(z):
+    with pytest.raises(ValidationError, match="drive_teeth"):
+        FingerParams(drive_teeth=(z, 20, 16))
+    assert FingerParams(drive_teeth=(22.0, 20, 16)).drive_teeth == (22, 20, 16)
 
 
 def test_joint_state_limits_check():
