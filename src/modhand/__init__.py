@@ -15,7 +15,6 @@ from .errors import (
     NonConvergedError,
     PreconditionError,
     SingularStiffnessError,
-    SingularTrainError,
     SweepError,
     ValidationError,
 )

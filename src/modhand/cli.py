@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .drive import drive_to_mcp, rigid_coupled_flexion
-from .errors import ConfigSchemaError, ModhandError, SweepError, ValidationError
+from .errors import ModhandError, SweepError, ValidationError
 from .grasp import EquilibriumTrace, RigidObject, envelop_sweep
 from .hand import default_layout, hand_fk, load_layout
 from .kinematics import points_to_csv, project_workspace, sample_workspace
@@ -32,6 +32,7 @@ from .params import (
     DriveState,
     JointState,
     _check,
+    _read_json,
     params_to_dict,
     resolve_params,
 )
@@ -261,14 +262,8 @@ def cmd_hand_fk(args) -> int:
     if args.joints == "zeros":
         states = [JointState() for _ in layout.fingers]
     else:
-        with open(args.joints, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigSchemaError("--joints", f"invalid JSON: {exc}") from exc
-        n = len(layout.fingers)
-        vector4 = {"type": "array", "items": {"type": "number"}, "minItems": 4, "maxItems": 4}
-        _check(doc, {"type": "array", "items": vector4, "minItems": n, "maxItems": n}, "--joints")
+        doc = _read_json(args.joints, "--joints")
+        _check(doc, {"$ref": "hand_layout.schema.json#/$defs/joints"}, "--joints")
         states = [JointState(*row) for row in doc]
     chains = hand_fk(states, layout)
 

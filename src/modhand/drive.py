@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateCouplingError, SingularTrainError
+from .errors import DegenerateCouplingError
 from .params import CouplingModel, DifferentialTrain, DriveState, PlanetaryState
 
 
@@ -33,10 +33,7 @@ def drive_to_mcp(a: DriveState, train: DifferentialTrain):
 def mcp_to_drive(q_aa: float, q_fe: float, train: DifferentialTrain) -> DriveState:
     """Invert drive_to_mcp: motor angles realizing a given (q_aa, q_fe)."""
     target = np.array([q_fe, q_aa]) if train.swap_modes else np.array([q_aa, q_fe])
-    composite = train.composite()
-    if abs(np.linalg.det(composite)) < 1e-12:
-        raise SingularTrainError("composite differential matrix is singular")
-    a = np.linalg.solve(composite, target)
+    a = np.linalg.solve(train.composite(), target)
     return DriveState(a1=float(a[0]), a2=float(a[1]))
 
 

@@ -14,9 +14,12 @@ class ConfigSchemaError(ModhandError):
     message ("<field>: ...") so CLI users can locate the problem without a
     traceback.  Object keys are joined by dots and list indices follow in
     brackets, as in ``springs.radial``, ``links_mm[1]`` or ``limits.aa[0]``;
-    a CLI input names its option first (``--joints[0][1]``).  ``<root>``
-    stands for the document itself, ``<file>`` and ``<document>`` for a file
-    that cannot be read or parsed.
+    paths run through nested documents, so a finger's params inside a hand
+    layout read ``fingers[2].params.links_mm[1]``.  A CLI input names its
+    option first (``--joints[0][1]``).  ``<root>`` stands for the document
+    itself, ``<file>`` and ``<document>`` for a file that cannot be read or
+    parsed.  The message after the path says what is wrong, for example
+    ``unknown key``, ``missing key`` or ``must be > 0``.
     """
 
     def __init__(self, field: str, message: str):
@@ -26,10 +29,6 @@ class ConfigSchemaError(ModhandError):
 
 class ValidationError(ModhandError):
     """A structurally well-formed value violates a model invariant."""
-
-
-class SingularTrainError(ModhandError):
-    """The composite differential matrix is not invertible."""
 
 
 class DegenerateCouplingError(ModhandError):

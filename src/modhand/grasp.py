@@ -52,6 +52,7 @@ COMPLEMENTARITY_TOL = 1e-6   # N*mm, |force * gap| bound per contact
 RECOVERY_TOL = 0.1           # mm, initial penetration the solver will push out
 TOUCH_TOL = 1e-7             # mm, gap at or below which surfaces touch
 KKT_REL_TOL = 1e-8
+QP_TOL = 1e-9                # slack of the QP's feasibility and multiplier-sign tests
 MAX_OUTER = 20
 ADVANCE_FRACTION = 0.9       # share of a free phalanx's gap one advance may close
 ADVANCE_STEPS = 64           # advances per outer step, each re-measuring the gaps
@@ -337,7 +338,7 @@ def elastic_energy_gradient(q_fe, a: float, params: FingerParams) -> np.ndarray:
 # Exact QP by active-set enumeration
 # --------------------------------------------------------------------------
 
-def _solve_qp(H, c, G, h, warm=None, feas_tol=1e-9, mult_tol=1e-9):
+def _solve_qp(H, c, G, h, warm=None):
     """Minimize 1/2 x'Hx + c'x subject to Gx >= h, H positive definite.
 
     Exhaustive KKT search over active subsets of at most dim(x) rows, warm
@@ -366,9 +367,9 @@ def _solve_qp(H, c, G, h, warm=None, feas_tol=1e-9, mult_tol=1e-9):
             if not np.all(np.isfinite(sol)):
                 return None
             x, lam = sol[:n], sol[n:]
-            if np.any(lam < -mult_tol):
+            if np.any(lam < -QP_TOL):
                 return None
-        if m and np.any(G @ x < h - feas_tol):
+        if m and np.any(G @ x < h - QP_TOL):
             return None
         full = np.zeros(m)
         for j, idx in enumerate(subset):

@@ -4,21 +4,33 @@ Thumb, index, and middle are full modular fingers; ring and little are
 auxiliary fingers that keep the coupled flexion chain but replace the driven
 lateral swing with a passive spring.  Base transforms place each finger root
 in the palm frame.
+
+Layout documents are checked against the shipped schema
+(schema/hand_layout.schema.json), whose per-finger ``params`` is a finger
+config document; the model invariants (a known kind, a positive spring on
+auxiliary fingers, a finite base, five unique names) live in FingerMount and
+HandLayout, so they hold for layouts built in Python too.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigSchemaError, ValidationError
+from .errors import ValidationError
 from .kinematics import derive_subseed, forward_kinematics, sample_workspace
-from .params import FingerParams, JointState, _check, parse_angle, params_from_dict
+from .params import (
+    _SCHEMAS,
+    FingerParams,
+    JointState,
+    _check,
+    _read_json,
+    params_from_dict,
+    parse_angle,
+)
 
 ACTIVE_KIND = "active-modular"
 AUXILIARY_KIND = "auxiliary-passive-aa"
@@ -30,8 +42,10 @@ def rotation_from_axis_angle(axis, angle: float) -> np.ndarray:
     """Rodrigues rotation matrix about ``axis`` by ``angle`` radians."""
     a = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(a)
-    if not norm > 0:
-        raise ValidationError("rotation axis must be nonzero")
+    if not 0 < norm < math.inf:
+        raise ValidationError("rotation axis must be nonzero with a finite length")
+    if not math.isfinite(angle):
+        raise ValidationError("rotation angle must be finite")
     a = a / norm
     k = np.array(
         [[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]]
@@ -162,76 +176,35 @@ def hand_workspace(layout: HandLayout, n: int, seed: int, coupled: bool = False)
 # Layout config documents
 # --------------------------------------------------------------------------
 
-_LAYOUT_TOP_KEYS = {"version", "fingers"}
-_FINGER_KEYS = {"name", "base", "kind", "params", "aa_spring"}
-_VECTOR3 = {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3}
-_BASE = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "translation": _VECTOR3,
-        "axis": _VECTOR3,
-        "angle": {"$ref": "#/$defs/angle"},
-    },
-}
-
-
 def layout_from_dict(doc: Mapping) -> HandLayout:
-    """Parse a hand layout tree: key ``fingers`` with name, base pose as
-    translation plus axis-angle rotation, kind, optional per-finger params."""
-    if not isinstance(doc, Mapping):
-        raise ConfigSchemaError("<root>", "layout must be a key/value tree")
-    unknown = set(doc) - _LAYOUT_TOP_KEYS
-    if unknown:
-        raise ConfigSchemaError(sorted(unknown)[0], "unknown key")
-    if "fingers" not in doc:
-        raise ConfigSchemaError("fingers", "missing key")
-    entries = doc["fingers"]
-    if not isinstance(entries, (list, tuple)):
-        raise ConfigSchemaError("fingers", "expected a list")
+    """Check a parsed layout tree against schema/hand_layout.schema.json and
+    build the HandLayout, filling in the documented defaults: identity base
+    pose parts and stock finger parameters.
 
+    Raises ConfigSchemaError naming the offending field (a finger's params
+    errors carry its prefix, as in ``fingers[2].params.links_mm[1]``), or
+    ValidationError if the mounts break a model invariant.
+    """
+    _check(doc, _SCHEMAS["hand_layout.schema.json"], "")
     mounts = []
-    for i, entry in enumerate(entries):
-        where = f"fingers[{i}]"
-        if not isinstance(entry, Mapping):
-            raise ConfigSchemaError(where, "expected an object")
-        unknown = set(entry) - _FINGER_KEYS
-        if unknown:
-            raise ConfigSchemaError(f"{where}.{sorted(unknown)[0]}", "unknown key")
-        if "name" not in entry or "kind" not in entry:
-            raise ConfigSchemaError(where, "name and kind are required")
-        base = np.eye(4)
-        if "base" in entry:
-            spec = entry["base"]
-            _check(spec, _BASE, f"{where}.base")
-            translation = spec.get("translation", (0.0, 0.0, 0.0))
-            axis = spec.get("axis", (0.0, 0.0, 1.0))
-            angle = parse_angle(spec.get("angle", 0.0), f"{where}.base.angle")
-            base = base_transform(translation, axis, angle)
-        params = (
-            params_from_dict(entry["params"]) if "params" in entry else FingerParams()
-        )
-        aa_spring = entry.get("aa_spring")
-        if aa_spring is not None:
-            _check(aa_spring, {"type": "number"}, f"{where}.aa_spring")
+    for entry in doc["fingers"]:
+        base = entry.get("base", {})
         mounts.append(
             FingerMount(
-                name=str(entry["name"]),
-                base=base,
-                kind=str(entry["kind"]),
-                params=params,
-                aa_spring=float(aa_spring) if aa_spring is not None else None,
+                name=entry["name"],
+                base=base_transform(
+                    base.get("translation", (0.0, 0.0, 0.0)),
+                    base.get("axis", (0.0, 0.0, 1.0)),
+                    parse_angle(base.get("angle", 0.0)),
+                ),
+                kind=entry["kind"],
+                params=params_from_dict(entry.get("params", {})),
+                aa_spring=entry.get("aa_spring"),
             )
         )
     return HandLayout(fingers=tuple(mounts))
 
 
 def load_layout(source) -> HandLayout:
-    if isinstance(source, Mapping):
-        return layout_from_dict(source)
-    text = Path(source).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigSchemaError("<document>", f"invalid JSON: {exc}") from exc
-    return layout_from_dict(doc)
+    """Load a hand layout from a JSON file path, JSON text, or mapping."""
+    return layout_from_dict(_read_json(source))

@@ -5,9 +5,9 @@ are immutable value objects: safe to share across workers, hashable where it
 matters, and exactly round-trippable through the JSON config format.
 
 Units are fixed package-wide: radians, millimeters, newtons, N*mm torques.
-Config documents are checked against the shipped schema
-(schema/finger_config.schema.json); angles are raw radians or strings with
-an explicit suffix ("20deg", "0.35rad").
+Config documents are checked against the shipped schemas (schema/*.schema.json,
+finger documents against finger_config.schema.json); angles are raw radians
+or strings with an explicit suffix ("20deg", "0.35rad").
 """
 
 from __future__ import annotations
@@ -47,8 +47,13 @@ DEFAULT_LIMITS = (
 _LIMIT_KEYS = ("aa", "mcp", "pip", "dip")
 
 
-_SCHEMA_PATH = Path(__file__).parent / "schema" / "finger_config.schema.json"
-_SCHEMA = json.loads(_SCHEMA_PATH.read_text(encoding="utf-8"))
+# Every shipped schema by file name, and one table of all their "$defs"
+# (the names are distinct across files, so a reference needs only its last part).
+_SCHEMAS = {
+    path.name: json.loads(path.read_text(encoding="utf-8"))
+    for path in (Path(__file__).parent / "schema").glob("*.schema.json")
+}
+_DEFS = {name: d for schema in _SCHEMAS.values() for name, d in schema.get("$defs", {}).items()}
 
 
 _TYPES = {
@@ -64,14 +69,17 @@ _TYPES = {
 def _check(value: Any, schema: Mapping, where: str) -> None:
     """Raise ConfigSchemaError unless ``value`` conforms to ``schema``.
 
-    Interprets the JSON Schema 2020-12 keywords the shipped schema uses, with
+    Interprets the JSON Schema 2020-12 keywords the shipped schemas use, with
     the same verdicts (a bool is no number, 22.0 is an integer, NaN passes
-    ``exclusiveMinimum``), and ignores annotations; a tuple is an array.
+    ``exclusiveMinimum``), and ignores annotations; a tuple is an array.  A
+    ``$ref`` names a shipped file, a ``$defs`` entry, or both.
     ``where`` is the field path so far, "" at the document root.
     """
     at = where or "<root>"
     if "$ref" in schema:
-        _check(value, _SCHEMA["$defs"][schema["$ref"].rpartition("/")[2]], where)
+        file, _, pointer = schema["$ref"].partition("#")
+        target = _DEFS[pointer.rpartition("/")[2]] if pointer else _SCHEMAS[file]
+        _check(value, target, where)
     if "oneOf" in schema and sum(_conforms(value, s) for s in schema["oneOf"]) != 1:
         form = schema.get("description", "exactly one allowed form")
         raise ConfigSchemaError(at, f"expected {form}, got {value!r}")
@@ -98,6 +106,9 @@ def _check(value: Any, schema: Mapping, where: str) -> None:
         for i, item in enumerate(value):
             _check(item, schema.get("items", {}), f"{where}[{i}]")
     elif _TYPES["object"](value):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ConfigSchemaError(f"{where}.{key}" if where else key, "missing key")
         props = schema.get("properties", {})
         for key, item in value.items():
             path = f"{where}.{key}" if where else str(key)
@@ -115,10 +126,10 @@ def _conforms(value: Any, schema: Mapping) -> bool:
     return True
 
 
-def parse_angle(value: Any, field_name: str = "angle") -> float:
+def parse_angle(value: Any) -> float:
     """Parse an angle of the schema's ``angle`` form: a raw number is radians,
     a string carries a lowercase suffix ("20deg", "-0.35 rad")."""
-    _check(value, _SCHEMA["$defs"]["angle"], field_name)
+    _check(value, _DEFS["angle"], "angle")
     if not isinstance(value, str):
         return float(value)
     text = value.strip()
@@ -356,7 +367,7 @@ def params_from_dict(doc: Mapping) -> FingerParams:
     defaults.  Raises ConfigSchemaError naming the offending field, or
     ValidationError if the values break a model invariant.
     """
-    _check(doc, _SCHEMA, "")
+    _check(doc, _SCHEMAS["finger_config.schema.json"], "")
     kwargs: dict = {name: tuple(doc[key]) for key, name in _LISTS if key in doc}
     # The schema admits only "serial" and "parallel" under "springs".
     kwargs.update({f"spring_{key}": v for key, v in doc.get("springs", {}).items()})
@@ -396,24 +407,28 @@ def params_to_dict(p: FingerParams) -> dict:
     }
 
 
+def _read_json(source, option: str | None = None) -> Any:
+    """A JSON document given as a mapping, a file path, or JSON text.
+
+    Read and parse errors name ``option`` (a CLI option such as "--joints")
+    or else ``<file>`` and ``<document>``.
+    """
+    if isinstance(source, Mapping):
+        return source
+    if isinstance(source, Path) or not source.lstrip().startswith("{"):
+        try:
+            source = Path(source).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigSchemaError(option or "<file>", f"cannot read {source}: {exc}") from exc
+    try:
+        return json.loads(source)
+    except json.JSONDecodeError as exc:
+        raise ConfigSchemaError(option or "<document>", f"invalid JSON: {exc}") from exc
+
+
 def load_params(source) -> FingerParams:
     """Load finger parameters from a JSON file path, JSON text, or mapping."""
-    if isinstance(source, Mapping):
-        return params_from_dict(source)
-    if isinstance(source, Path) or (
-        isinstance(source, str) and not source.lstrip().startswith("{")
-    ):
-        try:
-            text = Path(source).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigSchemaError("<file>", f"cannot read {source}: {exc}") from exc
-    else:
-        text = source
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigSchemaError("<document>", f"invalid JSON: {exc}") from exc
-    return params_from_dict(doc)
+    return params_from_dict(_read_json(source))
 
 
 def resolve_params(spec: str) -> FingerParams:

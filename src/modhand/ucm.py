@@ -137,26 +137,14 @@ class StiffnessSet:
         object.__setattr__(self, "joint_drive", jd)
 
 
-def stiffness_matrices(
-    params: FingerParams,
-    k_serial: float | None = None,
-    k_parallel=None,
-    allow_zero_serial: bool = False,
-) -> StiffnessSet:
+def stiffness_matrices(params: FingerParams) -> StiffnessSet:
     """Joint, drive, and joint-drive stiffness blocks.
 
-    ``k_serial``/``k_parallel`` override the configured spring constants for
-    what-if analysis; a zero serial constant is accepted only with
-    ``allow_zero_serial`` (diagnostic use, drops the serial term entirely).
+    The spring constants are the finger's own; FingerParams keeps them
+    strictly positive.
     """
-    ks = params.spring_serial if k_serial is None else float(k_serial)
-    kp = np.asarray(
-        params.spring_parallel if k_parallel is None else k_parallel, dtype=float
-    )
-    if ks < 0 or (ks == 0 and not allow_zero_serial):
-        raise ValidationError("serial spring stiffness must be strictly positive")
-    if np.any(kp <= 0):
-        raise ValidationError("parallel spring stiffnesses must be strictly positive")
+    ks = params.spring_serial
+    kp = np.asarray(params.spring_parallel)
 
     jac = transmission_jacobians(params)
     sj = np.asarray(jac.serial_joint)

@@ -195,6 +195,7 @@ def _layout(index, **entry):
 
 
 ENVELOP = ["envelop", "--sphere-d", "20"]
+MISSING = object()  # names an input file that is never written
 
 
 @pytest.mark.parametrize(
@@ -203,6 +204,8 @@ ENVELOP = ["envelop", "--sphere-d", "20"]
         (json.dumps([[0, 0, 0]] * 5), ["hand-fk", "--joints"], "--joints[0]: "),
         (json.dumps([[0, "0.5", 0, 0]] * 5), ["hand-fk", "--joints"], "--joints[0][1]: "),
         ("[[0, 0, 0, 0],", ["hand-fk", "--joints"], "--joints: invalid JSON"),
+        (MISSING, ["hand-fk", "--joints"], "--joints: cannot read "),
+        (MISSING, ["hand-fk", "--layout"], "<file>: cannot read "),
         (
             _layout(0, base={"translation": [1.0, 2.0]}),
             ["hand-fk", "--layout"],
@@ -214,17 +217,24 @@ ENVELOP = ["envelop", "--sphere-d", "20"]
             ["hand-fk", "--layout"],
             "index: base must be a finite 4x4 transform",
         ),
+        (
+            _layout(2, base={"angle": "1e400deg"}),
+            ["hand-fk", "--layout"],
+            "rotation angle must be finite",
+        ),
         (None, ENVELOP + ["--a-max", "5", "--center", "30,a,0"], "--center: "),
         (None, ENVELOP + ["--a-max", "5", "--center", "nan,0,0"], "sphere center must be finite"),
         (None, ENVELOP + ["--a-max", "nan", "--center", "60,10,0"], "drive schedule must be finite"),
     ],
-    ids=["short-row", "string-entry", "bad-json", "short-translation", "string-spring",
-         "nan-translation", "bad-center", "nan-center", "nan-drive"],
+    ids=["short-row", "string-entry", "bad-json", "missing-joints", "missing-layout",
+         "short-translation", "string-spring", "nan-translation", "inf-angle", "bad-center",
+         "nan-center", "nan-drive"],
 )
 def test_bad_outside_input_exits_1(tmp_path, capsys, text, argv, error):
     if text is not None:
         path = tmp_path / "input.json"
-        path.write_text(text, encoding="utf-8")
+        if text is not MISSING:
+            path.write_text(text, encoding="utf-8")
         argv = argv + [str(path)]
     code, out, err = run_cli(argv, capsys)
     assert code == 1

@@ -142,6 +142,17 @@ def test_layout_base_angle_strings():
     assert t[:3, :3] @ np.array([0.0, 1.0, 0.0]) == pytest.approx([0.0, 0.0, 1.0], abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "axis, angle",
+    [((0, 0, 0), 0.1), ((1e300, 0, 0), 0.1), ((math.nan, 0, 1), 0.1), ((1, 0, 0), math.inf)],
+    ids=["zero-axis", "overflowing-axis", "nan-axis", "infinite-angle"],
+)
+def test_base_transform_rejects_degenerate_rotation(axis, angle):
+    # An axis whose length overflows used to normalize to zero: a silent identity.
+    with pytest.raises(ValidationError, match="rotation"):
+        base_transform((0, 0, 0), axis=axis, angle=angle)
+
+
 def test_per_finger_joint_states_respected():
     states = [JointState()] * 5
     states[1] = JointState(q1=0.7)

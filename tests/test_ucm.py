@@ -117,21 +117,14 @@ def test_stiffness_values_default():
     assert st.joint_drive == pytest.approx([-550.0, -550.0, -550.0], abs=0)
 
 
-def test_stiffness_zero_serial_diagnostic():
-    st = stiffness_matrices(P, k_serial=0.0, allow_zero_serial=True)
-    jp = np.asarray(transmission_jacobians(P).parallel)
-    expected = jp.T @ np.diag(P.spring_parallel) @ jp
-    assert np.array_equal(st.joint, 0.5 * (expected + expected.T))
-
-
-def test_stiffness_rejects_zero_serial_without_flag():
-    with pytest.raises(ValidationError):
-        stiffness_matrices(P, k_serial=0.0)
+def test_stiffness_rejects_zero_serial():
+    with pytest.raises(ValidationError, match="spring_serial"):
+        FingerParams(spring_serial=0.0)
 
 
 def test_stiffness_rejects_nonpositive_parallel():
-    with pytest.raises(ValidationError):
-        stiffness_matrices(P, k_parallel=(100.0, 0.0, 100.0))
+    with pytest.raises(ValidationError, match="spring_parallel"):
+        FingerParams(spring_parallel=(100.0, 0.0, 100.0))
 
 
 def test_positive_definite_for_1000_random_draws():
