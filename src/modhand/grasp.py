@@ -17,12 +17,12 @@ iteration.
 The drive coordinate ``a`` is the serial coordinate of the flexion chain
 (what the flexion mode of the knuckle differential delivers); the lateral
 swing angle is held fixed during a sweep.  So the flexion chain is planar in
-the swing frame, which a sweep builds once together with the object in its
-coordinates and the stiffness blocks.  One pass of closed forms in the
-cumulative flexion angles (``_kernel``) then gives every gap with its
-gradient and Hessian; the Newton polish and the curved quadratic model use
-these exact derivatives.  Contacts are mapped to world coordinates only when
-a result is reported.
+the swing frame, which a sweep builds once with the object in its coordinates
+and the stiffness blocks.  One pass of closed forms in the cumulative flexion
+angles (``_kernel``) gives every gap with its gradient and Hessian, which the
+Newton polish and the curved quadratic model use.  Each iterate is evaluated
+once: its hits travel with it to the certification, the polish and the next
+sweep step.  Contacts are mapped to world coordinates only when reported.
 """
 
 from __future__ import annotations
@@ -89,11 +89,15 @@ class RigidObject:
                 raise ValidationError("sphere center must be finite")
             object.__setattr__(self, "center", center)
         else:
-            n = np.asarray(self.normal, dtype=float)
+            n = [float(v) for v in self.normal]
+            if not all(map(math.isfinite, n)):
+                raise ValidationError(f"half-space normal {n} must be finite")
+            if sum(v * v for v in n) == math.inf:  # the norm overflows: rescale
+                n = [v / max(map(abs, n)) for v in n]
             norm = np.linalg.norm(n)
             if not norm > 0:
                 raise ValidationError("half-space normal must be nonzero")
-            object.__setattr__(self, "normal", tuple(n / norm))
+            object.__setattr__(self, "normal", tuple(float(v / norm) for v in n))
             point = tuple(float(c) for c in self.point)
             if not all(map(math.isfinite, point)):
                 raise ValidationError("half-space point must be finite")
@@ -142,8 +146,8 @@ class _Frame:
     plane: joint k sits at J_k = sum_{j<k} L_j (cos c_j, sin c_j), with c_j
     the cumulative flexion angle, and the flexion axes are the frame's z
     axis.  ``obj`` is the object in frame coordinates (None when absent);
-    ``lo``/``hi`` are the flexion limits and ``H`` and ``joint_drive`` the
-    energy's stiffness blocks."""
+    ``lo``/``hi`` are the flexion limits (``h_box`` the limit rows' bounds),
+    ``H`` (norm ``H_fro``) and ``joint_drive`` the energy's stiffness blocks."""
 
     rotation: np.ndarray  # frame axes as world columns
     origin: np.ndarray
@@ -151,7 +155,9 @@ class _Frame:
     obj: RigidObject | None
     lo: np.ndarray
     hi: np.ndarray
+    h_box: np.ndarray
     H: np.ndarray | None = None
+    H_fro: float | None = None
     joint_drive: np.ndarray | None = None
 
     def contact(self, hit, force: float = 0.0) -> Contact:
@@ -176,10 +182,11 @@ def _frame(pose, params: FingerParams, obj: RigidObject | None, stiff=None) -> _
         obj = RigidObject.half_space(
             rot.T @ (np.asarray(obj.point) - origin), rot.T @ np.asarray(obj.normal)
         )
-    limits = np.array(params.joint_limits[1:], dtype=float)
+    lo, hi = np.array(params.joint_limits[1:], dtype=float).T
+    H = None if stiff is None else stiff.joint
     return _Frame(
-        rot, origin, params, obj, limits[:, 0], limits[:, 1],
-        None if stiff is None else stiff.joint,
+        rot, origin, params, obj, lo, hi, np.concatenate([lo, -hi]),
+        H, None if H is None else np.linalg.norm(H, ord="fro"),
         None if stiff is None else stiff.joint_drive,
     )
 
@@ -205,7 +212,7 @@ class _Hit(NamedTuple):
 
 def _kernel(x, frame: _Frame) -> list:
     """Gap, normal, contact point, gradient and Hessian of every phalanx at
-    flexion ``x`` in one pass of closed forms, proximal to distal.
+    flexion ``x`` in one pass of closed forms, proximal to distal; none if no object.
 
     A body-fixed point P of phalanx i moves with joint k <= i as
     dP/dq_k = z x (P - J_k), so a gap with normal n has the gradient row
@@ -223,6 +230,8 @@ def _kernel(x, frame: _Frame) -> list:
     perpendicular of the axis keeps deep penetrations detectable.
     """
     params, obj = frame.params, frame.obj
+    if obj is None:
+        return []
     lengths, radii = params.link_lengths, params.link_radii
     q1, q2, q3 = (float(v) for v in x)
     cums = (q1, q1 + q2, q1 + q2 + q3)
@@ -321,7 +330,11 @@ def detect_contacts(
 
 def elastic_energy(q_fe, a: float, params: FingerParams) -> float:
     """Total stored elastic energy at flexion q_fe and drive a."""
-    state = transmission_state(q_fe, a, params)
+    return _stored_energy(transmission_state(q_fe, a, params), params)
+
+
+def _stored_energy(state: TransmissionState, params: FingerParams) -> float:
+    """Elastic energy of the deflections ``state``."""
     kp = params.spring_parallel
     return 0.5 * params.spring_serial * state.serial**2 + 0.5 * sum(
         k * t**2 for k, t in zip(kp, state.parallel)
@@ -353,6 +366,8 @@ def _solve_qp(H, c, G, h, warm=None):
         if k == 0:
             x = np.linalg.solve(H, -c)
             lam = np.zeros(0)
+        elif any(j + 3 in subset for j in subset if j < 3):
+            return None  # both stops of one joint: no point rests on the two
         else:
             Gs = G[list(subset)]
             kkt = np.zeros((n + k, n + k))
@@ -395,47 +410,40 @@ def _solve_qp(H, c, G, h, warm=None):
 @dataclass(frozen=True)
 class _Solution:
     """One solved step: the reported (joints, transmission, contacts) triple,
-    the joint-limit multipliers (lower rows, then upper rows) and the final
-    QP active set, which warm starts the next step of a sweep."""
+    the joint-limit multipliers (lower, then upper rows), and the next sweep
+    step's start: the final QP active set and the joints' hits in ``frame``."""
 
     joints: JointState
     transmission: TransmissionState
     contacts: list
     box_mult: np.ndarray | None = None
     active: tuple | None = None
+    frame: _Frame | None = None
+    hits: list | None = None
 
     @property
     def triple(self):
         return self.joints, self.transmission, self.contacts
 
 
-def _solution(x, a, q_aa, frame, rows, forces=None, box_mult=None, active=None):
-    """Record of flexion ``x`` at drive ``a`` with the candidate contacts
-    ``rows``; ``forces`` maps a phalanx to its force, zero when absent."""
+def _solution(x, a, q_aa, frame, hits, forces=None, box_mult=None, active=None):
+    """Record of flexion ``x`` at drive ``a`` with its kernel ``hits``;
+    ``forces`` maps a phalanx to its force, zero when absent."""
     forces = forces or {}
     return _Solution(
         JointState(q_aa=q_aa, q1=x[0], q2=x[1], q3=x[2]),
         transmission_state(x, a, frame.params),
-        [frame.contact(hit, forces.get(hit.phalanx, 0.0)) for hit in rows],
-        box_mult,
-        active,
+        [frame.contact(hit, forces.get(hit.phalanx, 0.0)) for hit in _candidates(hits)],
+        box_mult, active, frame, hits,
     )
 
 
-def _contact_rows(x, frame: _Frame):
-    """Kernel hits of the candidate contacts (gap at most
-    ``ACTIVATION_THRESHOLD``) at flexion ``x``, and the gap of every
-    phalanx."""
-    if frame.obj is None:
-        return [], []
-    hits = _kernel(x, frame)
-    return (
-        [hit for hit in hits if hit.gap <= ACTIVATION_THRESHOLD],
-        [hit.gap for hit in hits],
-    )
+def _candidates(hits) -> list:
+    """The candidate contacts: gap at most ``ACTIVATION_THRESHOLD``."""
+    return [hit for hit in hits if hit.gap <= ACTIVATION_THRESHOLD]
 
 
-def _advance(x, target, frame, rows, gaps):
+def _advance(x, target, frame, hits, target_hits=None):
     """Farthest point on the straight joint-space path from ``x`` toward
     ``target`` that no phalanx without a QP row can reach the object by:
     conservative advancement.
@@ -450,26 +458,28 @@ def _advance(x, target, frame, rows, gaps):
     step), or ``ADVANCE_STEPS`` advances are used.  Phalanges with a row are
     held back by their linearized gap instead; without this bound a phalanx
     farther than the threshold has no constraint at all and one outer step
-    can carry it through the object."""
+    can carry it through the object.  Returns the point and its kernel hits."""
     lengths = frame.params.link_lengths
     step = target - x
     reach = [
         sum(abs(step[k]) * sum(lengths[k:i + 1]) for k in range(i + 1))
         for i in range(3)
     ]
-    free = [i for i in range(3) if i + 1 not in {hit.phalanx for hit in rows}]
+    free = [i for i, hit in enumerate(hits) if hit.gap > ACTIVATION_THRESHOLD]
     t = 0.0
     for _ in range(ADVANCE_STEPS):
         t = min(
             [1.0]
-            + [t + ADVANCE_FRACTION * gaps[i] / reach[i] for i in free if reach[i] > 0]
+            + [t + ADVANCE_FRACTION * hits[i].gap / reach[i] for i in free if reach[i] > 0]
         )
         if t >= 1.0:
-            return target
-        gaps = [hit.gap for hit in _kernel(x + t * step, frame)]
-        if min(gaps[i] for i in free) <= ACTIVATION_THRESHOLD:
+            same = target.tobytes() == x.tobytes()
+            return target, target_hits or (hits if same else _kernel(target, frame))
+        point = x + t * step
+        hits = _kernel(point, frame)
+        if min(hits[i].gap for i in free) <= ACTIVATION_THRESHOLD:
             break
-    return x + t * step
+    return point, hits
 
 
 def equilibrium_solve(
@@ -487,22 +497,27 @@ def equilibrium_solve(
     return _solve(a, q_init, _solve_frame(q_init.q_aa, params, obj)).triple
 
 
-def _solve(a: float, q_init: JointState, frame: _Frame, warm=None) -> _Solution:
+def _solve(a: float, q_init: JointState, frame: _Frame, prev=None) -> _Solution:
     """equilibrium_solve in the swing frame ``frame`` (built at
-    ``q_init.q_aa``), with the QP active set ``warm`` tried first."""
+    ``q_init.q_aa``) after the sweep step ``prev``: its QP active set is tried
+    first, and its hits serve if it ended in ``frame`` at this start."""
     if not q_init.within_limits(frame.params):
         raise PreconditionError("q_init violates the joint limits")
     x = np.clip(q_init.flexion(), frame.lo, frame.hi)
     q_aa = q_init.q_aa
+    warm, hits = (None, None) if prev is None else (prev.active, prev.hits)
+    if prev is None or prev.frame is not frame or (
+        prev.joints.flexion().tobytes() != x.tobytes()
+    ):
+        hits = _kernel(x, frame)
 
-    if min(_contact_rows(x, frame)[1], default=0.0) < -RECOVERY_TOL:
+    if min((hit.gap for hit in hits), default=0.0) < -RECOVERY_TOL:
         raise InfeasibleStartError(
             "initial configuration penetrates the object beyond the recovery tolerance"
         )
 
     H = frame.H
     c = frame.joint_drive * float(a)
-    h_box = np.concatenate([frame.lo, -frame.hi])
 
     best = None
     # Trust region on the outer relinearization steps: large jumps make the
@@ -516,8 +531,8 @@ def _solve(a: float, q_init: JointState, frame: _Frame, warm=None) -> _Solution:
     cut = False      # the trust radius cut the previous step
     grow = True      # no step has reversed yet
     for outer in range(MAX_OUTER):
-        rows, gaps = _contact_rows(x, frame)
-        G, h = _BOX_ROWS, h_box
+        rows = _candidates(hits)
+        G, h = _BOX_ROWS, frame.h_box
         if rows:
             Gc = np.array([hit.grad for hit in rows])
             hc = np.array([grad @ x - hit.gap for grad, hit in zip(Gc, rows)])
@@ -548,34 +563,32 @@ def _solve(a: float, q_init: JointState, frame: _Frame, warm=None) -> _Solution:
             if cut:
                 x_new = x + step * (trust / step_norm)
             prev_step = x_new - x
-        if frame.obj is not None:
-            x_new = _advance(x, x_new, frame, rows, gaps)
+        x_new, new_hits = _advance(x, x_new, frame, hits)
 
-        fit = _certify_kkt(x_new, frame, c)
+        fit = _certify_kkt(x_new, frame, c, new_hits)
         if fit is not None:
-            return _solution(x_new, a, q_aa, frame, *fit, warm)
+            return _solution(x_new, a, q_aa, frame, new_hits, *fit, warm)
 
         # The frozen-gradient fixed point can be mildly repelling under high
         # contact curvature; once the active set repeats and steps are small,
         # root-find the true stationarity-plus-contact system directly.
         if rows and warm == prev_active and step_norm < 1e-2:
-            x_polished = _newton_polish(x_new, frame, c, warm)
+            x_polished, polished = _newton_polish(x_new, frame, c, warm, new_hits)
             # Accept the polish only where conservative advancement from the
             # iterate certifies the straight path to it.
-            if x_polished is not None and np.array_equal(
-                _advance(x, x_polished, frame, rows, gaps), x_polished
-            ):
-                fit = _certify_kkt(x_polished, frame, c)
-                if fit is not None:
-                    return _solution(x_polished, a, q_aa, frame, *fit, warm)
+            if x_polished is not None:
+                end, polished = _advance(x, x_polished, frame, hits, polished)
+                if np.array_equal(end, x_polished):
+                    fit = _certify_kkt(x_polished, frame, c, polished)
+                    if fit is not None:
+                        return _solution(x_polished, a, q_aa, frame, polished, *fit, warm)
         prev_active = warm
-        best = x = x_new
+        best, x, hits = x_new, x_new, new_hits
     else:
         reason = "equilibrium iteration cap reached"
     raise NonConvergedError(
         reason,
-        best=None if best is None
-        else _solution(best, a, q_aa, frame, _contact_rows(best, frame)[0]).triple,
+        best=None if best is None else _solution(best, a, q_aa, frame, hits).triple,
     )
 
 
@@ -601,10 +614,10 @@ def _curved_hessian(H, rows, forces, G, active):
     return Y @ (Y.T @ H @ Y) @ Y.T + Z @ ((v * np.maximum(w, floor)) @ v.T) @ Z.T
 
 
-def _kkt_system(z, frame, c, active):
+def _kkt_system(z, frame, c, active, hits):
     """Residual and exact Jacobian of the active-set KKT system at
-    z = (flexion angles, one multiplier per active row), or None when a
-    contact row of ``active`` is no longer a candidate.
+    z = (flexion angles with their ``hits``, one multiplier per active row),
+    or None when a contact row of ``active`` is no longer a candidate.
 
     Active rows below 6 are the joint limits (lower, then upper); row 6 + j is
     the j-th candidate contact.  The residual stacks stationarity
@@ -612,13 +625,14 @@ def _kkt_system(z, frame, c, active):
     [[H - sum_k f_k Hess g_k, -A^T], [A, 0]] with the kernel's gap Hessians.
     """
     x, f = z[:3], z[3:]
-    rows = _contact_rows(x, frame)[0]
+    rows = _candidates(hits)
     if max(active, default=-1) - 6 >= len(rows):
         return None
     m = len(active)
-    A = np.zeros((m, 3))
     cons = np.zeros(m)
-    curved = np.array(frame.H, dtype=float)
+    jac = np.zeros((3 + m, 3 + m))
+    jac[:3, :3] = frame.H
+    A = jac[3:, :3]
     for k, i in enumerate(active):
         if i < 6:
             A[k] = _LIMIT_ROWS[i]
@@ -627,25 +641,24 @@ def _kkt_system(z, frame, c, active):
             hit = rows[i - 6]
             A[k] = hit.grad
             cons[k] = hit.gap
-            curved -= f[k] * np.array(hit.hess)
-    residual = np.concatenate([frame.H @ x + c - A.T @ f, cons])
-    jac = np.block([[curved, -A.T], [A, np.zeros((m, m))]])
-    return residual, jac
+            jac[:3, :3] -= f[k] * np.array(hit.hess)
+    jac[:3, 3:] = -A.T
+    return np.concatenate([frame.H @ x + c - A.T @ f, cons]), jac
 
 
-def _newton_polish(x0, frame, c, active):
+def _newton_polish(x0, frame, c, active, hits):
     """Damped Newton on the active-set KKT system with true curved gaps.
 
-    Unknowns are the flexion angles and one multiplier per active row.
-    Returns the polished angles or None when the iteration leaves the active
-    set's basin.
+    Unknowns are the flexion angles (from ``x0`` with its ``hits``) and one
+    multiplier per active row.  Returns the polished angles with their hits
+    (None unless evaluated there), or (None, None) outside the basin.
     """
     active = sorted(active)
     z = np.concatenate([x0, np.zeros(len(active))])
     for _ in range(15):
-        system = _kkt_system(z, frame, c, active)
+        system = _kkt_system(z, frame, c, active, hits)
         if system is None:
-            return None
+            return None, None
         r, jac = system
         if np.linalg.norm(r[3:]) < 1e-12 and np.linalg.norm(r[:3]) < 1e-9 * (
             1.0 + np.linalg.norm(frame.H @ z[:3] + c)
@@ -654,17 +667,19 @@ def _newton_polish(x0, frame, c, active):
         try:
             dz = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
-            return None
+            return None, None
         limit = 0.05
         norm = np.linalg.norm(dz[:3])
         if norm > limit:
             dz = dz * (limit / norm)
         z = z + dz
         if not np.all(np.isfinite(z)):
-            return None
+            return None, None
+        hits = _kernel(z[:3], frame)
     if np.any(z[3:] < -1e-9):
-        return None
-    return np.clip(z[:3], frame.lo, frame.hi)
+        return None, None
+    x = np.clip(z[:3], frame.lo, frame.hi)
+    return x, (hits if x.tobytes() == z[:3].tobytes() else None)
 
 
 def _fit_multipliers(A, grad):
@@ -691,23 +706,22 @@ def _fit_multipliers(A, grad):
     return best
 
 
-def _certify_kkt(x, frame, c):
+def _certify_kkt(x, frame, c, hits):
     """Check the stationarity/complementarity/feasibility conditions of the
-    true (curved-gap) problem at ``x``, with multipliers fitted fresh by
-    nonnegative least squares against the current contact geometry.
+    true (curved-gap) problem at ``x`` with its ``hits``, with multipliers
+    fitted fresh by nonnegative least squares against the current geometry.
 
-    Returns (candidate contact rows, force per phalanx, joint-limit
-    multipliers) when the point certifies, else None.  The comparison carries
+    Returns (force per phalanx, joint-limit multipliers) when the point
+    certifies, else None.  The comparison carries
     a floor term because evaluating H @ x + c in doubles has rounding of order
     eps * |H| * |x|, which dominates when the gradient itself vanishes and the
     stiffnesses are very large.
     """
-    rows, gaps = _contact_rows(x, frame)
-    if min(gaps, default=0.0) < -PENETRATION_TOL:
+    rows = _candidates(hits)
+    if min((hit.gap for hit in hits), default=0.0) < -PENETRATION_TOL:
         return None
 
-    H = frame.H
-    grad = H @ x + c
+    grad = frame.H @ x + c
 
     # Active rows, numbered as in the QP: the joint limits the iterate rests
     # on, then the candidates whose surfaces actually touch.  Candidates with
@@ -730,7 +744,7 @@ def _certify_kkt(x, frame, c):
         residual = grad
 
     noise_floor = 64.0 * np.finfo(float).eps * (
-        np.linalg.norm(H, ord="fro") * np.linalg.norm(x) + np.linalg.norm(c)
+        frame.H_fro * np.linalg.norm(x) + np.linalg.norm(c)
     )
     if np.linalg.norm(residual) > KKT_REL_TOL * (1.0 + np.linalg.norm(grad)) + noise_floor:
         return None
@@ -745,7 +759,7 @@ def _certify_kkt(x, frame, c):
 
     if any(abs(forces.get(hit.phalanx, 0.0) * hit.gap) > COMPLEMENTARITY_TOL for hit in rows):
         return None
-    return rows, forces, box_mult
+    return forces, box_mult
 
 
 # --------------------------------------------------------------------------
@@ -817,11 +831,11 @@ def envelop_sweep(
     released = replace(frame, obj=None)
     steps = []
     held = False  # some step so far had >= 2 touching contacts
-    warm = None
+    sol = None
     for i, a in enumerate(schedule):
         present = remove_object_at is None or i < remove_object_at
         try:
-            sol = _solve(a, q, frame if present else released, warm)
+            sol = _solve(a, q, frame if present else released, sol)
         except NonConvergedError:
             return EquilibriumTrace(steps=tuple(steps), status="non-converged")
         except ModhandError as exc:
@@ -833,7 +847,7 @@ def envelop_sweep(
                 joints=sol.joints,
                 transmission=sol.transmission,
                 contacts=tuple(sol.contacts),
-                energy=elastic_energy(sol.joints.flexion(), a, params),
+                energy=_stored_energy(sol.transmission, params),
                 object_present=present,
             )
         )
@@ -849,7 +863,7 @@ def envelop_sweep(
         if saturated:
             return EquilibriumTrace(steps=tuple(steps), status="limit-saturated")
         held = held or (present and touching >= 2)
-        q, warm = sol.joints, sol.active
+        q = sol.joints
     return EquilibriumTrace(steps=tuple(steps), status="completed")
 
 

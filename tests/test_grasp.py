@@ -89,6 +89,20 @@ def test_sphere_hitting_middle_and_distal():
     assert all(c.gap < 0 for c in cands)
 
 
+@pytest.mark.parametrize("normal", [(math.inf, -1.0, 0.0), (0.0, math.nan, 0.0)])
+def test_half_space_rejects_non_finite_normal(normal):
+    with pytest.raises(ValidationError, match=r"half-space normal \[.*\] must be finite"):
+        RigidObject.half_space((0.0, 25.0, 0.0), normal)
+
+
+def test_half_space_normal_survives_overflowing_norm():
+    # |n| overflows to inf here; normalizing by it would store (0, 0, 0)
+    obj = RigidObject.half_space((0.0, 25.0, 0.0), (1e308, 1e308, 0.0))
+    assert obj.normal == pytest.approx((math.sqrt(0.5), math.sqrt(0.5), 0.0), abs=1e-15)
+    assert all(type(v) is float for v in obj.normal)
+    assert RigidObject.half_space((0.0, 25.0, 0.0), (0.0, -2.0, 0.0)).normal == (0.0, -1.0, 0.0)
+
+
 def test_half_space_gap():
     chain = forward_kinematics(JointState(), P)
     obj = RigidObject.half_space((0.0, 30.0, 0.0), (0.0, -1.0, 0.0))
@@ -362,20 +376,100 @@ def test_solver_never_steps_through_the_object():
             assert min_gap(step.joints, obj) >= -PENETRATION_TOL
 
 
+def step_bits(a, joints, transmission, energy, contacts) -> list:
+    """Every number of a trace step, bit for bit."""
+    values = [a, *joints.as_array(), *transmission.as_array(), energy]
+    for c in contacts:
+        values += [c.phalanx, *c.point, *c.normal, c.gap, c.force]
+    return [float(v).hex() for v in values]
+
+
+def trace_bits(trace) -> list:
+    return [trace.status] + [
+        step_bits(s.a, s.joints, s.transmission, s.energy, s.contacts) for s in trace.steps
+    ]
+
+
+def env_sweep(diameter, **kwargs):
+    center, a_max = ENV_SCENES[diameter]
+    obj = RigidObject.sphere(center, diameter / 2.0)
+    return envelop_sweep(np.linspace(0.0, a_max, 160), ENV_PARAMS, obj, **kwargs)
+
+
 def test_sweep_determinism_bit_for_bit():
-    center, a_max = ENV_SCENES[40.0]
-    obj = RigidObject.sphere(center, 20.0)
-    t1 = envelop_sweep(np.linspace(0.0, a_max, 160), ENV_PARAMS, obj)
-    t2 = envelop_sweep(np.linspace(0.0, a_max, 160), ENV_PARAMS, obj)
-    assert t1.status == t2.status
-    assert len(t1.steps) == len(t2.steps)
-    for s1, s2 in zip(t1.steps, t2.steps):
-        assert s1.joints == s2.joints
-        assert s1.energy == s2.energy
-        assert s1.transmission == s2.transmission
-        assert len(s1.contacts) == len(s2.contacts)
-        for c1, c2 in zip(s1.contacts, s2.contacts):
-            assert c1 == c2
+    # Another sweep in between must not change a trace: nothing a sweep
+    # evaluates outlives it.
+    first = trace_bits(env_sweep(40.0))
+    other = trace_bits(env_sweep(30.0))
+    again = trace_bits(env_sweep(40.0))
+    assert first == again
+    assert other != first
+
+
+def record_kernel_calls(mp) -> list:
+    """Wrap the contact kernel; every evaluation appends (frame, x bytes)."""
+    calls = []
+    kernel = grasp._kernel
+
+    def recorded(x, frame):
+        calls.append((frame, np.asarray(x, dtype=float).tobytes()))
+        return kernel(x, frame)
+
+    mp.setattr(grasp, "_kernel", recorded)
+    return calls
+
+
+def assert_no_repeats(calls):
+    for (f0, x0), (f1, x1) in zip(calls, calls[1:]):
+        assert not (f0 is f1 and x0 == x1), "an evaluation repeats the one before it"
+
+
+@pytest.mark.parametrize("scene, bound", [(30.0, 2.8), (40.0, 1.4), (50.0, 1.4), ("eject", 4.7)])
+def test_each_iterate_is_evaluated_once(scene, bound):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_kernel_calls(mp)
+        if scene == "eject":
+            center, diameter, a_max = EJECT_SCENE
+            obj = RigidObject.sphere(center, diameter / 2.0)
+            trace = envelop_sweep(np.linspace(0.0, a_max, 150), ENV_PARAMS, obj)
+        else:
+            trace = env_sweep(scene)
+    assert_no_repeats(calls)
+    assert len(calls) / len(trace.steps) <= bound
+
+
+def test_equilibrium_solve_evaluates_each_iterate_once():
+    center, _ = ENV_SCENES[30.0]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_kernel_calls(mp)
+        _, _, contacts = equilibrium_solve(
+            20.0, JointState(), ENV_PARAMS, RigidObject.sphere(center, 15.0)
+        )
+    assert any(touches(c) for c in contacts)
+    assert_no_repeats(calls)
+
+
+@pytest.mark.parametrize("diameter, remove_at", [(30.0, None), (40.0, 100)])
+def test_reused_evaluations_change_no_result(diameter, remove_at):
+    # The same solves one step at a time, each in a fresh copy of the frame,
+    # so no step can reuse what the step before it evaluated.
+    center, a_max = ENV_SCENES[diameter]
+    obj = RigidObject.sphere(center, diameter / 2.0)
+    schedule = np.linspace(0.0, a_max, 160)
+    frame = grasp._solve_frame(0.0, ENV_PARAMS, obj)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_kernel_calls(mp)
+        q, sol, steps = JointState(), None, []
+        for i, a in enumerate(schedule):
+            present = remove_at is None or i < remove_at
+            sol = grasp._solve(a, q, replace(frame, obj=frame.obj if present else None), sol)
+            energy = elastic_energy(sol.joints.flexion(), a, ENV_PARAMS)
+            steps.append(step_bits(a, sol.joints, sol.transmission, energy, sol.contacts))
+            q = sol.joints
+        unshared = len(calls)
+        trace = env_sweep(diameter, remove_object_at=remove_at)
+    assert trace_bits(trace) == ["completed"] + steps
+    assert len(calls) - unshared < unshared
 
 
 def test_sweep_rejects_decreasing_schedule():
@@ -643,16 +737,20 @@ def test_polish_jacobian_matches_residual_differences(q_aa, x, obj, active, scal
     c = frame.joint_drive * a
     active = sorted(active)
     z = np.concatenate([x, scale * np.linspace(0.5, 1.5, len(active))])
+
+    def kkt_system(z):
+        return grasp._kkt_system(z, frame, c, active, grasp._kernel(z[:3], frame))
+
     with pytest.MonkeyPatch.context() as mp:
         # every phalanx is a candidate, so contact row 6 + j is phalanx j + 1
         mp.setattr(grasp, "ACTIVATION_THRESHOLD", math.inf)
-        r, jac = grasp._kkt_system(z, frame, c, active)
+        r, jac = kkt_system(z)
         for col in range(len(z)):
             zp, zm = z.copy(), z.copy()
             zp[col] += h
             zm[col] -= h
-            rp = grasp._kkt_system(zp, frame, c, active)[0]
-            rm = grasp._kkt_system(zm, frame, c, active)[0]
+            rp = kkt_system(zp)[0]
+            rm = kkt_system(zm)[0]
             fd = (rp - rm) / (2 * h)
             # the difference quotient carries the rounding of residuals up to
             # |f| * |g| ~ 1e5 in size
