@@ -19,10 +19,12 @@ The drive coordinate ``a`` is the serial coordinate of the flexion chain
 swing angle is held fixed during a sweep.  So the flexion chain is planar in
 the swing frame, which a sweep builds once with the object in its coordinates
 and the stiffness blocks.  One pass of closed forms in the cumulative flexion
-angles (``_kernel``) gives every gap with its gradient and Hessian, which the
-Newton polish and the curved quadratic model use.  Each iterate is evaluated
-once: its hits travel with it to the certification, the polish and the next
-sweep step.  Contacts are mapped to world coordinates only when reported.
+angles (``_kernel``) gives every gap with its gradient and Hessian.  The
+Hessians enter only the curved quadratic model, the solver's one curvature
+mechanism; the certification that accepts a point is first-order
+(stationarity, complementarity, feasibility).  Each iterate is evaluated
+once: its hits travel with it to the certification and the next sweep step.
+Contacts are mapped to world coordinates only when reported.
 """
 
 from __future__ import annotations
@@ -92,11 +94,13 @@ class RigidObject:
             n = [float(v) for v in self.normal]
             if not all(map(math.isfinite, n)):
                 raise ValidationError(f"half-space normal {n} must be finite")
-            if sum(v * v for v in n) == math.inf:  # the norm overflows: rescale
-                n = [v / max(map(abs, n)) for v in n]
-            norm = np.linalg.norm(n)
-            if not norm > 0:
+            scale = max(map(abs, n))
+            if not scale > 0:
                 raise ValidationError("half-space normal must be nonzero")
+            # rescale when the squared norm overflows, underflows or is subnormal
+            if not np.finfo(float).tiny <= sum(v * v for v in n) < math.inf:
+                n = [v / scale for v in n]
+            norm = np.linalg.norm(n)
             object.__setattr__(self, "normal", tuple(float(v / norm) for v in n))
             point = tuple(float(c) for c in self.point)
             if not all(map(math.isfinite, point)):
@@ -443,7 +447,7 @@ def _candidates(hits) -> list:
     return [hit for hit in hits if hit.gap <= ACTIVATION_THRESHOLD]
 
 
-def _advance(x, target, frame, hits, target_hits=None):
+def _advance(x, target, frame, hits):
     """Farthest point on the straight joint-space path from ``x`` toward
     ``target`` that no phalanx without a QP row can reach the object by:
     conservative advancement.
@@ -474,7 +478,7 @@ def _advance(x, target, frame, hits, target_hits=None):
         )
         if t >= 1.0:
             same = target.tobytes() == x.tobytes()
-            return target, target_hits or (hits if same else _kernel(target, frame))
+            return target, hits if same else _kernel(target, frame)
         point = x + t * step
         hits = _kernel(point, frame)
         if min(hits[i].gap for i in free) <= ACTIVATION_THRESHOLD:
@@ -491,8 +495,9 @@ def equilibrium_solve(
     """Flexion equilibrium at drive ``a`` from ``q_init``.
 
     Returns (JointState, TransmissionState, contacts); contact forces are the
-    constraint multipliers of the final quadratic program.  The swing angle
-    is carried through unchanged.
+    multipliers the certification fits at the returned point, by nonnegative
+    least squares on the touching contacts and the stops it rests on.  The
+    swing angle is carried through unchanged.
     """
     return _solve(a, q_init, _solve_frame(q_init.q_aa, params, obj)).triple
 
@@ -527,7 +532,6 @@ def _solve(a: float, q_init: JointState, frame: _Frame, prev=None) -> _Solution:
     # sliding off, the finger sweeping on) takes a few steps, not dozens.
     trust = 0.15
     prev_step = None
-    prev_active = None
     cut = False      # the trust radius cut the previous step
     grow = True      # no step has reversed yet
     for outer in range(MAX_OUTER):
@@ -569,20 +573,6 @@ def _solve(a: float, q_init: JointState, frame: _Frame, prev=None) -> _Solution:
         if fit is not None:
             return _solution(x_new, a, q_aa, frame, new_hits, *fit, warm)
 
-        # The frozen-gradient fixed point can be mildly repelling under high
-        # contact curvature; once the active set repeats and steps are small,
-        # root-find the true stationarity-plus-contact system directly.
-        if rows and warm == prev_active and step_norm < 1e-2:
-            x_polished, polished = _newton_polish(x_new, frame, c, warm, new_hits)
-            # Accept the polish only where conservative advancement from the
-            # iterate certifies the straight path to it.
-            if x_polished is not None:
-                end, polished = _advance(x, x_polished, frame, hits, polished)
-                if np.array_equal(end, x_polished):
-                    fit = _certify_kkt(x_polished, frame, c, polished)
-                    if fit is not None:
-                        return _solution(x_polished, a, q_aa, frame, polished, *fit, warm)
-        prev_active = warm
         best, x, hits = x_new, x_new, new_hits
     else:
         reason = "equilibrium iteration cap reached"
@@ -612,74 +602,6 @@ def _curved_hessian(H, rows, forces, G, active):
     w, v = np.linalg.eigh(Z.T @ Hl @ Z)
     floor = 1e-6 * float(np.max(np.linalg.eigvalsh(H)))
     return Y @ (Y.T @ H @ Y) @ Y.T + Z @ ((v * np.maximum(w, floor)) @ v.T) @ Z.T
-
-
-def _kkt_system(z, frame, c, active, hits):
-    """Residual and exact Jacobian of the active-set KKT system at
-    z = (flexion angles with their ``hits``, one multiplier per active row),
-    or None when a contact row of ``active`` is no longer a candidate.
-
-    Active rows below 6 are the joint limits (lower, then upper); row 6 + j is
-    the j-th candidate contact.  The residual stacks stationarity
-    H x + c - A^T f and the active constraint values; the Jacobian is
-    [[H - sum_k f_k Hess g_k, -A^T], [A, 0]] with the kernel's gap Hessians.
-    """
-    x, f = z[:3], z[3:]
-    rows = _candidates(hits)
-    if max(active, default=-1) - 6 >= len(rows):
-        return None
-    m = len(active)
-    cons = np.zeros(m)
-    jac = np.zeros((3 + m, 3 + m))
-    jac[:3, :3] = frame.H
-    A = jac[3:, :3]
-    for k, i in enumerate(active):
-        if i < 6:
-            A[k] = _LIMIT_ROWS[i]
-            cons[k] = x[i] - frame.lo[i] if i < 3 else frame.hi[i - 3] - x[i - 3]
-        else:
-            hit = rows[i - 6]
-            A[k] = hit.grad
-            cons[k] = hit.gap
-            jac[:3, :3] -= f[k] * np.array(hit.hess)
-    jac[:3, 3:] = -A.T
-    return np.concatenate([frame.H @ x + c - A.T @ f, cons]), jac
-
-
-def _newton_polish(x0, frame, c, active, hits):
-    """Damped Newton on the active-set KKT system with true curved gaps.
-
-    Unknowns are the flexion angles (from ``x0`` with its ``hits``) and one
-    multiplier per active row.  Returns the polished angles with their hits
-    (None unless evaluated there), or (None, None) outside the basin.
-    """
-    active = sorted(active)
-    z = np.concatenate([x0, np.zeros(len(active))])
-    for _ in range(15):
-        system = _kkt_system(z, frame, c, active, hits)
-        if system is None:
-            return None, None
-        r, jac = system
-        if np.linalg.norm(r[3:]) < 1e-12 and np.linalg.norm(r[:3]) < 1e-9 * (
-            1.0 + np.linalg.norm(frame.H @ z[:3] + c)
-        ):
-            break
-        try:
-            dz = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            return None, None
-        limit = 0.05
-        norm = np.linalg.norm(dz[:3])
-        if norm > limit:
-            dz = dz * (limit / norm)
-        z = z + dz
-        if not np.all(np.isfinite(z)):
-            return None, None
-        hits = _kernel(z[:3], frame)
-    if np.any(z[3:] < -1e-9):
-        return None, None
-    x = np.clip(z[:3], frame.lo, frame.hi)
-    return x, (hits if x.tobytes() == z[:3].tobytes() else None)
 
 
 def _fit_multipliers(A, grad):
