@@ -25,13 +25,21 @@ mechanism; the certification that accepts a point is first-order
 (stationarity, complementarity, feasibility).  Each iterate is evaluated
 once: its hits travel with it to the certification and the next sweep step.
 Contacts are mapped to world coordinates only when reported.
+
+The solver's algebra runs on float triples and row tuples, as the kernel
+does: its matrices are at most 6x6, so a numpy call would cost more than its
+few dozen flops.  H is ill-conditioned, so each KKT system of the QP is
+solved in full space by Gaussian elimination with partial pivoting, and the
+multipliers are fitted by modified Gram-Schmidt, not the normal equations.
+numpy stays for the curved model's eigendecompositions and the public API.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -60,10 +68,9 @@ ADVANCE_FRACTION = 0.9       # share of a free phalanx's gap one advance may clo
 ADVANCE_STEPS = 64           # advances per outer step, each re-measuring the gaps
 
 # Joint-limit rows of the QP, x_j >= lo_j then -x_j >= -hi_j; rows 6 and on
-# are the candidate contacts.  The certification's copy has +0.0 off the
-# diagonal: its least-squares fit sees the sign of a zero.
-_BOX_ROWS = np.vstack([np.eye(3), -np.eye(3)])
-_LIMIT_ROWS = _BOX_ROWS + 0.0
+# are the candidate contacts.
+_BOX_ROWS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+             (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
 
 
 @dataclass(frozen=True)
@@ -151,28 +158,28 @@ class _Frame:
     the cumulative flexion angle, and the flexion axes are the frame's z
     axis.  ``obj`` is the object in frame coordinates (None when absent);
     ``lo``/``hi`` are the flexion limits (``h_box`` the limit rows' bounds),
-    ``H`` (norm ``H_fro``) and ``joint_drive`` the energy's stiffness blocks."""
+    ``H`` (rows ``H_rows``, norm ``H_fro``, largest eigenvalue ``H_max``) and
+    ``joint_drive`` the energy's stiffness blocks.  Vectors and rows are
+    float tuples; ``H`` stays an array for the curved model's eigh calls."""
 
-    rotation: np.ndarray  # frame axes as world columns
-    origin: np.ndarray
+    rotation: tuple  # rows of the matrix whose columns are the frame axes
+    origin: tuple
     params: FingerParams
     obj: RigidObject | None
-    lo: np.ndarray
-    hi: np.ndarray
-    h_box: np.ndarray
+    lo: tuple
+    hi: tuple
+    h_box: tuple
     H: np.ndarray | None = None
+    H_rows: tuple | None = None
     H_fro: float | None = None
-    joint_drive: np.ndarray | None = None
+    H_max: float | None = None
+    joint_drive: tuple | None = None
 
     def contact(self, hit, force: float = 0.0) -> Contact:
         """World-coordinate contact of a kernel hit."""
-        return Contact(
-            phalanx=hit.phalanx,
-            point=self.rotation @ hit.point + self.origin,
-            normal=self.rotation @ hit.normal,
-            gap=hit.gap,
-            force=force,
-        )
+        point = [_dot(r, hit.point) + o for r, o in zip(self.rotation, self.origin)]
+        normal = [_dot(r, hit.normal) for r in self.rotation]
+        return Contact(hit.phalanx, point, normal, hit.gap, force)
 
 
 def _frame(pose, params: FingerParams, obj: RigidObject | None, stiff=None) -> _Frame:
@@ -186,12 +193,14 @@ def _frame(pose, params: FingerParams, obj: RigidObject | None, stiff=None) -> _
         obj = RigidObject.half_space(
             rot.T @ (np.asarray(obj.point) - origin), rot.T @ np.asarray(obj.normal)
         )
-    lo, hi = np.array(params.joint_limits[1:], dtype=float).T
+    lo, hi = zip(*params.joint_limits[1:])
     H = None if stiff is None else stiff.joint
     return _Frame(
-        rot, origin, params, obj, lo, hi, np.concatenate([lo, -hi]),
-        H, None if H is None else np.linalg.norm(H, ord="fro"),
-        None if stiff is None else stiff.joint_drive,
+        tuple(map(tuple, rot.tolist())), tuple(origin.tolist()), params, obj,
+        lo, hi, lo + tuple(-v for v in hi), H, *(() if H is None else (
+            tuple(map(tuple, H.tolist())), float(np.linalg.norm(H, ord="fro")),
+            float(np.linalg.eigvalsh(H)[-1]), tuple(stiff.joint_drive.tolist()),
+        )),
     )
 
 
@@ -352,59 +361,109 @@ def elastic_energy_gradient(q_fe, a: float, params: FingerParams) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Exact QP by active-set enumeration
+# Exact QP by active-set enumeration, on floats
 # --------------------------------------------------------------------------
 
+def _dot(u, v) -> float:
+    """Dot product of two 3-vectors."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _gauss(aug):
+    """Solution of the square system with augmented rows ``aug`` (changed in
+    place) by Gaussian elimination with partial pivoting; None when a pivot is
+    exactly zero, where an LU factorization reports the matrix singular."""
+    n = len(aug)
+    for col in range(n):
+        best, size = col, abs(aug[col][col])
+        for r in range(col + 1, n):
+            if abs(aug[r][col]) > size:
+                best, size = r, abs(aug[r][col])
+        if size == 0.0:
+            return None
+        pivot_row = aug[best]
+        aug[best], aug[col] = aug[col], pivot_row
+        pivot, cols = pivot_row[col], range(col + 1, n + 1)
+        for row in aug[col + 1:]:
+            f = row[col] / pivot
+            if f != 0.0:
+                for j in cols:
+                    row[j] -= f * pivot_row[j]
+    x = [0.0] * n
+    for r in range(n - 1, -1, -1):
+        row = aug[r]
+        s = row[n]
+        for j in range(r + 1, n):
+            s -= row[j] * x[j]
+        x[r] = s / row[r]
+    return x
+
+
 def _solve_qp(H, c, G, h, warm=None):
-    """Minimize 1/2 x'Hx + c'x subject to Gx >= h, H positive definite.
+    """Minimize 1/2 x'Hx + c'x subject to Gx >= h, H positive definite; x is
+    a 3-vector, H and G are sequences of rows, c and h of floats.
 
     Exhaustive KKT search over active subsets of at most dim(x) rows, warm
-    subset tried first.  Returns (x, multipliers, active_tuple) or None when
-    no subset yields a feasible KKT point (constraint system infeasible).
+    subset tried first.  A subset's full KKT system [[H, -G_s'], [G_s, 0]]
+    is solved by Gaussian elimination; it is accepted when its multipliers
+    are nonnegative, its own rows hold as equalities (a subset with dependent
+    rows can yield a point that misses them) and every row holds, all within
+    ``QP_TOL``.  Returns (x, multipliers, active_tuple) or None when no
+    subset yields a feasible KKT point (constraint system infeasible).
     """
-    n = H.shape[0]
-    m = G.shape[0]
+    n, m = len(c), len(G)
 
     def attempt(subset):
-        k = len(subset)
-        if k == 0:
-            x = np.linalg.solve(H, -c)
-            lam = np.zeros(0)
-        elif any(j + 3 in subset for j in subset if j < 3):
+        if any(j + 3 in subset for j in subset if j < 3):
             return None  # both stops of one joint: no point rests on the two
-        else:
-            Gs = G[list(subset)]
-            kkt = np.zeros((n + k, n + k))
-            kkt[:n, :n] = H
-            kkt[:n, n:] = -Gs.T
-            kkt[n:, :n] = Gs
-            rhs = np.concatenate([-c, h[list(subset)]])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                return None
-            if not np.all(np.isfinite(sol)):
-                return None
-            x, lam = sol[:n], sol[n:]
-            if np.any(lam < -QP_TOL):
-                return None
-        if m and np.any(G @ x < h - QP_TOL):
+        rows = [G[i] for i in subset]
+        sol = _gauss(
+            [[*H[r], *(-g[r] for g in rows), -c[r]] for r in range(n)]
+            + [[*g, *(0.0 for _ in rows), h[i]] for g, i in zip(rows, subset)]
+        )
+        if sol is None or not all(map(math.isfinite, sol)):
             return None
-        full = np.zeros(m)
+        x, lam = tuple(sol[:n]), sol[n:]
+        if any(v < -QP_TOL for v in lam):
+            return None
+        gx = [_dot(g, x) for g in G]
+        if any(abs(gx[i] - h[i]) > QP_TOL for i in subset):
+            return None
+        if any(v < b - QP_TOL for v, b in zip(gx, h)):
+            return None
+        full = [0.0] * m
         for j, idx in enumerate(subset):
             full[idx] = max(lam[j], 0.0)
         return x, full, tuple(subset)
 
+    subsets = chain.from_iterable(combinations(range(m), k) for k in range(n + 1))
     if warm is not None and all(0 <= i < m for i in warm) and len(warm) <= n:
-        res = attempt(tuple(sorted(warm)))
-        if res is not None:
-            return res
-    for size in range(0, n + 1):
-        for subset in combinations(range(m), size):
-            res = attempt(subset)
-            if res is not None:
-                return res
-    return None
+        subsets = chain([tuple(sorted(warm))], subsets)
+    return next(filter(None, map(attempt, subsets)), None)
+
+
+def _lstsq(cols, b):
+    """Coefficients f minimizing |b - sum_i f_i cols_i| over 3-vectors, and
+    that residual's norm: modified Gram-Schmidt on the columns with b as the
+    last one, then the triangular solve.  A column within rounding of the
+    span of the ones before it gets coefficient 0."""
+    qs, R, kept = [], [], []
+    for j, a in enumerate([*cols, b]):
+        v, r = a, []
+        for q in qs:
+            r.append(_dot(q, v))
+            v = [vi - r[-1] * qi for vi, qi in zip(v, q)]
+        norm = math.hypot(*v)
+        if j < len(cols) and norm > 1e-12 * math.hypot(*a):
+            qs.append([vi / norm for vi in v])
+            R.append(r + [norm])  # a column of the triangular factor
+            kept.append(j)
+    k = len(qs)  # r now holds b's coordinates, norm its residual's length
+    coef = _gauss([[R[j][i] if i <= j else 0.0 for j in range(k)] + [r[i]] for i in range(k)])
+    f = [0.0] * len(cols)
+    for j, value in zip(kept, coef):
+        f[j] = value
+    return f, norm
 
 
 # --------------------------------------------------------------------------
@@ -420,7 +479,7 @@ class _Solution:
     joints: JointState
     transmission: TransmissionState
     contacts: list
-    box_mult: np.ndarray | None = None
+    box_mult: tuple | None = None
     active: tuple | None = None
     frame: _Frame | None = None
     hits: list | None = None
@@ -464,7 +523,7 @@ def _advance(x, target, frame, hits):
     farther than the threshold has no constraint at all and one outer step
     can carry it through the object.  Returns the point and its kernel hits."""
     lengths = frame.params.link_lengths
-    step = target - x
+    step = [b - v for v, b in zip(x, target)]
     reach = [
         sum(abs(step[k]) * sum(lengths[k:i + 1]) for k in range(i + 1))
         for i in range(3)
@@ -477,9 +536,8 @@ def _advance(x, target, frame, hits):
             + [t + ADVANCE_FRACTION * hits[i].gap / reach[i] for i in free if reach[i] > 0]
         )
         if t >= 1.0:
-            same = target.tobytes() == x.tobytes()
-            return target, hits if same else _kernel(target, frame)
-        point = x + t * step
+            return target, hits if target == x else _kernel(target, frame)
+        point = tuple(v + t * s for v, s in zip(x, step))
         hits = _kernel(point, frame)
         if min(hits[i].gap for i in free) <= ACTIVATION_THRESHOLD:
             break
@@ -508,12 +566,10 @@ def _solve(a: float, q_init: JointState, frame: _Frame, prev=None) -> _Solution:
     first, and its hits serve if it ended in ``frame`` at this start."""
     if not q_init.within_limits(frame.params):
         raise PreconditionError("q_init violates the joint limits")
-    x = np.clip(q_init.flexion(), frame.lo, frame.hi)
+    x = _clip((q_init.q1, q_init.q2, q_init.q3), frame)
     q_aa = q_init.q_aa
     warm, hits = (None, None) if prev is None else (prev.active, prev.hits)
-    if prev is None or prev.frame is not frame or (
-        prev.joints.flexion().tobytes() != x.tobytes()
-    ):
+    if prev is None or prev.frame is not frame or prev.joints.flexion().tolist() != list(x):
         hits = _kernel(x, frame)
 
     if min((hit.gap for hit in hits), default=0.0) < -RECOVERY_TOL:
@@ -521,8 +577,7 @@ def _solve(a: float, q_init: JointState, frame: _Frame, prev=None) -> _Solution:
             "initial configuration penetrates the object beyond the recovery tolerance"
         )
 
-    H = frame.H
-    c = frame.joint_drive * float(a)
+    c = tuple(d * float(a) for d in frame.joint_drive)
 
     best = None
     # Trust region on the outer relinearization steps: large jumps make the
@@ -536,14 +591,10 @@ def _solve(a: float, q_init: JointState, frame: _Frame, prev=None) -> _Solution:
     grow = True      # no step has reversed yet
     for outer in range(MAX_OUTER):
         rows = _candidates(hits)
-        G, h = _BOX_ROWS, frame.h_box
-        if rows:
-            Gc = np.array([hit.grad for hit in rows])
-            hc = np.array([grad @ x - hit.gap for grad, hit in zip(Gc, rows)])
-            G = np.vstack([G, Gc])
-            h = np.concatenate([h, hc])
+        G = _BOX_ROWS + tuple(hit.grad for hit in rows)
+        h = frame.h_box + tuple(_dot(hit.grad, x) - hit.gap for hit in rows)
 
-        sol = _solve_qp(H, c, G, h, warm=warm)
+        sol = _solve_qp(frame.H_rows, c, G, h, warm=warm)
         if sol is None:
             reason = "constraint system admits no feasible equilibrium"
             break
@@ -551,23 +602,25 @@ def _solve(a: float, q_init: JointState, frame: _Frame, prev=None) -> _Solution:
         # H alone serves while the iteration converges at once; from the
         # third step on the QP also carries the contact curvature.
         if outer >= 2 and rows:
-            Hk = _curved_hessian(H, rows, mult[6:], G, warm)
-            sol = _solve_qp(Hk, c + (H - Hk) @ x, G, h, warm=warm)
+            Hk = _curved_hessian(frame, rows, mult[6:], G, warm)
+            shift = ((frame.H - Hk) @ x).tolist()
+            sol = _solve_qp(Hk.tolist(), [u + v for u, v in zip(c, shift)], G, h, warm=warm)
             if sol is not None:
                 x_new, _, warm = sol
-        step = x_new - x
-        step_norm = float(np.linalg.norm(step))
+        step = [u - v for u, v in zip(x_new, x)]
+        step_norm = math.hypot(*step)
         if rows and step_norm > 1e-12:
-            if prev_step is not None and float(np.dot(step, prev_step)) < 0.0:
+            if prev_step is not None and _dot(step, prev_step) < 0.0:
                 trust = max(trust * 0.5, 1e-6)
                 grow = False
             elif grow and cut:
                 trust = min(trust * 2.0, 1.0)
             cut = step_norm > trust
             if cut:
-                x_new = x + step * (trust / step_norm)
-            prev_step = x_new - x
-        x_new, new_hits = _advance(x, x_new, frame, hits)
+                x_new = tuple(v + s * (trust / step_norm) for v, s in zip(x, step))
+            prev_step = [u - v for u, v in zip(x_new, x)]
+        # clipped: the QP accepts points up to QP_TOL outside the box
+        x_new, new_hits = _advance(x, _clip(x_new, frame), frame, hits)
 
         fit = _certify_kkt(x_new, frame, c, new_hits)
         if fit is not None:
@@ -582,7 +635,12 @@ def _solve(a: float, q_init: JointState, frame: _Frame, prev=None) -> _Solution:
     )
 
 
-def _curved_hessian(H, rows, forces, G, active):
+def _clip(x, frame):
+    """``x`` moved into the joint box; a coordinate inside keeps its bits."""
+    return tuple(min(max(v, lo), hi) for v, lo, hi in zip(x, frame.lo, frame.hi))
+
+
+def _curved_hessian(frame, rows, forces, G, active):
     """QP Hessian whose curvature along the active constraints' null space is
     that of the Lagrangian, H minus the force-weighted gap Hessians, floored
     to stay positive; across the constraints it keeps H.
@@ -590,41 +648,40 @@ def _curved_hessian(H, rows, forces, G, active):
     A contact pressing hard on a curved surface cancels much of H along the
     surface, so steps taken with H alone are too short by the ratio of the
     two curvatures; past a fold of the contact branch (the contact slides
-    off) that ratio is unbounded and the iteration creeps."""
+    off) that ratio is unbounded and the iteration creeps.  Returns an array."""
+    H = frame.H
     Hl = np.array(H, dtype=float)
     for hit, force in zip(rows, forces):
         if force > 0.0:
             Hl -= force * np.array(hit.hess)
-    rows_active = G[list(active)]
+    rows_active = np.array([G[i] for i in active], dtype=float).reshape(-1, 3)
     w, v = np.linalg.eigh(rows_active.T @ rows_active)
     across = w > 1e-12 * max(w[-1], 1.0)
     Y, Z = v[:, across], v[:, ~across]
     w, v = np.linalg.eigh(Z.T @ Hl @ Z)
-    floor = 1e-6 * float(np.max(np.linalg.eigvalsh(H)))
+    floor = 1e-6 * frame.H_max
     return Y @ (Y.T @ H @ Y) @ Y.T + Z @ ((v * np.maximum(w, floor)) @ v.T) @ Z.T
 
 
 def _fit_multipliers(A, grad):
     """Multipliers f >= 0 minimizing |grad - A^T f|: nonnegative least squares
-    on the active rows themselves.
+    on the active rows themselves, 3-vectors like ``grad``.
 
     The least-squares solution over all rows is optimal when it is
     nonnegative.  Otherwise every support of at most three rows is solved by
     least squares and the nonnegative one with the smallest residual is kept:
     by Caratheodory some optimal support is linearly independent, so it has
     at most three rows."""
-    f = np.linalg.lstsq(A.T, grad, rcond=None)[0]
-    if np.all(f >= 0.0):
+    f, _ = _lstsq(A, grad)
+    if all(v >= 0.0 for v in f):
         return f
-    best, best_res = np.zeros(len(A)), float(np.linalg.norm(grad))
+    best, best_res = [0.0] * len(A), math.hypot(*grad)
     for size in range(1, min(3, len(A)) + 1):
         for support in combinations(range(len(A)), size):
-            rows = A[list(support)]
-            fs = np.linalg.lstsq(rows.T, grad, rcond=None)[0]
-            res = float(np.linalg.norm(grad - rows.T @ fs))
-            if np.all(fs >= 0.0) and res < best_res:
-                best, best_res = np.zeros(len(A)), res
-                best[list(support)] = fs
+            fs, res = _lstsq([A[i] for i in support], grad)
+            if all(v >= 0.0 for v in fs) and res < best_res:
+                fit = dict(zip(support, fs))
+                best, best_res = [fit.get(i, 0.0) for i in range(len(A))], res
     return best
 
 
@@ -643,7 +700,7 @@ def _certify_kkt(x, frame, c, hits):
     if min((hit.gap for hit in hits), default=0.0) < -PENETRATION_TOL:
         return None
 
-    grad = frame.H @ x + c
+    grad = tuple(_dot(row, x) + ci for row, ci in zip(frame.H_rows, c))
 
     # Active rows, numbered as in the QP: the joint limits the iterate rests
     # on, then the candidates whose surfaces actually touch.  Candidates with
@@ -657,31 +714,19 @@ def _certify_kkt(x, frame, c, hits):
             active.append(3 + j)
     active += [6 + k for k, hit in enumerate(rows) if hit.gap <= TOUCH_TOL]
 
-    if active:
-        A = np.array([_LIMIT_ROWS[i] if i < 6 else rows[i - 6].grad for i in active])
-        f = _fit_multipliers(A, grad)
-        residual = grad - A.T @ f
-    else:
-        f = np.zeros(0)
-        residual = grad
+    A = [_BOX_ROWS[i] if i < 6 else rows[i - 6].grad for i in active]
+    f = _fit_multipliers(A, grad)
+    residual = [g - sum(v * row[k] for v, row in zip(f, A)) for k, g in enumerate(grad)]
 
-    noise_floor = 64.0 * np.finfo(float).eps * (
-        frame.H_fro * np.linalg.norm(x) + np.linalg.norm(c)
-    )
-    if np.linalg.norm(residual) > KKT_REL_TOL * (1.0 + np.linalg.norm(grad)) + noise_floor:
+    noise_floor = 64.0 * sys.float_info.epsilon * (frame.H_fro * math.hypot(*x) + math.hypot(*c))
+    if math.hypot(*residual) > KKT_REL_TOL * (1.0 + math.hypot(*grad)) + noise_floor:
         return None
 
-    box_mult = np.zeros(6)
-    forces = {}
-    for value, i in zip(f, active):
-        if i < 6:
-            box_mult[i] = value
-        else:
-            forces[rows[i - 6].phalanx] = float(value)
-
+    fit = dict(zip(active, f))
+    forces = {hit.phalanx: fit[6 + k] for k, hit in enumerate(rows) if 6 + k in fit}
     if any(abs(forces.get(hit.phalanx, 0.0) * hit.gap) > COMPLEMENTARITY_TOL for hit in rows):
         return None
-    return forces, box_mult
+    return forces, tuple(fit.get(i, 0.0) for i in range(6))
 
 
 # --------------------------------------------------------------------------
@@ -779,10 +824,7 @@ def envelop_sweep(
         # Saturated only when the drive is actively pressing every joint
         # into a travel stop (limit multipliers engaged), not merely resting
         # on one, and no contact is carrying the load instead.
-        saturated = all(
-            sol.box_mult[j] > 1e-9 or sol.box_mult[3 + j] > 1e-9 for j in range(3)
-        )
-        if saturated:
+        if all(sol.box_mult[j] > 1e-9 or sol.box_mult[3 + j] > 1e-9 for j in range(3)):
             return EquilibriumTrace(steps=tuple(steps), status="limit-saturated")
         held = held or (present and touching >= 2)
         q = sol.joints

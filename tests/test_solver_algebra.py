@@ -1,0 +1,225 @@
+"""The grasp solver's float algebra against numpy references.
+
+``_solve_qp`` and ``_fit_multipliers`` run on float triples and row tuples;
+the numpy versions below are the references they are checked against.
+"""
+
+import math
+from dataclasses import replace
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from modhand import grasp
+from modhand.grasp import QP_TOL
+from modhand.params import default_params
+
+ENV_PARAMS = replace(default_params(), spring_serial=200.0, spring_parallel=(300.0, 300.0, 0.2))
+
+
+def reference_solve_qp(H, c, G, h, warm=None):
+    """Minimize 1/2 x'Hx + c'x subject to Gx >= h with numpy: the same
+    active-set enumeration, each KKT system solved by LAPACK."""
+    n = H.shape[0]
+    m = G.shape[0]
+
+    def attempt(subset):
+        k = len(subset)
+        if k == 0:
+            x = np.linalg.solve(H, -c)
+            lam = np.zeros(0)
+        elif any(j + 3 in subset for j in subset if j < 3):
+            return None
+        else:
+            Gs = G[list(subset)]
+            kkt = np.zeros((n + k, n + k))
+            kkt[:n, :n] = H
+            kkt[:n, n:] = -Gs.T
+            kkt[n:, :n] = Gs
+            rhs = np.concatenate([-c, h[list(subset)]])
+            try:
+                sol = np.linalg.solve(kkt, rhs)
+            except np.linalg.LinAlgError:
+                return None
+            if not np.all(np.isfinite(sol)):
+                return None
+            x, lam = sol[:n], sol[n:]
+            if np.any(lam < -QP_TOL):
+                return None
+        if m and np.any(G @ x < h - QP_TOL):
+            return None
+        full = np.zeros(m)
+        for j, idx in enumerate(subset):
+            full[idx] = max(lam[j], 0.0)
+        return x, full, tuple(subset)
+
+    if warm is not None and all(0 <= i < m for i in warm) and len(warm) <= n:
+        res = attempt(tuple(sorted(warm)))
+        if res is not None:
+            return res
+    for size in range(0, n + 1):
+        for subset in combinations(range(m), size):
+            res = attempt(subset)
+            if res is not None:
+                return res
+    return None
+
+
+def reference_fit_multipliers(A, grad):
+    """Nonnegative least squares on at most six rows with numpy's SVD-based
+    ``lstsq``: the full fit when nonnegative, else the best nonnegative
+    support of at most three rows."""
+    f = np.linalg.lstsq(A.T, grad, rcond=None)[0]
+    if np.all(f >= 0.0):
+        return f
+    best, best_res = np.zeros(len(A)), float(np.linalg.norm(grad))
+    for size in range(1, min(3, len(A)) + 1):
+        for support in combinations(range(len(A)), size):
+            rows = A[list(support)]
+            fs = np.linalg.lstsq(rows.T, grad, rcond=None)[0]
+            res = float(np.linalg.norm(grad - rows.T @ fs))
+            if np.all(fs >= 0.0) and res < best_res:
+                best, best_res = np.zeros(len(A)), res
+                best[list(support)] = fs
+    return best
+
+
+def as_rows(M) -> list:
+    return [tuple(row) for row in np.asarray(M, dtype=float).tolist()]
+
+
+def rotation(a, b, c) -> np.ndarray:
+    """Rotation about z by a, then y by b, then x by c."""
+    rz = np.array([[math.cos(a), -math.sin(a), 0], [math.sin(a), math.cos(a), 0], [0, 0, 1]])
+    ry = np.array([[math.cos(b), 0, math.sin(b)], [0, 1, 0], [-math.sin(b), 0, math.cos(b)]])
+    rx = np.array([[1, 0, 0], [0, math.cos(c), -math.sin(c)], [0, math.sin(c), math.cos(c)]])
+    return rx @ ry @ rz
+
+
+ANGLE = st.floats(-math.pi, math.pi)
+UNIT = st.floats(-1.0, 1.0)
+VECTOR = st.tuples(UNIT, UNIT, UNIT)
+ROW = VECTOR.filter(lambda v: np.linalg.norm(v) > 0.1).map(lambda v: 40.0 * np.array(v))
+
+
+@st.composite
+def qps(draw):
+    """SPD H with condition number up to 1e6, the 6 box rows and 0-3 random
+    rows that a point of the box satisfies with some slack."""
+    Q = rotation(*draw(st.tuples(ANGLE, ANGLE, ANGLE)))
+    scale = 10.0 ** draw(st.floats(0.0, 5.0))
+    log_cond = draw(st.floats(0.0, 6.0))
+    middle = draw(st.floats(0.0, 1.0))
+    eig = scale * 10.0 ** -np.array([0.0, middle * log_cond, log_cond])
+    H = (Q * eig) @ Q.T
+    H = 0.5 * (H + H.T)
+    c = scale * np.array(draw(VECTOR)) * 3.0
+    lo = np.array(draw(st.tuples(*[st.floats(-1.0, 0.5)] * 3)))
+    hi = lo + np.array(draw(st.tuples(*[st.floats(0.05, 2.0)] * 3)))
+    inside = lo + (hi - lo) * (np.array(draw(VECTOR)) + 1.0) / 2.0
+    extra = np.array(draw(st.lists(ROW, max_size=3)), dtype=float).reshape(-1, 3)
+    slack = np.array(draw(st.lists(st.floats(0.0, 5.0), min_size=len(extra),
+                                   max_size=len(extra))))
+    G = np.vstack([np.eye(3), -np.eye(3), extra])
+    h = np.concatenate([lo, -hi, extra @ inside - slack])
+    return H, c, G, h
+
+
+def unique_active_set(H, c, G, h, sol) -> bool:
+    """Whether the reference's solution has one active set beyond doubt:
+    linearly independent active rows, every active multiplier and every
+    inactive slack clear of zero."""
+    x, mult, active = sol
+    scale = np.linalg.norm(H @ x + c) + 1.0
+    slack = G @ x - h
+    inactive = [i for i in range(len(G)) if i not in active]
+    if any(mult[i] <= 1e-6 * scale for i in active):
+        return False
+    if any(slack[i] <= 1e-6 * (1.0 + np.linalg.norm(G[i])) for i in inactive):
+        return False
+    if active:
+        rows = G[list(active)] / np.linalg.norm(G[list(active)], axis=1)[:, None]
+        if np.linalg.svd(rows, compute_uv=False)[-1] <= 1e-6:
+            return False
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(problem=qps())
+def test_float_qp_matches_reference(problem):
+    H, c, G, h = problem
+    ref = reference_solve_qp(H, c, G, h)
+    assume(ref is not None and unique_active_set(H, c, G, h, ref))
+    got = grasp._solve_qp(as_rows(H), tuple(c.tolist()), as_rows(G), tuple(h.tolist()))
+    assert got is not None
+    x = np.asarray(got[0])
+    assert np.linalg.norm(x - ref[0]) <= 1e-9 * (1.0 + np.linalg.norm(ref[0]))
+
+
+STOP = st.sampled_from([None, "lo", "hi"])
+
+
+@st.composite
+def fits(draw):
+    """A stationarity fit: the stops some joints rest on, 0-3 contact rows
+    (possibly parallel to a stop, as the proximal phalanx's row always is to
+    the q1 stops) and a gradient."""
+    rows = []
+    for j, stop in enumerate(draw(st.tuples(STOP, STOP, STOP))):
+        if stop is not None:
+            rows.append(np.eye(3)[j] * (1.0 if stop == "lo" else -1.0))
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):  # parallel to a stop
+            size = draw(st.floats(0.1, 50.0)) * draw(st.sampled_from([-1.0, 1.0]))
+            rows.append(np.eye(3)[draw(st.integers(0, 2))] * size)
+        else:
+            rows.append(np.array(draw(ROW)))
+    grad = np.array(draw(VECTOR)) * 10.0 ** draw(st.floats(-3.0, 5.0))
+    return np.array(rows, dtype=float).reshape(-1, 3), grad
+
+
+def evaluation_noise(A, f) -> float:
+    """Bound on the rounding of evaluating grad - A^T f itself: near-parallel
+    rows make multipliers far larger than the gradient they balance."""
+    return 4.0 * np.finfo(float).eps * float(np.linalg.norm(np.abs(A.T) @ np.abs(f)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(problem=fits())
+def test_float_fit_matches_reference(problem):
+    A, grad = problem
+    ref = reference_fit_multipliers(A, grad)
+    got = np.asarray(grasp._fit_multipliers(as_rows(A), tuple(grad.tolist())))
+    assert got.shape == ref.shape
+    assert np.all(got >= 0.0)
+    residual = np.linalg.norm(grad - A.T @ got)
+    bound = np.linalg.norm(grad - A.T @ ref) + 1e-12 * np.linalg.norm(grad)
+    assert residual <= bound + evaluation_noise(A, got) + evaluation_noise(A, ref)
+
+
+@pytest.mark.parametrize("a, proximal, middle", [
+    # round numbers
+    (16.0, (-36.1, 0.0, 0.0, -36.1 * 0.02), (-47.0, -14.0, 0.0, -10.0)),
+    # bench step 123 of the 50 mm sweep at seed 3
+    (17.40566037735849, (-33.69827479574292, 0.0, 0.0, -1.569099057644361),
+     (-47.13125166404613, -13.805702200764305, 0.0, -12.40103571642331)),
+])
+def test_qp_rejects_subset_missing_its_own_rows(a, proximal, middle):
+    # The q1 lower stop (row 0) and the proximal contact row (row 6) are
+    # parallel, so the KKT matrix of a subset holding both is singular.  An
+    # elimination of it can still end with nonzero pivots and return a
+    # finite point that meets neither row as an equality.
+    frame = grasp._solve_frame(0.0, ENV_PARAMS, None)
+    c = tuple(d * a for d in frame.joint_drive)
+    G = grasp._BOX_ROWS + (proximal[:3], middle[:3])
+    h = frame.h_box + (proximal[3], middle[3])
+    for warm in (None, (6,), (0, 6)):
+        x, mult, active = grasp._solve_qp(frame.H_rows, c, G, h, warm=warm)
+        assert active
+        for i in active:
+            assert abs(grasp._dot(G[i], x) - h[i]) <= QP_TOL
+        assert all(grasp._dot(g, x) >= b - QP_TOL for g, b in zip(G, h))
+        assert all(v >= 0.0 for v in mult)
