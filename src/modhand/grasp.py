@@ -3,35 +3,34 @@
 Equilibrium model: the flexion joints settle where the elastic energy of the
 transmission (one serial element, three parallel elements) is minimal subject
 to non-penetration against the object and the joint limits.  The energy is a
-convex quadratic in the joint angles, so each step is a small quadratic
-program solved exactly by active-set enumeration; contact constraints are
-re-detected and re-linearized around the current iterate until the fixed
-point satisfies the stationarity and complementarity tolerances on the true
-(curved) gap functions.  Every outer step is bounded so that no phalanx
-passes through the object: by conservative advancement for the phalanges not
-yet near it, by a trust radius for the linearized ones.  After the first two
-steps the quadratic model also carries the curvature of the pressing
-contacts, so a contact sliding off a curved surface does not stall the
-iteration.
+convex quadratic in the joint angles.  Each outer step detects and linearizes
+the contacts at the iterate and solves one small QP exactly by active-set
+enumeration, until a point meets the stationarity and complementarity
+tolerances on the true (curved) gaps.  The QP's Hessian carries the
+Lagrangian curvature of the rows the previous QP rested on, weighted by its
+multipliers (a sweep step's first QP takes those that certified the step
+before), so a contact sliding on a curved surface does not stall.  No outer
+step lets a phalanx pass through the object: conservative advancement bounds
+the phalanges not yet near it, a trust radius the linearized ones.
 
-The drive coordinate ``a`` is the serial coordinate of the flexion chain
-(what the flexion mode of the knuckle differential delivers); the lateral
-swing angle is held fixed during a sweep.  So the flexion chain is planar in
-the swing frame, which a sweep builds once with the object in its coordinates
-and the stiffness blocks.  One pass of closed forms in the cumulative flexion
-angles (``_kernel``) gives every gap with its gradient and Hessian.  The
-Hessians enter only the curved quadratic model, the solver's one curvature
-mechanism; the certification that accepts a point is first-order
-(stationarity, complementarity, feasibility).  Each iterate is evaluated
-once: its hits travel with it to the certification and the next sweep step.
-Contacts are mapped to world coordinates only when reported.
+The drive coordinate ``a`` is the serial coordinate of the flexion chain (the
+flexion mode of the knuckle differential); the swing angle is held fixed
+during a sweep.  So the chain is planar in the swing frame, which a sweep
+builds once with the object in its coordinates and the stiffness blocks.  One
+pass of closed forms in the cumulative flexion angles (``_kernel``) gives
+every gap with its gradient and Hessian; the Hessians enter only the QP
+model, and the certification that accepts a point is first-order.  Each
+iterate is evaluated once: its hits travel with it to the certification and
+the next sweep step.  Contacts are mapped to world coordinates only when
+reported.
 
-The solver's algebra runs on float triples and row tuples, as the kernel
-does: its matrices are at most 6x6, so a numpy call would cost more than its
-few dozen flops.  H is ill-conditioned, so each KKT system of the QP is
-solved in full space by Gaussian elimination with partial pivoting, and the
-multipliers are fitted by modified Gram-Schmidt, not the normal equations.
-numpy stays for the curved model's eigendecompositions and the public API.
+The solver runs on float triples and row tuples, as the kernel does: its
+matrices are at most 6x6, so a numpy call would cost more than its few dozen
+flops.  H is ill-conditioned, so each KKT system is solved in full space by
+Gaussian elimination with partial pivoting, the multipliers are fitted by
+modified Gram-Schmidt, and the curved model's rank test and eigenproblems (at
+most 2x2, on the active rows' null space) are closed forms.  numpy stays in
+frame setup and at the public API.
 """
 
 from __future__ import annotations
@@ -67,19 +66,16 @@ MAX_OUTER = 20
 ADVANCE_FRACTION = 0.9       # share of a free phalanx's gap one advance may close
 ADVANCE_STEPS = 64           # advances per outer step, each re-measuring the gaps
 
-# Joint-limit rows of the QP, x_j >= lo_j then -x_j >= -hi_j; rows 6 and on
-# are the candidate contacts.
+# Joint-limit rows of the QP, x_j >= lo_j then -x_j >= -hi_j; contacts follow.
 _BOX_ROWS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
              (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
 
 
 @dataclass(frozen=True)
 class RigidObject:
-    """Rigid obstacle: a sphere or a half-space.
-
-    Half-spaces occupy the side opposite their outward normal; the normal
-    must be nonzero and is stored normalized.
-    """
+    """Rigid obstacle: a sphere or a half-space.  A half-space occupies the
+    side opposite its outward normal, which must be nonzero and is stored
+    normalized."""
 
     shape: str
     center: tuple = (0.0, 0.0, 0.0)
@@ -120,19 +116,15 @@ class RigidObject:
 
     @classmethod
     def half_space(cls, point, outward_normal) -> "RigidObject":
-        return cls(
-            shape="half_space", point=tuple(point), normal=tuple(outward_normal)
-        )
+        return cls(shape="half_space", point=tuple(point), normal=tuple(outward_normal))
 
 
 @dataclass(frozen=True)
 class Contact:
-    """One phalanx/object contact candidate.
-
-    ``normal`` is the unit direction from the object surface toward the
-    phalanx axis, i.e. the direction the contact force pushes the phalanx.
-    ``gap`` is the signed surface separation (negative = penetration).
-    """
+    """One phalanx/object contact candidate.  ``normal`` is the unit
+    direction from the object surface toward the phalanx axis, the direction
+    the contact force pushes the phalanx; ``gap`` is the signed surface
+    separation (negative = penetration)."""
 
     phalanx: int
     point: tuple
@@ -151,16 +143,14 @@ class Contact:
 
 @dataclass(frozen=True)
 class _Frame:
-    """The swing frame of a sweep and what every solve in it shares.
-
-    The swing angle is fixed, so the flexion chain lies in the frame's x-y
-    plane: joint k sits at J_k = sum_{j<k} L_j (cos c_j, sin c_j), with c_j
-    the cumulative flexion angle, and the flexion axes are the frame's z
-    axis.  ``obj`` is the object in frame coordinates (None when absent);
-    ``lo``/``hi`` are the flexion limits (``h_box`` the limit rows' bounds),
-    ``H`` (rows ``H_rows``, norm ``H_fro``, largest eigenvalue ``H_max``) and
-    ``joint_drive`` the energy's stiffness blocks.  Vectors and rows are
-    float tuples; ``H`` stays an array for the curved model's eigh calls."""
+    """The swing frame of a sweep and what every solve in it shares, as
+    float tuples.  The flexion chain lies in the frame's x-y plane: joint k
+    sits at J_k = sum_{j<k} L_j (cos c_j, sin c_j), c_j the cumulative
+    flexion angle, and the flexion axes are the z axis.  ``obj`` is the
+    object in frame coordinates (None when absent), ``lo``/``hi`` the flexion
+    limits (``h_box`` the limit rows' bounds), H (rows ``H_rows``, norm
+    ``H_fro``, largest eigenvalue ``H_max``) and ``joint_drive`` the energy's
+    stiffness blocks."""
 
     rotation: tuple  # rows of the matrix whose columns are the frame axes
     origin: tuple
@@ -169,7 +159,6 @@ class _Frame:
     lo: tuple
     hi: tuple
     h_box: tuple
-    H: np.ndarray | None = None
     H_rows: tuple | None = None
     H_fro: float | None = None
     H_max: float | None = None
@@ -197,7 +186,7 @@ def _frame(pose, params: FingerParams, obj: RigidObject | None, stiff=None) -> _
     H = None if stiff is None else stiff.joint
     return _Frame(
         tuple(map(tuple, rot.tolist())), tuple(origin.tolist()), params, obj,
-        lo, hi, lo + tuple(-v for v in hi), H, *(() if H is None else (
+        lo, hi, lo + tuple(-v for v in hi), *(() if H is None else (
             tuple(map(tuple, H.tolist())), float(np.linalg.norm(H, ord="fro")),
             float(np.linalg.eigvalsh(H)[-1]), tuple(stiff.joint_drive.tolist()),
         )),
@@ -225,9 +214,8 @@ class _Hit(NamedTuple):
 
 def _kernel(x, frame: _Frame) -> list:
     """Gap, normal, contact point, gradient and Hessian of every phalanx at
-    flexion ``x`` in one pass of closed forms, proximal to distal; none if no object.
-
-    A body-fixed point P of phalanx i moves with joint k <= i as
+    flexion ``x`` in one pass of closed forms, proximal to distal; none if no
+    object.  A body-fixed point P of phalanx i moves with joint k <= i as
     dP/dq_k = z x (P - J_k), so a gap with normal n has the gradient row
     g_k = -n_x (P_y - J_k,y) + n_y (P_x - J_k,x).  The Hessian follows from
     d2P/dq_k dq_l = -(P - J_max(k,l)):
@@ -240,8 +228,7 @@ def _kernel(x, frame: _Frame) -> list:
     * half-space: linear in the closest endpoint.
 
     A sphere centre on the axis leaves the normal undefined; the in-plane
-    perpendicular of the axis keeps deep penetrations detectable.
-    """
+    perpendicular of the axis keeps deep penetrations detectable."""
     params, obj = frame.params, frame.obj
     if obj is None:
         return []
@@ -286,10 +273,7 @@ def _kernel(x, frame: _Frame) -> list:
             normal = obj.normal
             gap = min(g0, g1) - radius
         n0, n1, n2 = normal
-        grad = [
-            -n0 * (py - jy[k]) + n1 * (px - jx[k]) if k <= i else 0.0
-            for k in range(3)
-        ]
+        grad = [-n0 * (py - jy[k]) + n1 * (px - jx[k]) if k <= i else 0.0 for k in range(3)]
         for k in range(i + 1):
             for l in range(k, i + 1):
                 if not sphere:
@@ -309,32 +293,18 @@ def _kernel(x, frame: _Frame) -> list:
                         - grad[k] * grad[l]
                     ) / dist
                 hess[k][l] = hess[l][k] = value
-        hits.append(_Hit(
-            phalanx=i + 1,
-            t=t,
-            gap=gap,
-            normal=normal,
-            point=(px - radius * n0, py - radius * n1, -radius * n2),
-            grad=tuple(grad),
-            hess=tuple(tuple(row) for row in hess),
-        ))
+        point = (px - radius * n0, py - radius * n1, -radius * n2)
+        hits.append(_Hit(i + 1, t, gap, normal, point, tuple(grad), tuple(map(tuple, hess))))
     return hits
 
 
-def detect_contacts(
-    chain: FingerPoseChain,
-    params: FingerParams,
-    obj: RigidObject,
-    threshold: float = ACTIVATION_THRESHOLD,
-):
+def detect_contacts(chain: FingerPoseChain, params: FingerParams, obj: RigidObject,
+                    threshold: float = ACTIVATION_THRESHOLD):
     """Per-phalanx closest-point candidates with gap at most ``threshold``,
     sorted proximal to distal."""
     frame = _frame(chain.frames[0], params, obj)
-    return [
-        frame.contact(hit)
-        for hit in _kernel(chain.joint_state.flexion(), frame)
-        if hit.gap <= threshold
-    ]
+    hits = _kernel(chain.joint_state.flexion(), frame)
+    return [frame.contact(hit) for hit in hits if hit.gap <= threshold]
 
 
 # --------------------------------------------------------------------------
@@ -348,10 +318,8 @@ def elastic_energy(q_fe, a: float, params: FingerParams) -> float:
 
 def _stored_energy(state: TransmissionState, params: FingerParams) -> float:
     """Elastic energy of the deflections ``state``."""
-    kp = params.spring_parallel
-    return 0.5 * params.spring_serial * state.serial**2 + 0.5 * sum(
-        k * t**2 for k, t in zip(kp, state.parallel)
-    )
+    parallel = sum(k * t**2 for k, t in zip(params.spring_parallel, state.parallel))
+    return 0.5 * params.spring_serial * state.serial**2 + 0.5 * parallel
 
 
 def elastic_energy_gradient(q_fe, a: float, params: FingerParams) -> np.ndarray:
@@ -403,14 +371,13 @@ def _solve_qp(H, c, G, h, warm=None):
     """Minimize 1/2 x'Hx + c'x subject to Gx >= h, H positive definite; x is
     a 3-vector, H and G are sequences of rows, c and h of floats.
 
-    Exhaustive KKT search over active subsets of at most dim(x) rows, warm
-    subset tried first.  A subset's full KKT system [[H, -G_s'], [G_s, 0]]
-    is solved by Gaussian elimination; it is accepted when its multipliers
-    are nonnegative, its own rows hold as equalities (a subset with dependent
-    rows can yield a point that misses them) and every row holds, all within
-    ``QP_TOL``.  Returns (x, multipliers, active_tuple) or None when no
-    subset yields a feasible KKT point (constraint system infeasible).
-    """
+    Exhaustive KKT search over active subsets of at most dim(x) rows, the
+    sorted ``warm`` subset first.  A subset's full KKT system
+    [[H, -G_s'], [G_s, 0]] is solved by Gaussian elimination and accepted
+    when, within ``QP_TOL``, its multipliers are nonnegative, its own rows
+    hold as equalities (dependent rows can yield a point that misses them)
+    and every row holds.  Returns (x, multipliers, active_tuple), or None
+    when no subset yields a feasible KKT point."""
     n, m = len(c), len(G)
 
     def attempt(subset):
@@ -427,26 +394,23 @@ def _solve_qp(H, c, G, h, warm=None):
         if any(v < -QP_TOL for v in lam):
             return None
         gx = [_dot(g, x) for g in G]
-        if any(abs(gx[i] - h[i]) > QP_TOL for i in subset):
-            return None
-        if any(v < b - QP_TOL for v, b in zip(gx, h)):
+        if any(abs(gx[i] - h[i]) > QP_TOL for i in subset) or any(
+                v < b - QP_TOL for v, b in zip(gx, h)):
             return None
         full = [0.0] * m
         for j, idx in enumerate(subset):
             full[idx] = max(lam[j], 0.0)
         return x, full, tuple(subset)
 
-    subsets = chain.from_iterable(combinations(range(m), k) for k in range(n + 1))
-    if warm is not None and all(0 <= i < m for i in warm) and len(warm) <= n:
-        subsets = chain([tuple(sorted(warm))], subsets)
+    first = [tuple(sorted(warm))] if warm is not None and len(warm) <= n else []
+    subsets = chain(first, *(combinations(range(m), k) for k in range(n + 1)))
     return next(filter(None, map(attempt, subsets)), None)
 
 
 def _lstsq(cols, b):
     """Coefficients f minimizing |b - sum_i f_i cols_i| over 3-vectors, and
-    that residual's norm: modified Gram-Schmidt on the columns with b as the
-    last one, then the triangular solve.  A column within rounding of the
-    span of the ones before it gets coefficient 0."""
+    that residual's norm, by modified Gram-Schmidt with b as the last column;
+    a column within rounding of the span of those before it gets 0."""
     qs, R, kept = [], [], []
     for j, a in enumerate([*cols, b]):
         v, r = a, []
@@ -473,14 +437,13 @@ def _lstsq(cols, b):
 @dataclass(frozen=True)
 class _Solution:
     """One solved step: the reported (joints, transmission, contacts) triple,
-    the joint-limit multipliers (lower, then upper rows), and the next sweep
-    step's start: the final QP active set and the joints' hits in ``frame``."""
+    the joint-limit multipliers (lower, then upper rows), and the frame and
+    kernel hits of the joints, which the next sweep step starts from."""
 
     joints: JointState
     transmission: TransmissionState
     contacts: list
     box_mult: tuple | None = None
-    active: tuple | None = None
     frame: _Frame | None = None
     hits: list | None = None
 
@@ -489,7 +452,7 @@ class _Solution:
         return self.joints, self.transmission, self.contacts
 
 
-def _solution(x, a, q_aa, frame, hits, forces=None, box_mult=None, active=None):
+def _solution(x, a, q_aa, frame, hits, forces=None, box_mult=None):
     """Record of flexion ``x`` at drive ``a`` with its kernel ``hits``;
     ``forces`` maps a phalanx to its force, zero when absent."""
     forces = forces or {}
@@ -497,7 +460,7 @@ def _solution(x, a, q_aa, frame, hits, forces=None, box_mult=None, active=None):
         JointState(q_aa=q_aa, q1=x[0], q2=x[1], q3=x[2]),
         transmission_state(x, a, frame.params),
         [frame.contact(hit, forces.get(hit.phalanx, 0.0)) for hit in _candidates(hits)],
-        box_mult, active, frame, hits,
+        box_mult, frame, hits,
     )
 
 
@@ -508,33 +471,26 @@ def _candidates(hits) -> list:
 
 def _advance(x, target, frame, hits):
     """Farthest point on the straight joint-space path from ``x`` toward
-    ``target`` that no phalanx without a QP row can reach the object by:
-    conservative advancement.
+    ``target`` that no phalanx without a QP row can reach the object by
+    (conservative advancement), and its kernel hits.
 
     Along the path a point of phalanx i moves at most sum_k |step_k| *
-    (L_k + ... + L_i) per unit of path, since joint k is at most that far
-    from it, and a gap is 1-Lipschitz in the points of the capsule axis.  So
-    the path may advance until that bound has used ``ADVANCE_FRACTION`` of
-    each such phalanx's gap; the gaps are then measured again and the path
-    advances further, until the target is reached, a phalanx comes within
-    ``ACTIVATION_THRESHOLD`` of the object (it gets a row at the next outer
-    step), or ``ADVANCE_STEPS`` advances are used.  Phalanges with a row are
-    held back by their linearized gap instead; without this bound a phalanx
-    farther than the threshold has no constraint at all and one outer step
-    can carry it through the object.  Returns the point and its kernel hits."""
+    (L_k + ... + L_i) per unit of path, and a gap is 1-Lipschitz in the
+    points of the capsule axis.  So the path advances until that bound has
+    used ``ADVANCE_FRACTION`` of each such phalanx's gap, the gaps are
+    measured again, and so on until the target is reached, a phalanx comes
+    within ``ACTIVATION_THRESHOLD`` (it gets a row at the next outer step)
+    or ``ADVANCE_STEPS`` advances are used.  Without this bound a phalanx
+    farther than the threshold has no constraint and one outer step can
+    carry it through the object."""
     lengths = frame.params.link_lengths
     step = [b - v for v, b in zip(x, target)]
-    reach = [
-        sum(abs(step[k]) * sum(lengths[k:i + 1]) for k in range(i + 1))
-        for i in range(3)
-    ]
+    reach = [sum(abs(step[k]) * sum(lengths[k:i + 1]) for k in range(i + 1)) for i in range(3)]
     free = [i for i, hit in enumerate(hits) if hit.gap > ACTIVATION_THRESHOLD]
     t = 0.0
     for _ in range(ADVANCE_STEPS):
-        t = min(
-            [1.0]
-            + [t + ADVANCE_FRACTION * hits[i].gap / reach[i] for i in free if reach[i] > 0]
-        )
+        t = min([1.0] + [t + ADVANCE_FRACTION * hits[i].gap / reach[i]
+                         for i in free if reach[i] > 0])
         if t >= 1.0:
             return target, hits if target == x else _kernel(target, frame)
         point = tuple(v + t * s for v, s in zip(x, step))
@@ -544,69 +500,69 @@ def _advance(x, target, frame, hits):
     return point, hits
 
 
-def equilibrium_solve(
-    a: float,
-    q_init: JointState,
-    params: FingerParams,
-    obj: RigidObject | None = None,
-):
-    """Flexion equilibrium at drive ``a`` from ``q_init``.
-
-    Returns (JointState, TransmissionState, contacts); contact forces are the
-    multipliers the certification fits at the returned point, by nonnegative
-    least squares on the touching contacts and the stops it rests on.  The
-    swing angle is carried through unchanged.
-    """
+def equilibrium_solve(a: float, q_init: JointState, params: FingerParams,
+                      obj: RigidObject | None = None):
+    """Flexion equilibrium at drive ``a`` from ``q_init``, the swing angle
+    carried through: (JointState, TransmissionState, contacts), the contact
+    forces being the multipliers the certification fits at that point, by
+    nonnegative least squares on the touching contacts and the stops."""
     return _solve(a, q_init, _solve_frame(q_init.q_aa, params, obj)).triple
 
 
 def _solve(a: float, q_init: JointState, frame: _Frame, prev=None) -> _Solution:
     """equilibrium_solve in the swing frame ``frame`` (built at
-    ``q_init.q_aa``) after the sweep step ``prev``: its QP active set is tried
-    first, and its hits serve if it ended in ``frame`` at this start."""
+    ``q_init.q_aa``) after the sweep step ``prev``: the multipliers that
+    certified it start the first QP and curve it, and its hits serve if it
+    ended in ``frame`` at this start."""
     if not q_init.within_limits(frame.params):
         raise PreconditionError("q_init violates the joint limits")
     x = _clip((q_init.q1, q_init.q2, q_init.q3), frame)
     q_aa = q_init.q_aa
-    warm, hits = (None, None) if prev is None else (prev.active, prev.hits)
+    hits = None if prev is None else prev.hits
     if prev is None or prev.frame is not frame or prev.joints.flexion().tolist() != list(x):
         hits = _kernel(x, frame)
 
     if min((hit.gap for hit in hits), default=0.0) < -RECOVERY_TOL:
-        raise InfeasibleStartError(
-            "initial configuration penetrates the object beyond the recovery tolerance"
-        )
+        raise InfeasibleStartError("initial configuration penetrates the object "
+                                   "beyond the recovery tolerance")
 
     c = tuple(d * float(a) for d in frame.joint_drive)
+    # Multipliers of the rows the last QP rested on, keyed by box row (0-5) or
+    # 5 + phalanx; the first QP takes those that certified the sweep step before.
+    carry = {} if prev is None else {
+        **{i: f for i, f in enumerate(prev.box_mult) if f > 0.0},
+        **{5 + con.phalanx: con.force for con in prev.contacts if con.force > 0.0},
+    }
 
     best = None
-    # Trust region on the outer relinearization steps: large jumps make the
-    # frozen contact gradients stale and the iteration can two-cycle; the
-    # radius halves whenever the step direction reverses.  Until the first
-    # reversal it doubles after each step it cut, so a long slide (a contact
-    # sliding off, the finger sweeping on) takes a few steps, not dozens.
+    # Trust region on the outer steps: large jumps make the frozen contact
+    # gradients stale and the iteration can two-cycle, so the radius halves
+    # whenever the step reverses.  Until the first reversal it doubles after
+    # each step it cut, so a long slide takes a few steps, not dozens.
     trust = 0.15
     prev_step = None
     cut = False      # the trust radius cut the previous step
     grow = True      # no step has reversed yet
-    for outer in range(MAX_OUTER):
+    for _ in range(MAX_OUTER):
         rows = _candidates(hits)
         G = _BOX_ROWS + tuple(hit.grad for hit in rows)
         h = frame.h_box + tuple(_dot(hit.grad, x) - hit.gap for hit in rows)
 
-        sol = _solve_qp(frame.H_rows, c, G, h, warm=warm)
+        # the rows of the carried multipliers start the QP and curve it
+        warm = [i for i in carry if i < 6] + [
+            6 + k for k, hit in enumerate(rows) if 5 + hit.phalanx in carry]
+        B = _reduced_curvature(frame, [G[i] for i in warm], [
+            (carry[5 + hit.phalanx], hit.hess) for hit in rows
+            if carry.get(5 + hit.phalanx, 0.0) > 0.0])
+        # the model's gradient at x is the energy's: c + (H - B) x
+        cq = c if B is frame.H_rows else tuple(ci + _dot([u - v for u, v in zip(hr, br)], x)
+                                               for ci, hr, br in zip(c, frame.H_rows, B))
+        sol = _solve_qp(B, cq, G, h, warm=warm)
         if sol is None:
             reason = "constraint system admits no feasible equilibrium"
             break
-        x_new, mult, warm = sol
-        # H alone serves while the iteration converges at once; from the
-        # third step on the QP also carries the contact curvature.
-        if outer >= 2 and rows:
-            Hk = _curved_hessian(frame, rows, mult[6:], G, warm)
-            shift = ((frame.H - Hk) @ x).tolist()
-            sol = _solve_qp(Hk.tolist(), [u + v for u, v in zip(c, shift)], G, h, warm=warm)
-            if sol is not None:
-                x_new, _, warm = sol
+        x_new, mult, active = sol
+        carry = {i if i < 6 else 5 + rows[i - 6].phalanx: mult[i] for i in active}
         step = [u - v for u, v in zip(x_new, x)]
         step_norm = math.hypot(*step)
         if rows and step_norm > 1e-12:
@@ -624,15 +580,13 @@ def _solve(a: float, q_init: JointState, frame: _Frame, prev=None) -> _Solution:
 
         fit = _certify_kkt(x_new, frame, c, new_hits)
         if fit is not None:
-            return _solution(x_new, a, q_aa, frame, new_hits, *fit, warm)
+            return _solution(x_new, a, q_aa, frame, new_hits, *fit)
 
         best, x, hits = x_new, x_new, new_hits
     else:
         reason = "equilibrium iteration cap reached"
-    raise NonConvergedError(
-        reason,
-        best=None if best is None else _solution(best, a, q_aa, frame, hits).triple,
-    )
+    best = None if best is None else _solution(best, a, q_aa, frame, hits).triple
+    raise NonConvergedError(reason, best=best)
 
 
 def _clip(x, frame):
@@ -640,38 +594,109 @@ def _clip(x, frame):
     return tuple(min(max(v, lo), hi) for v, lo, hi in zip(x, frame.lo, frame.hi))
 
 
-def _curved_hessian(frame, rows, forces, G, active):
-    """QP Hessian whose curvature along the active constraints' null space is
-    that of the Lagrangian, H minus the force-weighted gap Hessians, floored
-    to stay positive; across the constraints it keeps H.
+def _cross(u, v) -> tuple:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
-    A contact pressing hard on a curved surface cancels much of H along the
-    surface, so steps taken with H alone are too short by the ratio of the
-    two curvatures; past a fold of the contact branch (the contact slides
-    off) that ratio is unbounded and the iteration creeps.  Returns an array."""
-    H = frame.H
-    Hl = np.array(H, dtype=float)
-    for hit, force in zip(rows, forces):
-        if force > 0.0:
-            Hl -= force * np.array(hit.hess)
-    rows_active = np.array([G[i] for i in active], dtype=float).reshape(-1, 3)
-    w, v = np.linalg.eigh(rows_active.T @ rows_active)
-    across = w > 1e-12 * max(w[-1], 1.0)
-    Y, Z = v[:, across], v[:, ~across]
-    w, v = np.linalg.eigh(Z.T @ Hl @ Z)
+
+def _unit(v) -> tuple:
+    norm = math.hypot(*v)
+    return tuple(x / norm for x in v)
+
+
+def _active_span(rows):
+    """Rank of at most three ``rows`` by numpy's test, Gram eigenvalues above
+    1e-12 max(largest, 1), and a unit vector spanning the rows (rank 1) or
+    their null space (rank 2).  The eigenvalues come from the Gram matrix's
+    invariants, T = trace, S = sum |a_i x a_j|^2 and D = det(A)^2, not from
+    an orthogonalization, whose rank can differ on near-parallel rows: the
+    largest root l1 of l^3 - T l^2 + S l - D, then the other two from their
+    sum (S - D/l1)/l1 and product D/l1, l3 capped by l2 where D is rounding."""
+    if len(rows) == 1:
+        T = _dot(rows[0], rows[0])
+        return (1, _unit(rows[0])) if T > 1e-12 * max(T, 1.0) else (0, None)
+    crosses = [_cross(u, v) for u, v in combinations(rows, 2)]
+    T = sum(_dot(v, v) for v in rows)
+    S = sum(_dot(v, v) for v in crosses)
+    D = _dot(rows[0], crosses[2]) ** 2 if len(rows) == 3 else 0.0
+    floor = 1e-12 * max(T, 1.0)  # rank 3 if l2 >= S/(3 T) and l3 >= D/S clear it
+    if D > floor * S and S > 3.0 * floor * T:
+        return 3, None
+    l1, p = T / 3.0, S - T * T / 3.0
+    if D == 0.0:
+        l1 = 0.5 * T + math.sqrt(max(0.25 * T * T - S, 0.0))
+    elif p < 0.0:  # trigonometric form; p = 0 when the three are equal
+        arg = 1.5 * (T * (S / 3.0 - 2.0 * T * T / 27.0) - D) / p * math.sqrt(-3.0 / p)
+        l1 += 2.0 * math.sqrt(-p / 3.0) * math.cos(math.acos(max(-1.0, min(1.0, arg))) / 3.0)
+    total, prod = ((S - D / l1) / l1, D / l1) if l1 > 0.0 else (0.0, 0.0)
+    l2 = 0.5 * total + math.sqrt(max(0.25 * total * total - prod, 0.0))
+    l3 = min(prod / l2, l2) if l2 > 0.0 else 0.0
+    floor = 1e-12 * max(l1, 1.0)
+    rank = (l1 > floor) + (l2 > floor) + (l3 > floor)
+    if rank in (0, 3):
+        return rank, None
+    if len(rows) == rank:
+        return rank, _unit(rows[0] if rank == 1 else crosses[0])
+    shift = l1 if rank == 1 else l3  # the Gram matrix's eigenvector of l1 or l3
+    M = [[sum(a[i] * a[j] for a in rows) - shift * (i == j) for j in range(3)] for i in range(3)]
+    crosses = [_cross(u, v) for u, v in combinations(M, 2)]
+    return rank, _unit(max(crosses, key=lambda v: _dot(v, v)))
+
+
+def _reduced_curvature(frame, rows, curv):
+    """Hessian of the QP model, B = W + P F P: F = sum f_k Hess g_k over
+    ``curv``'s (force, Hessian) pairs, W = H - F the Lagrangian Hessian and P
+    the projector onto the span of the active ``rows``.  B holds H across the
+    rows, which their linearization pins, and W along them and on the cross
+    block: a contact pressing on a curved surface cancels much of H along it,
+    and without the cross block a sliding contact converges only linearly
+    (Nocedal and Wright, Numerical Optimization, ch. 18).  If B - 1e-6 H_max I
+    fails Sylvester's test, the model is P H P plus W on the null space with
+    its eigenvalues floored at 1e-6 H_max; H's own rows without force or at
+    rank 0 or 3."""
+    H = frame.H_rows
+    rank, v = _active_span(rows) if curv else (0, None)
+    if v is None:
+        return H
+    (f, hess), *rest = curv
+    F = [[f * w for w in row] for row in hess]
+    for f, hess in rest:
+        F = [[u + f * w for u, w in zip(ru, rw)] for ru, rw in zip(F, hess)]
+    Fv = [_dot(row, v) for row in F]
+    vFv = _dot(v, Fv)
+    if rank == 1:  # B = H - F + (y'Fy) y y', y = v
+        B = [[h - f + vFv * yi * yj for h, f, yj in zip(hr, fr, v)] for hr, fr, yi in zip(H, F, v)]
+    else:  # B = H - z (Fz)' - (Fz) z' + (z'Fz) z z', z = v
+        B = [[h - (zi * fj + fi * zj) + vFv * zi * zj for h, zj, fj in zip(hr, v, Fv)]
+             for hr, zi, fi in zip(H, v, Fv)]
     floor = 1e-6 * frame.H_max
-    return Y @ (Y.T @ H @ Y) @ Y.T + Z @ ((v * np.maximum(w, floor)) @ v.T) @ Z.T
+    (d0, d1, d2), (d3, d4, d5), (d6, d7, d8) = B
+    d0, d4, d8 = d0 - floor, d4 - floor, d8 - floor
+    if d0 > 0.0 and d0 * d4 > d1 * d3 and (
+            d0 * (d4 * d8 - d5 * d7) - d1 * (d3 * d8 - d5 * d6) + d2 * (d3 * d7 - d4 * d6) > 0.0):
+        return B
+    # The floored model on an orthonormal basis Z of the null space that
+    # diagonalizes W there: z itself at rank 2, one Jacobi rotation at rank 1.
+    W = [[h - f for h, f in zip(hr, fr)] for hr, fr in zip(H, F)]
+    Z = [v]
+    if rank == 1:
+        u = _unit(_cross(v, _BOX_ROWS[min(range(3), key=lambda i: abs(v[i]))]))
+        w = _cross(v, u)
+        Wu, Ww = [_dot(row, u) for row in W], [_dot(row, w) for row in W]
+        theta = 0.5 * math.atan2(2.0 * _dot(u, Ww), _dot(u, Wu) - _dot(w, Ww))
+        co, si = math.cos(theta), math.sin(theta)
+        Z = [[co * a + si * b for a, b in zip(u, w)], [co * b - si * a for a, b in zip(u, w)]]
+    P = [[float(i == j) - sum(z[i] * z[j] for z in Z) for j in range(3)] for i in range(3)]
+    PH = [[_dot(pi, hj) for hj in H] for pi in P]  # H is symmetric
+    curvature = [(max(_dot(z, [_dot(row, z) for row in W]), floor), z) for z in Z]
+    return [[_dot(ri, pj) + sum(mu * z[i] * z[j] for mu, z in curvature) for j, pj in enumerate(P)]
+            for i, ri in enumerate(PH)]
 
 
 def _fit_multipliers(A, grad):
-    """Multipliers f >= 0 minimizing |grad - A^T f|: nonnegative least squares
-    on the active rows themselves, 3-vectors like ``grad``.
-
-    The least-squares solution over all rows is optimal when it is
-    nonnegative.  Otherwise every support of at most three rows is solved by
-    least squares and the nonnegative one with the smallest residual is kept:
-    by Caratheodory some optimal support is linearly independent, so it has
-    at most three rows."""
+    """Multipliers f >= 0 minimizing |grad - A^T f| over the active rows A,
+    3-vectors like ``grad``: the least-squares solution when nonnegative,
+    else the best nonnegative one on a support of at most three rows (by
+    Caratheodory some optimal support is linearly independent)."""
     f, _ = _lstsq(A, grad)
     if all(v >= 0.0 for v in f):
         return f
@@ -686,26 +711,19 @@ def _fit_multipliers(A, grad):
 
 
 def _certify_kkt(x, frame, c, hits):
-    """Check the stationarity/complementarity/feasibility conditions of the
-    true (curved-gap) problem at ``x`` with its ``hits``, with multipliers
-    fitted fresh by nonnegative least squares against the current geometry.
-
-    Returns (force per phalanx, joint-limit multipliers) when the point
-    certifies, else None.  The comparison carries
-    a floor term because evaluating H @ x + c in doubles has rounding of order
-    eps * |H| * |x|, which dominates when the gradient itself vanishes and the
-    stiffnesses are very large.
-    """
+    """Stationarity, complementarity and feasibility of the true (curved-gap)
+    problem at ``x`` with its ``hits``, the multipliers fitted fresh by
+    nonnegative least squares: (force per phalanx, joint-limit multipliers)
+    when the point certifies, else None.  The stationarity test carries a
+    floor for the rounding of H @ x + c, of order eps |H| |x|, which
+    dominates when the gradient vanishes and the stiffnesses are large."""
     rows = _candidates(hits)
     if min((hit.gap for hit in hits), default=0.0) < -PENETRATION_TOL:
         return None
-
     grad = tuple(_dot(row, x) + ci for row, ci in zip(frame.H_rows, c))
 
-    # Active rows, numbered as in the QP: the joint limits the iterate rests
-    # on, then the candidates whose surfaces actually touch.  Candidates with
-    # a visible gap may not carry force (complementarity), so they stay out
-    # of the multiplier fit.
+    # Active rows, numbered as in the QP: the stops the iterate rests on,
+    # then the touching candidates (one with a visible gap carries no force).
     active = []
     for j in range(3):
         if x[j] - frame.lo[j] <= 1e-9:
@@ -759,30 +777,21 @@ class EquilibriumTrace:
         return self.steps[-1]
 
 
-def envelop_sweep(
-    a_schedule,
-    params: FingerParams,
-    obj: RigidObject,
-    q_init: JointState | None = None,
-    remove_object_at: int | None = None,
-) -> EquilibriumTrace:
+def envelop_sweep(a_schedule, params: FingerParams, obj: RigidObject,
+                  q_init: JointState | None = None,
+                  remove_object_at: int | None = None) -> EquilibriumTrace:
     """Warm-started equilibrium along a nondecreasing drive schedule.
 
     ``remove_object_at`` drops the object from that step index onward, which
     models releasing the grasped object mid-sweep.  Termination:
 
     * ``completed``: every step converged
-    * ``ejected``: the object, once held by at least two touching contacts,
-      touches no phalanx any more while it is still present and the drive is
-      still advancing (the finger swept past).  A contact touches when its
-      gap is at most ``TOUCH_TOL`` or it carries force; candidates merely
-      within the activation threshold do not count.  The fall need not
-      happen between two consecutive steps: the finger usually lets go one
-      phalanx at a time (one phalanx unloads, then the other slides off), so
-      the sweep ends at the first step with no touching contact after any
-      step with two or more.
-    * ``limit-saturated``: the drive is pressing every flexion joint into a
-      travel stop
+    * ``ejected``: the object, once held by at least two touching contacts
+      (see ``touches``), touches no phalanx while it is still present and
+      the drive still advances (the finger swept past).  The finger usually
+      lets go one phalanx at a time, so this is the first such step after
+      any step with two or more, not necessarily the next one.
+    * ``limit-saturated``: the drive presses every flexion joint into a stop
     * ``non-converged``: the solver gave up; the partial trace is kept
     """
     schedule = [float(v) for v in a_schedule]
@@ -808,22 +817,13 @@ def envelop_sweep(
         except ModhandError as exc:
             raise SweepError(i, exc) from exc
 
-        steps.append(
-            TraceStep(
-                a=a,
-                joints=sol.joints,
-                transmission=sol.transmission,
-                contacts=tuple(sol.contacts),
-                energy=_stored_energy(sol.transmission, params),
-                object_present=present,
-            )
-        )
+        energy = _stored_energy(sol.transmission, params)
+        steps.append(TraceStep(a, sol.joints, sol.transmission, sol.contacts, energy, present))
         touching = sum(1 for c in sol.contacts if touches(c))
         if present and held and touching == 0 and a > schedule[i - 1]:
             return EquilibriumTrace(steps=tuple(steps), status="ejected")
-        # Saturated only when the drive is actively pressing every joint
-        # into a travel stop (limit multipliers engaged), not merely resting
-        # on one, and no contact is carrying the load instead.
+        # Saturated only when the drive presses every joint into a stop (its
+        # multiplier engaged), not merely resting on one, with no contact load.
         if all(sol.box_mult[j] > 1e-9 or sol.box_mult[3 + j] > 1e-9 for j in range(3)):
             return EquilibriumTrace(steps=tuple(steps), status="limit-saturated")
         held = held or (present and touching >= 2)
@@ -837,22 +837,15 @@ def touches(contact: Contact) -> bool:
     return contact.gap <= TOUCH_TOL or contact.force > 0.0
 
 
-def fingertip_force(
-    a: float,
-    params: FingerParams,
-    obj: RigidObject,
-    q_init: JointState | None = None,
-) -> float:
+def fingertip_force(a: float, params: FingerParams, obj: RigidObject,
+                    q_init: JointState | None = None) -> float:
     """Normal force at a single distal-phalanx contact, from the equilibrium
     multiplier.  Raises PreconditionError unless the distal phalanx is the
     only contact touching or pressing the object."""
-    q_init = q_init if q_init is not None else JointState()
-    _, _, contacts = equilibrium_solve(a, q_init, params, obj)
+    _, _, contacts = equilibrium_solve(a, q_init or JointState(), params, obj)
     touching = [c for c in contacts if touches(c)]
     if len(touching) != 1 or touching[0].phalanx != 3:
-        raise PreconditionError(
-            "fingertip force requires a single distal-phalanx contact"
-        )
+        raise PreconditionError("fingertip force requires a single distal-phalanx contact")
     return touching[0].force
 
 
@@ -863,12 +856,10 @@ def fingertip_force(
 def inscribed_sphere(params: FingerParams, q1: float):
     """Sphere tangent to all three phalanx surfaces at a coupled-line posture.
 
-    With the distal joints on the coupled line at MCP angle ``q1``, the three
-    phalanx axes are lines in the flexion plane; the sphere center and radius
-    solve the linear system placing the center at capsule-radius-plus-R from
-    each axis on the palmar side.  Returns (center, radius) with the center in
-    the flexion plane (z = 0).
-    """
+    With the distal joints on the coupled line at MCP angle ``q1``, the
+    phalanx axes are lines in the flexion plane; center and radius solve the
+    linear system placing the center capsule-radius-plus-R from each axis on
+    the palmar side.  Returns (center, radius), the center at z = 0."""
     ratio = params.coupling_model().ratio
     q2 = q1 * ratio[1] / ratio[0]
     q3 = q1 * ratio[2] / ratio[0]
@@ -876,8 +867,7 @@ def inscribed_sphere(params: FingerParams, q1: float):
     pts = [np.zeros(2)]
     for L, cum in zip(params.link_lengths, cums):
         pts.append(pts[-1] + L * np.array([math.cos(cum), math.sin(cum)]))
-    rows = []
-    rhs = []
+    rows, rhs = [], []
     for i, cum in enumerate(cums):
         inward = np.array([-math.sin(cum), math.cos(cum)])
         rows.append([inward[0], inward[1], -1.0])
@@ -889,30 +879,20 @@ def inscribed_sphere(params: FingerParams, q1: float):
     return (float(cx), float(cy), 0.0), float(radius)
 
 
-def enveloping_pose_for_radius(
-    params: FingerParams, radius: float, tol: float = 1e-10
-):
+def enveloping_pose_for_radius(params: FingerParams, radius: float, tol: float = 1e-10):
     """MCP angle on the coupled line whose inscribed sphere has the given
     radius, plus that sphere's center.  Bisection over the coupled flexion
     range; raises ValidationError when the radius is out of reach."""
     lo, hi = coupled_flexion_range(params)
     lo = max(lo, 1e-3)
-
-    def r_of(q1):
-        return inscribed_sphere(params, q1)[1]
-
-    r_lo, r_hi = r_of(lo), r_of(hi)
+    r_lo, r_hi = (inscribed_sphere(params, q1)[1] for q1 in (lo, hi))
     if not (min(r_lo, r_hi) <= radius <= max(r_lo, r_hi)):
-        raise ValidationError(
-            f"no coupled posture has an inscribed sphere of radius {radius} mm"
-        )
+        raise ValidationError(f"no coupled posture has an inscribed sphere of radius {radius} mm")
     decreasing = r_lo > r_hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if (r_of(mid) > radius) == decreasing:
-            lo = mid
-        else:
-            hi = mid
+        above = inscribed_sphere(params, mid)[1] > radius
+        lo, hi = (mid, hi) if above == decreasing else (lo, mid)
         if hi - lo < tol:
             break
     q1 = 0.5 * (lo + hi)

@@ -41,12 +41,15 @@ DEFAULT_AUX_AA_SPRING = 200.0  # N*mm/rad
 def rotation_from_axis_angle(axis, angle: float) -> np.ndarray:
     """Rodrigues rotation matrix about ``axis`` by ``angle`` radians."""
     a = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(a)
-    if not 0 < norm < math.inf:
-        raise ValidationError("rotation axis must be nonzero with a finite length")
+    scale = float(np.abs(a).max())
+    if not 0 < scale < math.inf:
+        raise ValidationError("rotation axis must be nonzero and finite")
     if not math.isfinite(angle):
         raise ValidationError("rotation angle must be finite")
-    a = a / norm
+    # rescale when the squared norm overflows, underflows or is subnormal
+    if not np.finfo(float).tiny <= sum(v * v for v in a.tolist()) < math.inf:
+        a = a / scale
+    a = a / np.linalg.norm(a)
     k = np.array(
         [[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]]
     )

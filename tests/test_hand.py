@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,13 +145,22 @@ def test_layout_base_angle_strings():
 
 @pytest.mark.parametrize(
     "axis, angle",
-    [((0, 0, 0), 0.1), ((1e300, 0, 0), 0.1), ((math.nan, 0, 1), 0.1), ((1, 0, 0), math.inf)],
-    ids=["zero-axis", "overflowing-axis", "nan-axis", "infinite-angle"],
+    [((0, 0, 0), 0.1), ((math.nan, 0, 1), 0.1), ((1, 0, 0), math.inf)],
+    ids=["zero-axis", "nan-axis", "infinite-angle"],
 )
 def test_base_transform_rejects_degenerate_rotation(axis, angle):
-    # An axis whose length overflows used to normalize to zero: a silent identity.
     with pytest.raises(ValidationError, match="rotation"):
         base_transform((0, 0, 0), axis=axis, angle=angle)
+
+
+@pytest.mark.parametrize("size", [1e300, 1e-300], ids=["overflow", "underflow"])
+def test_base_transform_normalizes_extreme_axis(size):
+    # A finite nonzero axis has a direction even when its squared length
+    # overflows or underflows; normalizing it must not warn either.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = base_transform((0, 0, 0), axis=(size, 0, 0), angle=0.1)
+    assert np.array_equal(got, base_transform((0, 0, 0), axis=(1, 0, 0), angle=0.1))
 
 
 def test_per_finger_joint_states_respected():

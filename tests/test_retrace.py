@@ -1,0 +1,84 @@
+"""The trace corpus tool: a dump diffs clean against itself, and the diff
+names exactly the step that a doctored copy changed."""
+
+import importlib.util
+import io
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("retrace", ROOT / "tools" / "retrace.py")
+retrace = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(retrace)
+
+
+@pytest.fixture(scope="module")
+def dump(tmp_path_factory):
+    """The coarse scenes dumped against this checkout's ``src``."""
+    out = tmp_path_factory.mktemp("retrace") / "coarse.jsonl"
+    subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "retrace.py"), "dump", str(ROOT / "src"),
+         str(out), "--groups", "coarse"],
+        check=True, timeout=300,
+    )
+    return out
+
+
+def run_diff(a, b):
+    text = io.StringIO()
+    code = retrace.diff(str(a), str(b), out=text)
+    return code, text.getvalue()
+
+
+def doctored(dump, tmp_path, change):
+    """A copy of ``dump`` whose record for step 10 of the first sweep is
+    passed through ``change``; returns the copy and that scene's name."""
+    lines = dump.read_text().splitlines()
+    scene = None
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        if record.get("step") == 10:
+            scene = record["scene"]
+            change(record)
+            lines[i] = json.dumps(record)
+            break
+    path = tmp_path / "doctored.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path, scene
+
+
+def test_self_diff_is_clean(dump):
+    code, text = run_diff(dump, dump)
+    assert code == 0
+    assert "largest joint move: 0 rad" in text
+    for line in text.splitlines():
+        if line.strip().startswith(("status changes", "set changes", "steps moving")):
+            assert line.endswith("none"), line
+
+
+def test_diff_reports_exactly_the_moved_joint(dump, tmp_path):
+    def move(record):
+        record["joints"][1] = (float.fromhex(record["joints"][1]) + 2e-9).hex()
+
+    path, scene = doctored(dump, tmp_path, move)
+    code, text = run_diff(dump, path)
+    assert code == 1
+    moved = [line.strip() for line in text.splitlines() if line.startswith("    ")]
+    assert len(moved) == 1 and moved[0].startswith(f"{scene} step 10: 2e-09")
+    assert "set changes: none" in text and "status changes: none" in text
+
+
+def test_diff_reports_exactly_the_changed_touching_set(dump, tmp_path):
+    def untouch(record):
+        record["touching"] = record["touching"][:-1] if record["touching"] else [3]
+
+    path, scene = doctored(dump, tmp_path, untouch)
+    code, text = run_diff(dump, path)
+    assert code == 1
+    changed = [line.strip() for line in text.splitlines() if line.startswith("    ")]
+    assert len(changed) == 1 and changed[0].startswith(f"{scene} step 10: touching")
+    assert "steps moving > 1e-09 rad: none" in text

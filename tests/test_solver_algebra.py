@@ -1,12 +1,14 @@
 """The grasp solver's float algebra against numpy references.
 
-``_solve_qp`` and ``_fit_multipliers`` run on float triples and row tuples;
-the numpy versions below are the references they are checked against.
+``_solve_qp``, ``_fit_multipliers`` and ``_reduced_curvature`` run on float
+triples and row tuples; the numpy versions below are the references they are
+checked against.
 """
 
 import math
 from dataclasses import replace
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -223,3 +225,97 @@ def test_qp_rejects_subset_missing_its_own_rows(a, proximal, middle):
             assert abs(grasp._dot(G[i], x) - h[i]) <= QP_TOL
         assert all(grasp._dot(g, x) >= b - QP_TOL for g, b in zip(G, h))
         assert all(v >= 0.0 for v in mult)
+
+
+def reference_curved_hessian(H, H_max, rows, forces, hessians):
+    """The curved model with numpy's eigh: P H P + Z floor(Z'WZ) Z', with W
+    the Lagrangian Hessian, P the projector onto the rows' span and Z an
+    orthonormal basis of their null space.  Returns the model, the rank and
+    the Gram eigenvalues."""
+    W = H - sum(f * Hk for f, Hk in zip(forces, hessians))
+    w, v = np.linalg.eigh(rows.T @ rows)
+    across = w > 1e-12 * max(w[-1], 1.0)
+    Y, Z = v[:, across], v[:, ~across]
+    mu, u = np.linalg.eigh(Z.T @ W @ Z)
+    floor = 1e-6 * H_max
+    model = Y @ (Y.T @ H @ Y) @ Y.T + Z @ ((u * np.maximum(mu, floor)) @ u.T) @ Z.T
+    return model, int(across.sum()), w
+
+
+@st.composite
+def curvatures(draw):
+    """An SPD H with condition up to 1e3, 1-3 active rows (stops, rows
+    parallel to a stop, random rows and rows within 1e-9..1e-1 of parallel
+    to another, or all rows that close to the first) with nonnegative forces
+    up to 1e7 and symmetric gap Hessians."""
+    Q = rotation(*draw(st.tuples(ANGLE, ANGLE, ANGLE)))
+    scale = 10.0 ** draw(st.floats(3.0, 5.0))
+    eig = scale * 10.0 ** -np.array(sorted(draw(st.tuples(*[st.floats(0.0, 3.0)] * 3))))
+    H = (Q * eig) @ Q.T
+    H = 0.5 * (H + H.T)
+    rows = []
+    cluster = draw(st.booleans())
+    for _ in range(draw(st.integers(1, 3))):
+        kind = "near" if cluster else draw(st.sampled_from(["stop", "parallel", "random", "near"]))
+        axis = np.eye(3)[draw(st.integers(0, 2))] * draw(st.sampled_from([-1.0, 1.0]))
+        if kind == "stop":
+            rows.append(axis)
+        elif kind == "parallel":
+            rows.append(axis * draw(st.floats(0.1, 50.0)))
+        elif kind == "near" and rows:
+            tilt = np.array(draw(VECTOR)) * 10.0 ** draw(st.floats(-9.0, -1.0))
+            base = rows[0] if cluster else rows[-1]
+            rows.append(base + np.linalg.norm(base) * tilt)
+        else:
+            rows.append(np.array(draw(ROW)))
+    forces = [draw(st.one_of(st.just(0.0), st.floats(1.0, 1e7))) for _ in rows]
+    hessians = []
+    for _ in rows:
+        M = np.array(draw(st.tuples(*[UNIT] * 9))).reshape(3, 3)
+        hessians.append((M + M.T) * 10.0 ** draw(st.floats(-3.0, 0.0)))
+    return H, np.array(rows), forces, hessians
+
+
+@settings(max_examples=400, deadline=None)
+@given(problem=curvatures())
+def test_reduced_curvature_matches_reference(problem):
+    H, rows, forces, hessians = problem
+    eps = np.finfo(float).eps
+    H_max = float(np.linalg.eigvalsh(H)[-1])
+    ref, rank, w = reference_curved_hessian(H, H_max, rows, forces, hessians)
+    # numpy's own rounding must not straddle the rank threshold
+    threshold = 1e-12 * max(w[-1], 1.0)
+    assume(np.all(np.abs(w - threshold) > 64 * eps * w[-1]))
+    got_rank, _ = grasp._active_span(as_rows(rows))
+    assert got_rank == rank
+
+    frame = SimpleNamespace(H_rows=tuple(as_rows(H)), H_max=H_max)
+    curv = [(f, tuple(as_rows(Hk))) for f, Hk in zip(forces, hessians) if f > 0.0]
+    got = np.array(grasp._reduced_curvature(frame, as_rows(rows), curv), dtype=float)
+
+    # B = W + P F P when B - 1e-6 H_max I is positive definite, else the
+    # floored model; both within 1e-9 of the scale of H and F, plus the
+    # rounding of the split into the rows' span and null space, which the
+    # gap between the kept and the dropped Gram eigenvalues amplifies.
+    F = sum(f * Hk for f, Hk in zip(forces, hessians))
+    size = np.abs(H).max() + np.abs(F).max()
+    gap = w[-rank] if 0 < rank < 3 else w[-1]
+    tol = (1e-9 + 64 * eps * w[-1] / gap) * size
+    Y = np.linalg.eigh(rows.T @ rows)[1][:, 3 - rank:]
+    B = H - F + Y @ Y.T @ F @ Y @ Y.T
+    lowest = np.linalg.eigvalsh(0.5 * (B + B.T))[0] - 1e-6 * H_max
+    assume(abs(lowest) > tol)
+    want = B if lowest > 0.0 else ref
+    assert np.abs(got - want).max() <= tol
+
+
+def test_rank_ignores_a_determinant_at_rounding_level():
+    # Two equal rows and a third within 5e-9 of parallel to them: the
+    # computed triple product is rounding noise, larger than the sum S of the
+    # squared cross products, and must not make the rows rank 2 or 3.
+    a = [19.94232871997105, 24.58207131959039, 2.4718530146546147]
+    c = [19.94232881646857, 24.58207143853883, 2.471853026615489]
+    rows = np.array([a, a, c])
+    w = np.linalg.eigvalsh(rows.T @ rows)
+    assert int(np.sum(w > 1e-12 * max(w[-1], 1.0))) == 1
+    assert grasp._active_span(as_rows(rows))[0] == 1
