@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__
 from .drive import drive_to_mcp, rigid_coupled_flexion
 from .errors import ModhandError, SweepError, ValidationError
-from .grasp import EquilibriumTrace, RigidObject, envelop_sweep
 from .hand import default_layout, hand_fk, load_layout
 from .kinematics import points_to_csv, project_workspace, sample_workspace
 from .params import (
@@ -218,15 +217,18 @@ def _trace_records(trace) -> str:
                 for c in step.contacts
             ],
             "energy": sig(step.energy),
-            "status": trace.status if i == n - 1 else "ok",
+            "status": trace.status if i == n - 1 and trace.error is None else "ok",
         }
         lines.append(json.dumps(record, sort_keys=True))
-    if n == 0:
-        lines.append(json.dumps({"step": None, "status": trace.status}, sort_keys=True))
+    if trace.error is not None:  # the step that failed, after the solved ones
+        record = {"step": trace.error.step, "status": trace.status, "cause": str(trace.error.cause)}
+        lines.append(json.dumps(record, sort_keys=True))
     return "\n".join(lines) + "\n"
 
 
 def cmd_envelop(args) -> int:
+    from .grasp import EquilibriumTrace, RigidObject, envelop_sweep  # only envelop needs it
+
     params = resolve_params(args.config)
     try:
         center = [float(v) for v in args.center.split(",")]
@@ -250,8 +252,9 @@ def cmd_envelop(args) -> int:
     try:
         trace = envelop_sweep(schedule, params, obj)
     except SweepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        trace = EquilibriumTrace(steps=(), status="non-converged")
+        trace = EquilibriumTrace(steps=(), status="non-converged", error=exc)
+    if trace.error is not None:
+        print(f"error: {trace.error}", file=sys.stderr)
     text = _trace_records(trace)
     _emit(text, args.out, manifest)
     return 2 if trace.status == "non-converged" else 0

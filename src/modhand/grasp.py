@@ -27,10 +27,12 @@ reported.
 The solver runs on float triples and row tuples, as the kernel does: its
 matrices are at most 6x6, so a numpy call would cost more than its few dozen
 flops.  H is ill-conditioned, so each KKT system is solved in full space by
-Gaussian elimination with partial pivoting, the multipliers are fitted by
-modified Gram-Schmidt, and the curved model's rank test and eigenproblems (at
-most 2x2, on the active rows' null space) are closed forms.  numpy stays in
-frame setup and at the public API.
+Gaussian elimination with partial pivoting; the QP tries the rows its last
+solve rested on first, then the subsets nearest them.  The multipliers are
+fitted by modified Gram-Schmidt, and the curved model's rank test and
+eigenproblems (at most 2x2, on the active rows' null space) are closed forms.
+numpy stays in frame setup, at the public API and in the one call a solved
+step makes, ``transmission_state`` (its record's dot products).
 """
 
 from __future__ import annotations
@@ -133,8 +135,8 @@ class Contact:
     force: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "point", tuple(float(x) for x in self.point))
-        object.__setattr__(self, "normal", tuple(float(x) for x in self.normal))
+        object.__setattr__(self, "point", tuple(map(float, self.point)))
+        object.__setattr__(self, "normal", tuple(map(float, self.normal)))
 
 
 # --------------------------------------------------------------------------
@@ -274,18 +276,18 @@ def _kernel(x, frame: _Frame) -> list:
             gap = min(g0, g1) - radius
         n0, n1, n2 = normal
         grad = [-n0 * (py - jy[k]) + n1 * (px - jx[k]) if k <= i else 0.0 for k in range(3)]
+        if interior := sphere and dist >= 1e-12 and 0.0 < t < 1.0:  # s, ds/dq_k, d2s/dq_k dq_l
+            s = -ex * uy[i] + ey * ux[i]
+            ds = [-((cx - jx[k]) * ux[i] + (cy - jy[k]) * uy[i]) for k in range(i + 1)]
+            dds = [(cx - jx[k]) * uy[i] - (cy - jy[k]) * ux[i] for k in range(i + 1)]
         for k in range(i + 1):
             for l in range(k, i + 1):
                 if not sphere:
                     value = -(n0 * (px - jx[l]) + n1 * (py - jy[l]))
                 elif dist < 1e-12:
                     value = 0.0
-                elif 0.0 < t < 1.0:
-                    s = -ex * uy[i] + ey * ux[i]
-                    sk = -((cx - jx[k]) * ux[i] + (cy - jy[k]) * uy[i])
-                    sl = -((cx - jx[l]) * ux[i] + (cy - jy[l]) * uy[i])
-                    skl = (cx - jx[k]) * uy[i] - (cy - jy[k]) * ux[i]
-                    value = (sk * sl * cz * cz / (dist * dist) + s * skl) / dist
+                elif interior:
+                    value = (ds[k] * ds[l] * cz * cz / (dist * dist) + s * dds[k]) / dist
                 else:
                     value = (
                         (px - jx[k]) * (px - jx[l]) + (py - jy[k]) * (py - jy[l])
@@ -371,8 +373,9 @@ def _solve_qp(H, c, G, h, warm=None):
     """Minimize 1/2 x'Hx + c'x subject to Gx >= h, H positive definite; x is
     a 3-vector, H and G are sequences of rows, c and h of floats.
 
-    Exhaustive KKT search over active subsets of at most dim(x) rows, the
-    sorted ``warm`` subset first.  A subset's full KKT system
+    Exhaustive KKT search over active subsets of at most dim(x) rows, each
+    tried once: ``warm`` first, then the rest by their symmetric difference
+    from it, ties by size, then lexicographic.  A subset's full KKT system
     [[H, -G_s'], [G_s, 0]] is solved by Gaussian elimination and accepted
     when, within ``QP_TOL``, its multipliers are nonnegative, its own rows
     hold as equalities (dependent rows can yield a point that misses them)
@@ -402,9 +405,14 @@ def _solve_qp(H, c, G, h, warm=None):
             full[idx] = max(lam[j], 0.0)
         return x, full, tuple(subset)
 
-    first = [tuple(sorted(warm))] if warm is not None and len(warm) <= n else []
-    subsets = chain(first, *(combinations(range(m), k) for k in range(n + 1)))
-    return next(filter(None, map(attempt, subsets)), None)
+    def subsets():
+        first, near = tuple(sorted(warm or ())), set(warm or ())
+        if len(first) <= n:
+            yield first
+        every = chain.from_iterable(combinations(range(m), k) for k in range(n + 1))
+        yield from sorted((s for s in every if s != first), key=lambda s: len(near ^ set(s)))
+
+    return next(filter(None, map(attempt, subsets())), None)
 
 
 def _lstsq(cols, b):
@@ -422,11 +430,12 @@ def _lstsq(cols, b):
             qs.append([vi / norm for vi in v])
             R.append(r + [norm])  # a column of the triangular factor
             kept.append(j)
-    k = len(qs)  # r now holds b's coordinates, norm its residual's length
-    coef = _gauss([[R[j][i] if i <= j else 0.0 for j in range(k)] + [r[i]] for i in range(k)])
-    f = [0.0] * len(cols)
-    for j, value in zip(kept, coef):
-        f[j] = value
+    f = [0.0] * len(cols)  # r now holds b's coordinates, norm its residual's length
+    for i in range(len(qs) - 1, -1, -1):  # back substitution on the triangular factor
+        value = r[i]
+        for j in range(i + 1, len(qs)):
+            value -= R[j][i] * f[kept[j]]
+        f[kept[i]] = value / R[i][i]
     return f, norm
 
 
@@ -434,8 +443,7 @@ def _lstsq(cols, b):
 # Equilibrium
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Solution:
+class _Solution(NamedTuple):
     """One solved step: the reported (joints, transmission, contacts) triple,
     the joint-limit multipliers (lower, then upper rows), and the frame and
     kernel hits of the joints, which the next sweep step starts from."""
@@ -457,7 +465,7 @@ def _solution(x, a, q_aa, frame, hits, forces=None, box_mult=None):
     ``forces`` maps a phalanx to its force, zero when absent."""
     forces = forces or {}
     return _Solution(
-        JointState(q_aa=q_aa, q1=x[0], q2=x[1], q3=x[2]),
+        JointState(q_aa, *x),
         transmission_state(x, a, frame.params),
         [frame.contact(hit, forces.get(hit.phalanx, 0.0)) for hit in _candidates(hits)],
         box_mult, frame, hits,
@@ -485,8 +493,8 @@ def _advance(x, target, frame, hits):
     carry it through the object."""
     lengths = frame.params.link_lengths
     step = [b - v for v, b in zip(x, target)]
-    reach = [sum(abs(step[k]) * sum(lengths[k:i + 1]) for k in range(i + 1)) for i in range(3)]
     free = [i for i, hit in enumerate(hits) if hit.gap > ACTIVATION_THRESHOLD]
+    reach = {i: sum(abs(step[k]) * sum(lengths[k:i + 1]) for k in range(i + 1)) for i in free}
     t = 0.0
     for _ in range(ADVANCE_STEPS):
         t = min([1.0] + [t + ADVANCE_FRACTION * hits[i].gap / reach[i]
@@ -518,8 +526,8 @@ def _solve(a: float, q_init: JointState, frame: _Frame, prev=None) -> _Solution:
         raise PreconditionError("q_init violates the joint limits")
     x = _clip((q_init.q1, q_init.q2, q_init.q3), frame)
     q_aa = q_init.q_aa
-    hits = None if prev is None else prev.hits
-    if prev is None or prev.frame is not frame or prev.joints.flexion().tolist() != list(x):
+    hits = None if prev is None or prev.frame is not frame else prev.hits
+    if hits is None or (prev.joints.q1, prev.joints.q2, prev.joints.q3) != x:
         hits = _kernel(x, frame)
 
     if min((hit.gap for hit in hits), default=0.0) < -RECOVERY_TOL:
@@ -591,7 +599,7 @@ def _solve(a: float, q_init: JointState, frame: _Frame, prev=None) -> _Solution:
 
 def _clip(x, frame):
     """``x`` moved into the joint box; a coordinate inside keeps its bits."""
-    return tuple(min(max(v, lo), hi) for v, lo, hi in zip(x, frame.lo, frame.hi))
+    return tuple(map(min, map(max, x, frame.lo), frame.hi))
 
 
 def _cross(u, v) -> tuple:
@@ -768,6 +776,7 @@ class TraceStep:
 class EquilibriumTrace:
     steps: tuple
     status: str  # completed | ejected | limit-saturated | non-converged
+    error: SweepError | None = None  # non-converged: the step that failed and why
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
@@ -812,8 +821,8 @@ def envelop_sweep(a_schedule, params: FingerParams, obj: RigidObject,
         present = remove_object_at is None or i < remove_object_at
         try:
             sol = _solve(a, q, frame if present else released, sol)
-        except NonConvergedError:
-            return EquilibriumTrace(steps=tuple(steps), status="non-converged")
+        except NonConvergedError as exc:
+            return EquilibriumTrace(tuple(steps), "non-converged", SweepError(i, exc))
         except ModhandError as exc:
             raise SweepError(i, exc) from exc
 

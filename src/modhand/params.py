@@ -17,6 +17,7 @@ import math
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
+from functools import cache
 from pathlib import Path
 from typing import Any
 
@@ -270,15 +271,21 @@ class FingerParams:
         return sum(self.link_lengths)
 
 
+@cache
+def _field_names(cls) -> tuple:
+    """Field names of a dataclass, looked up once per class."""
+    return tuple(f.name for f in fields(cls))
+
+
 class _FiniteState:
     """Base of the state records: every field becomes a finite float."""
 
     def __post_init__(self):
-        for f in fields(self):
-            v = float(getattr(self, f.name))
+        for name in _field_names(type(self)):
+            v = float(getattr(self, name))
             if not math.isfinite(v):
-                raise ValidationError(f"{f.name} must be finite")
-            object.__setattr__(self, f.name, v)
+                raise ValidationError(f"{name} must be finite")
+            object.__setattr__(self, name, v)
 
 
 @dataclass(frozen=True)
@@ -299,7 +306,7 @@ class JointState(_FiniteState):
     def within_limits(self, params: FingerParams, tol: float = 1e-9) -> bool:
         return all(
             lo - tol <= v <= hi + tol
-            for v, (lo, hi) in zip(self.as_array(), params.joint_limits)
+            for v, (lo, hi) in zip((self.q_aa, self.q1, self.q2, self.q3), params.joint_limits)
         )
 
 

@@ -10,6 +10,7 @@ structural parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,7 +27,7 @@ class TransmissionState:
 
     def __post_init__(self):
         object.__setattr__(self, "serial", float(self.serial))
-        object.__setattr__(self, "parallel", tuple(float(x) for x in self.parallel))
+        object.__setattr__(self, "parallel", tuple(map(float, self.parallel)))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.serial, *self.parallel])
@@ -93,11 +94,22 @@ def transmission_state(q_fe, a: float, params: FingerParams) -> TransmissionStat
     joint motion has not consumed; the parallel elements absorb the mismatch
     between adjacent coupling gears (the third is referenced to the frame).
     """
+    drive, serial_joint, parallel = _jacobian_arrays(params)
     q = np.asarray(q_fe, dtype=float)
+    serial = float(a) * drive + float(np.dot(serial_joint, q))
+    return TransmissionState(serial, (parallel @ q).tolist())
+
+
+@lru_cache(maxsize=16)
+def _jacobian_arrays(params: FingerParams) -> tuple:
+    """(serial_drive, serial_joint, parallel) of ``params``' Jacobians, the
+    two blocks as read-only arrays: a sweep evaluates the transmission at
+    every step of one finger."""
     jac = transmission_jacobians(params)
-    serial = float(a) * jac.serial_drive + float(np.dot(jac.serial_joint, q))
-    parallel = np.asarray(jac.parallel) @ q
-    return TransmissionState(serial=serial, parallel=tuple(parallel))
+    serial_joint, parallel = np.array(jac.serial_joint), np.array(jac.parallel)
+    serial_joint.setflags(write=False)
+    parallel.setflags(write=False)
+    return jac.serial_drive, serial_joint, parallel
 
 
 def stacked_constraint_rank(jac: TransmissionJacobians, rtol: float = 1e-10) -> int:

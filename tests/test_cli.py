@@ -156,6 +156,77 @@ def test_envelop_successful_trace(tmp_path, capsys):
     assert all(len(r["q_deg"]) == 4 for r in records)
 
 
+def test_envelop_names_the_failing_step_and_cause(tmp_path, capsys):
+    # A small sphere that the distal phalanx grazes: the solver fails at
+    # step 116.  The solved steps stay "ok", and a final record and stderr
+    # name the failing step and why it failed.
+    config = tmp_path / "springs.json"
+    doc = params_to_dict(default_params())
+    doc["springs"] = {"serial": 200.0, "parallel": [300.0, 300.0, 0.2]}
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "trace.jsonl"
+    code, _, err = run_cli(
+        [
+            "envelop",
+            "--config", str(config),
+            "--sphere-d", "8",
+            "--center", "70,30,0",
+            "--a-max", "60",
+            "--steps", "150",
+            "--out", str(out),
+        ],
+        capsys,
+    )
+    assert code == 2
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["step"] for r in records] == list(range(117))
+    assert all(r["status"] == "ok" for r in records[:-1])
+    cause = "constraint system admits no feasible equilibrium"
+    assert records[-1] == {"step": 116, "status": "non-converged", "cause": cause}
+    assert err == f"error: sweep failed at step 116: {cause}\n"
+
+
+# Every name the package exported when it imported its modules eagerly.
+PACKAGE_EXPORTS = {
+    "drive": "coupling_residual drive_to_mcp mcp_to_drive rigid_coupled_flexion",
+    "errors": "ConfigSchemaError DegenerateCouplingError InfeasibleStartError ModhandError "
+              "NonConvergedError PreconditionError SingularStiffnessError SweepError "
+              "ValidationError",
+    "grasp": "Contact EquilibriumTrace RigidObject detect_contacts elastic_energy "
+             "elastic_energy_gradient enveloping_pose_for_radius envelop_sweep "
+             "equilibrium_solve fingertip_force inscribed_sphere",
+    "hand": "HandLayout FingerMount auxiliary_aa_deflection default_layout hand_fk "
+            "hand_workspace load_layout",
+    "kinematics": "FingerPoseChain WorkspaceCloud forward_kinematics project_workspace "
+                  "sample_workspace",
+    "params": "CouplingModel DifferentialTrain DriveState FingerParams JointState "
+              "PlanetaryState default_params load_params params_from_dict params_to_dict "
+              "resolve_params text_ratio_params",
+    "ucm": "MotionSubspaces StiffnessSet TransmissionJacobians TransmissionState "
+           "constraint_rank is_transmission_stable motion_subspaces stiffness_matrices "
+           "transmission_jacobians transmission_state",
+}
+
+
+def test_cli_import_leaves_the_grasp_solver_unloaded():
+    # In a fresh process: the CLI's import does not load the grasp solver,
+    # and every export of the package resolves, on first access, to the
+    # object its module defines.
+    script = """
+import importlib, json, sys
+import modhand.cli
+loaded = "modhand.grasp" in sys.modules
+import modhand
+differ = [name for module, names in json.loads(sys.argv[1]).items() for name in names.split()
+          if getattr(modhand, name)
+          is not getattr(importlib.import_module("modhand." + module), name)]
+print(json.dumps([loaded, differ]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(PACKAGE_EXPORTS)],
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == [False, []]
+
+
 def test_envelop_validates_center(capsys):
     code, _, err = run_cli(
         ["envelop", "--sphere-d", "20", "--center", "1,2", "--a-max", "5"], capsys

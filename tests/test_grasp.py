@@ -251,10 +251,14 @@ def test_non_converged_sweep_keeps_solved_steps():
         kept = len(capped.steps)
         # the step right after the kept ones is the one that fails
         shorter = envelop_sweep(schedule[:kept + 1], P, BLOCKER)
-    assert full.status == "completed"
+    assert full.status == "completed" and full.error is None
     assert capped.status == "non-converged" and shorter.status == "non-converged"
     assert 0 < kept < len(schedule)
     assert capped.steps == full.steps[:kept]
+    # the trace names the failing step and keeps the solver's error
+    assert capped.error.step == kept
+    assert isinstance(capped.error.cause, NonConvergedError)
+    assert str(capped.error.cause) == "equilibrium iteration cap reached"
 
 
 def test_contact_complementarity_and_penetration():

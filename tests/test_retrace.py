@@ -4,6 +4,7 @@ names exactly the step that a doctored copy changed."""
 import importlib.util
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -56,7 +57,8 @@ def test_self_diff_is_clean(dump):
     assert code == 0
     assert "largest joint move: 0 rad" in text
     for line in text.splitlines():
-        if line.strip().startswith(("status changes", "set changes", "steps moving")):
+        if line.strip().startswith(("status changes", "set changes", "steps moving",
+                                    "steps with changed bits")):
             assert line.endswith("none"), line
 
 
@@ -82,3 +84,16 @@ def test_diff_reports_exactly_the_changed_touching_set(dump, tmp_path):
     changed = [line.strip() for line in text.splitlines() if line.startswith("    ")]
     assert len(changed) == 1 and changed[0].startswith(f"{scene} step 10: touching")
     assert "steps moving > 1e-09 rad: none" in text
+
+
+def test_diff_reports_exactly_the_step_whose_energy_changed_bits(dump, tmp_path):
+    def flip(record):
+        energy = float.fromhex(record["energy"])
+        record["energy"] = math.nextafter(energy, math.inf).hex()
+
+    path, scene = doctored(dump, tmp_path, flip)
+    code, text = run_diff(dump, path)
+    assert code == 0  # bit changes are reported, not failed
+    changed = [line.strip() for line in text.splitlines() if line.startswith("    ")]
+    assert changed == [f"{scene} step 10: energy"]
+    assert "steps with changed bits in energy, gaps or forces: 1" in text

@@ -161,6 +161,57 @@ def test_float_qp_matches_reference(problem):
     assert np.linalg.norm(x - ref[0]) <= 1e-9 * (1.0 + np.linalg.norm(ref[0]))
 
 
+@settings(max_examples=400, deadline=None)
+@given(problem=qps(), data=st.data())
+def test_float_qp_matches_reference_from_any_warm_subset(problem, data):
+    # The warm subset only orders the search: a wrong one, or one holding
+    # both stops of a joint, leads to the same minimizer.
+    H, c, G, h = problem
+    ref = reference_solve_qp(H, c, G, h)
+    assume(ref is not None and unique_active_set(H, c, G, h, ref))
+    warm = data.draw(st.lists(st.integers(0, len(G) - 1), max_size=3, unique=True), label="warm")
+    got = grasp._solve_qp(as_rows(H), tuple(c.tolist()), as_rows(G), tuple(h.tolist()), warm=warm)
+    assert got is not None
+    x = np.asarray(got[0])
+    assert np.linalg.norm(x - ref[0]) <= 1e-9 * (1.0 + np.linalg.norm(ref[0]))
+
+
+def test_warm_started_qp_rarely_falls_back():
+    # The benchmark's envelop scenes at seed 0.  A sweep step's QP starts
+    # from the rows its last QP rested on; when those fail, the search tries
+    # the subsets nearest them first, so it seldom needs more eliminations.
+    base = default_params()
+    ceiling = grasp.RigidObject.half_space((0.0, 25.0, 0.0), (0.0, -1.0, 0.0))
+    scenes = [
+        (ENV_PARAMS, grasp.RigidObject.sphere(center, diameter / 2.0), np.linspace(0.0, a_max, n))
+        for center, diameter, a_max, n in (
+            ((33.0, 27.0, 0.0), 30.0, 46.0, 160), ((34.0, 28.0, 0.0), 40.0, 27.5, 160),
+            ((32.0, 34.5, 0.0), 50.0, 22.5, 160), ((50.0, 20.0, 0.0), 16.0, 60.0, 150),
+        )
+    ] + [(base, ceiling, np.linspace(0.0, 16.0, 160))]
+    counts = {"qp": 0, "gauss": 0, "open": 0}
+    solve_qp, gauss = grasp._solve_qp, grasp._gauss
+
+    def counted_qp(*args, **kwargs):
+        counts["qp"] += 1
+        counts["open"] += 1
+        try:
+            return solve_qp(*args, **kwargs)
+        finally:
+            counts["open"] -= 1
+
+    def counted_gauss(aug):
+        counts["gauss"] += counts["open"] > 0  # eliminations of the QP only
+        return gauss(aug)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grasp, "_solve_qp", counted_qp)
+        mp.setattr(grasp, "_gauss", counted_gauss)
+        for params, obj, schedule in scenes:
+            assert grasp.envelop_sweep(schedule, params, obj).status != "non-converged"
+    assert counts["gauss"] <= 1.25 * counts["qp"]
+
+
 STOP = st.sampled_from([None, "lo", "hi"])
 
 

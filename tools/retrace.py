@@ -14,9 +14,11 @@ commit against the corpus of another is the re-baseline of a solver change.
 
 ``diff`` prints, per scene group: the status changes, the steps whose
 candidate or touching set changed, the largest joint move, every step whose
-joints moved more than 1e-9 rad, the status totals, saddles, and kernel
-evaluations and QP calls per step on each side.  It exits 1 when any status,
-set or joint (beyond 1e-9 rad) differs, else 0.
+joints moved more than 1e-9 rad, how many steps changed any bit of their
+energy, gaps or forces (the first 20 listed), the status totals, saddles,
+and kernel evaluations and QP calls per step on each side.  It exits 1 when
+any status, set or joint (beyond 1e-9 rad) differs, else 0: changed bits
+alone are reported, not failed.
 
 Groups: ``bench`` (the benchmark's five envelop scenes at seeds 0-12),
 ``coarse`` (the ejection scene and the 8 mm scene at 38 and 75 steps),
@@ -39,6 +41,7 @@ import numpy as np
 
 GROUPS = ("bench", "coarse", "ejection", "grazing", "vertex", "removal", "scan")
 MOVE_TOL = 1e-9  # rad, joint move that the diff lists step by step
+BITS_LISTED = 20  # steps with changed energy, gap or force bits listed per group
 
 
 def scenes(groups, env, base, sphere, half_space):
@@ -182,7 +185,7 @@ def diff(path_a: str, path_b: str, out=sys.stdout) -> int:
         print(f"only in {path_b}: {scene}", file=out)
         dirty = True
     for group, names in by_group.items():
-        status_changes, set_changes, moves, largest = [], [], [], 0.0
+        status_changes, set_changes, moves, largest, bits = [], [], [], 0.0, []
         totals = [Counter(), Counter()]
         saddles, work = [0, 0], [[0, 0, 0], [0, 0, 0]]
         for scene in names:
@@ -215,6 +218,15 @@ def diff(path_a: str, path_b: str, out=sys.stdout) -> int:
                 largest = max(largest, move)
                 if move > MOVE_TOL:
                     moves.append(f"{scene} step {i}: {move:.3g}")
+                changed = [key for key, (u, v) in (
+                    ("energy", (sa["energy"], sb["energy"])),
+                    ("gaps", ({c[0]: c[1] for c in sa["contacts"]},
+                              {c[0]: c[1] for c in sb["contacts"]})),
+                    ("forces", ({c[0]: c[2] for c in sa["contacts"]},
+                                {c[0]: c[2] for c in sb["contacts"]})),
+                ) if u != v]
+                if changed:
+                    bits.append(f"{scene} step {i}: {', '.join(changed)}")
         dirty = dirty or bool(status_changes or set_changes or moves)
         print(f"== {group}: {len(names)} sweeps", file=out)
         for side, label in enumerate(("a", "b")):
@@ -233,6 +245,12 @@ def diff(path_a: str, path_b: str, out=sys.stdout) -> int:
         print(f"  steps moving > {MOVE_TOL:g} rad: {len(moves) or 'none'}", file=out)
         for line in moves:
             print(f"    {line}", file=out)
+        print(f"  steps with changed bits in energy, gaps or forces: {len(bits) or 'none'}",
+              file=out)
+        for line in bits[:BITS_LISTED]:
+            print(f"    {line}", file=out)
+        if len(bits) > BITS_LISTED:
+            print(f"    ... and {len(bits) - BITS_LISTED} more", file=out)
     return int(dirty)
 
 
