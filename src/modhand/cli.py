@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: drive-map, workspace, ucm-report, envelop, hand-fk.  Exit codes:
-0 success, 1 validation/usage error, 2 solver non-convergence.  Every run
-that writes files also writes a run manifest (<out>.manifest.json) recording
-the subcommand, a digest of the resolved configuration, the seed, the tool
-version, and the output paths, so results can be traced back to their inputs.
+0 success, 1 validation/usage error, 2 solver non-convergence.  A run with
+--out also writes a run manifest (<out>.manifest.json) recording the
+subcommand, the tool version, the seed, a digest of the resolved
+configuration, every parsed option except --out (``inputs``) and the output
+paths, so results can be traced back to their inputs.  The JSON formats embed
+the same manifest in their payload.
 
 All numeric output is fixed at 9 significant digits; computation is full
 double precision.  The environment variable UCM_SEED overrides the default
@@ -18,7 +20,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -51,39 +52,35 @@ def sig_list(values) -> list:
     return [sig(v) for v in np.asarray(values, dtype=float).ravel()]
 
 
-@dataclass
-class RunManifest:
-    subcommand: str
-    config_digest: str
-    seed: int | None
-    version: str
-    outputs: list = field(default_factory=list)
-
-    def write_next_to(self, out_path: str) -> str:
-        path = out_path + ".manifest.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
-
-
-def config_digest(doc: dict) -> str:
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def _default_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     return int(os.environ.get("UCM_SEED", "0"))
 
 
-def _emit(text: str, out: str | None, manifest: RunManifest) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _manifest(args, config, seed=None) -> dict:
+    """Run manifest: ``config_digest`` is the sha256 of ``config``'s canonical
+    JSON, and ``inputs`` holds every parsed option except --out."""
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    inputs = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    return {
+        "subcommand": args.command,
+        "version": __version__,
+        "seed": seed,
+        "config_digest": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+        "inputs": inputs,
+        "outputs": [args.out] if args.out else [],
+    }
+
+
+def _emit(text: str, args, manifest: dict) -> None:
+    """Write ``text`` to --out, with ``manifest`` beside it, or to stdout."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        manifest.outputs.append(out)
-        manifest.write_next_to(out)
+        with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     else:
         sys.stdout.write(text)
 
@@ -99,12 +96,7 @@ def cmd_drive_map(args) -> int:
     theta, (q_aa, q_fe) = drive_to_mcp(DriveState(args.a1, args.a2), train)
     q2, q3 = rigid_coupled_flexion(q_fe, coupling)
 
-    manifest = RunManifest(
-        subcommand="drive-map",
-        config_digest=config_digest(params_to_dict(params)),
-        seed=None,
-        version=__version__,
-    )
+    manifest = _manifest(args, params_to_dict(params))
     if args.format == "json":
         # single-line structured record
         payload = {
@@ -112,7 +104,7 @@ def cmd_drive_map(args) -> int:
             "q_aa_rad": sig(q_aa),
             "q_fe_rad": sig(q_fe),
             "rigid_flexion_rad": sig_list([q_fe, q2, q3]),
-            "manifest": asdict(manifest),
+            "manifest": manifest,
         }
         text = json.dumps(payload, sort_keys=True) + "\n"
     else:
@@ -127,7 +119,7 @@ def cmd_drive_map(args) -> int:
             f"q3_rad          {fmt(q3)}",
         ]
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out, manifest)
+    _emit(text, args, manifest)
     return 0
 
 
@@ -142,13 +134,7 @@ def cmd_workspace(args) -> int:
         text = points_to_csv(pts, ("u_mm", "v_mm"))
     else:
         text = points_to_csv(cloud.points, ("x_mm", "y_mm", "z_mm"))
-    manifest = RunManifest(
-        subcommand="workspace",
-        config_digest=config_digest(params_to_dict(params)),
-        seed=seed,
-        version=__version__,
-    )
-    _emit(text, args.out, manifest)
+    _emit(text, args, _manifest(args, params_to_dict(params), seed))
     return 0
 
 
@@ -159,12 +145,7 @@ def cmd_ucm_report(args) -> int:
     rank = constraint_rank(params)
     ms = motion_subspaces(params)
 
-    manifest = RunManifest(
-        subcommand="ucm-report",
-        config_digest=config_digest(params_to_dict(params)),
-        seed=None,
-        version=__version__,
-    )
+    manifest = _manifest(args, params_to_dict(params))
     if args.format == "json":
         payload = {
             "serial_joint_jacobian": sig_list(jac.serial_joint),
@@ -177,7 +158,7 @@ def cmd_ucm_report(args) -> int:
             "passive_basis": [sig_list(row) for row in ms.passive_basis],
             "passive_plane": sig_list(ms.passive_normal),
             "active_force_row": sig_list(ms.active_force),
-            "manifest": asdict(manifest),
+            "manifest": manifest,
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
@@ -196,7 +177,7 @@ def cmd_ucm_report(args) -> int:
             f"active force row        {' '.join(fmt(v) for v in ms.active_force)}",
         ]
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out, manifest)
+    _emit(text, args, manifest)
     return 0
 
 
@@ -242,21 +223,13 @@ def cmd_envelop(args) -> int:
         raise ValidationError("--steps must be >= 1")
     obj = RigidObject.sphere(tuple(center), args.sphere_d / 2.0)
     schedule = np.linspace(0.0, args.a_max, args.steps)
-
-    manifest = RunManifest(
-        subcommand="envelop",
-        config_digest=config_digest(params_to_dict(params)),
-        seed=None,
-        version=__version__,
-    )
     try:
         trace = envelop_sweep(schedule, params, obj)
     except SweepError as exc:
         trace = EquilibriumTrace(steps=(), status="non-converged", error=exc)
     if trace.error is not None:
         print(f"error: {trace.error}", file=sys.stderr)
-    text = _trace_records(trace)
-    _emit(text, args.out, manifest)
+    _emit(_trace_records(trace), args, _manifest(args, params_to_dict(params)))
     return 2 if trace.status == "non-converged" else 0
 
 
@@ -269,20 +242,21 @@ def cmd_hand_fk(args) -> int:
         _check(doc, {"$ref": "hand_layout.schema.json#/$defs/joints"}, "--joints")
         states = [JointState(*row) for row in doc]
     chains = hand_fk(states, layout)
-
-    manifest = RunManifest(
-        subcommand="hand-fk",
-        config_digest=config_digest({"layout": args.layout}),
-        seed=None,
-        version=__version__,
-    )
+    manifest = _manifest(args, {
+        "fingers": [
+            {"name": m.name, "kind": m.kind, "base": m.base.tolist(),
+             "params": params_to_dict(m.params), "aa_spring": m.aa_spring}
+            for m in layout.fingers
+        ],
+        "joints": [s.as_array().tolist() for s in states],
+    })
     if args.format == "json":
         payload = {
             "fingers": {
                 mount.name: {"tip_mm": sig_list(chain.tip)}
                 for mount, chain in zip(layout.fingers, chains)
             },
-            "manifest": asdict(manifest),
+            "manifest": manifest,
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
@@ -291,7 +265,7 @@ def cmd_hand_fk(args) -> int:
             x, y, z = chain.tip
             lines.append(f"{mount.name:<8} {fmt(x):<13} {fmt(y):<13} {fmt(z)}")
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out, manifest)
+    _emit(text, args, manifest)
     return 0
 
 

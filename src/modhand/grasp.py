@@ -53,7 +53,7 @@ from .errors import (
     SweepError,
     ValidationError,
 )
-from .kinematics import FingerPoseChain, coupled_flexion_range, forward_kinematics
+from .kinematics import FingerPoseChain, coupled_flexion_range, forward_kinematics, unit_vector
 from .params import FingerParams, JointState
 from .ucm import TransmissionState, stiffness_matrices, transmission_state
 
@@ -99,14 +99,10 @@ class RigidObject:
             n = [float(v) for v in self.normal]
             if not all(map(math.isfinite, n)):
                 raise ValidationError(f"half-space normal {n} must be finite")
-            scale = max(map(abs, n))
-            if not scale > 0:
+            u = unit_vector(n)
+            if u is None:
                 raise ValidationError("half-space normal must be nonzero")
-            # rescale when the squared norm overflows, underflows or is subnormal
-            if not np.finfo(float).tiny <= sum(v * v for v in n) < math.inf:
-                n = [v / scale for v in n]
-            norm = np.linalg.norm(n)
-            object.__setattr__(self, "normal", tuple(float(v / norm) for v in n))
+            object.__setattr__(self, "normal", tuple(u.tolist()))
             point = tuple(float(c) for c in self.point)
             if not all(map(math.isfinite, point)):
                 raise ValidationError("half-space point must be finite")
@@ -161,10 +157,10 @@ class _Frame:
     lo: tuple
     hi: tuple
     h_box: tuple
-    H_rows: tuple | None = None
-    H_fro: float | None = None
-    H_max: float | None = None
-    joint_drive: tuple | None = None
+    H_rows: tuple
+    H_fro: float
+    H_max: float
+    joint_drive: tuple
 
     def contact(self, hit, force: float = 0.0) -> Contact:
         """World-coordinate contact of a kernel hit."""
@@ -173,10 +169,11 @@ class _Frame:
         return Contact(hit.phalanx, point, normal, hit.gap, force)
 
 
-def _frame(pose, params: FingerParams, obj: RigidObject | None, stiff=None) -> _Frame:
+def _frame(pose, params: FingerParams, obj: RigidObject | None) -> _Frame:
     """Frame of the swing pose ``pose`` (a chain's first world transform) with
     the object moved into it: a sphere keeps its out-of-plane centre offset,
-    a half-space its normal and a point of its boundary plane."""
+    a half-space its normal and a point of its boundary plane.  The stiffness
+    blocks are evaluated here, once per frame."""
     rot, origin = pose[:3, :3], pose[:3, 3]
     if obj is not None and obj.shape == "sphere":
         obj = RigidObject.sphere(rot.T @ (np.asarray(obj.center) - origin), obj.radius)
@@ -185,21 +182,19 @@ def _frame(pose, params: FingerParams, obj: RigidObject | None, stiff=None) -> _
             rot.T @ (np.asarray(obj.point) - origin), rot.T @ np.asarray(obj.normal)
         )
     lo, hi = zip(*params.joint_limits[1:])
-    H = None if stiff is None else stiff.joint
+    stiff = stiffness_matrices(params)
+    H = stiff.joint
     return _Frame(
         tuple(map(tuple, rot.tolist())), tuple(origin.tolist()), params, obj,
-        lo, hi, lo + tuple(-v for v in hi), *(() if H is None else (
-            tuple(map(tuple, H.tolist())), float(np.linalg.norm(H, ord="fro")),
-            float(np.linalg.eigvalsh(H)[-1]), tuple(stiff.joint_drive.tolist()),
-        )),
+        lo, hi, lo + tuple(-v for v in hi), tuple(map(tuple, H.tolist())),
+        float(np.linalg.norm(H, ord="fro")), float(np.linalg.eigvalsh(H)[-1]),
+        tuple(stiff.joint_drive.tolist()),
     )
 
 
 def _solve_frame(q_aa: float, params: FingerParams, obj: RigidObject | None) -> _Frame:
-    """Frame for the solves at swing ``q_aa``: the DH chain defines the frame,
-    and the stiffness blocks are evaluated once."""
-    pose = forward_kinematics(JointState(q_aa=q_aa), params).frames[0]
-    return _frame(pose, params, obj, stiffness_matrices(params))
+    """Frame for the solves at swing ``q_aa``, which the DH chain defines."""
+    return _frame(forward_kinematics(JointState(q_aa=q_aa), params).frames[0], params, obj)
 
 
 class _Hit(NamedTuple):

@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .kinematics import derive_subseed, forward_kinematics, sample_workspace
+from .kinematics import derive_subseed, forward_kinematics, sample_workspace, unit_vector
 from .params import (
     _SCHEMAS,
     FingerParams,
@@ -40,16 +40,11 @@ DEFAULT_AUX_AA_SPRING = 200.0  # N*mm/rad
 
 def rotation_from_axis_angle(axis, angle: float) -> np.ndarray:
     """Rodrigues rotation matrix about ``axis`` by ``angle`` radians."""
-    a = np.asarray(axis, dtype=float)
-    scale = float(np.abs(a).max())
-    if not 0 < scale < math.inf:
+    a = unit_vector(axis)
+    if a is None:
         raise ValidationError("rotation axis must be nonzero and finite")
     if not math.isfinite(angle):
         raise ValidationError("rotation angle must be finite")
-    # rescale when the squared norm overflows, underflows or is subnormal
-    if not np.finfo(float).tiny <= sum(v * v for v in a.tolist()) < math.inf:
-        a = a / scale
-    a = a / np.linalg.norm(a)
     k = np.array(
         [[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]]
     )

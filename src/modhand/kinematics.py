@@ -16,6 +16,7 @@ flexion link carries its phalanx length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,20 @@ _BASE_ALIGN = np.array(
 )
 
 _PLANES = {"xoy": (0, 1), "xoz": (0, 2), "yoz": (1, 2)}
+
+
+def unit_vector(v) -> np.ndarray | None:
+    """``v`` divided by its length, or None when it is zero or not finite.
+    A vector whose squared norm overflows, underflows or is subnormal is
+    first divided by max |v_i|, so every finite nonzero vector has a
+    direction."""
+    a = np.asarray(v, dtype=float)
+    scale = float(np.abs(a).max())
+    if not 0 < scale < math.inf:
+        return None
+    if not np.finfo(float).tiny <= sum(x * x for x in a.tolist()) < math.inf:
+        a = a / scale
+    return a / np.linalg.norm(a)
 
 
 @dataclass(frozen=True)

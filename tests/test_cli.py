@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -328,3 +329,116 @@ def test_identical_argv_byte_identical_stdout():
     a = subprocess.run(argv, capture_output=True).stdout
     b = subprocess.run(argv, capture_output=True).stdout
     assert a == b
+
+
+# Each subcommand's required options, then one changed option per case: two
+# runs that differ only in that option must write different manifests.
+MANIFEST_BASE = {
+    "drive-map": ["drive-map", "--a1", "0.1", "--a2", "0.2"],
+    "workspace": ["workspace", "--n", "3"],
+    "ucm-report": ["ucm-report"],
+    "envelop": ["envelop", "--sphere-d", "20", "--center", "200,0,0", "--a-max", "1",
+                "--steps", "2"],
+    "hand-fk": ["hand-fk"],
+}
+LAYOUT_FILE, JOINTS_FILE = object(), object()  # written to tmp_path by the test
+MANIFEST_VARIANTS = [
+    ("drive-map", "--a1", "0.3"),
+    ("drive-map", "--a2", "0.4"),
+    ("drive-map", "--config", "text-ratio"),
+    ("drive-map", "--format", "json"),
+    ("workspace", "--n", "4"),
+    ("workspace", "--seed", "9"),
+    ("workspace", "--coupled", None),
+    ("workspace", "--project", "xoy"),
+    ("workspace", "--config", "text-ratio"),
+    ("ucm-report", "--config", "text-ratio"),
+    ("ucm-report", "--format", "json"),
+    ("envelop", "--config", "text-ratio"),
+    ("envelop", "--sphere-d", "30"),
+    ("envelop", "--center", "210,0,0"),
+    ("envelop", "--a-max", "2"),
+    ("envelop", "--steps", "3"),
+    ("hand-fk", "--layout", LAYOUT_FILE),
+    ("hand-fk", "--joints", JOINTS_FILE),
+    ("hand-fk", "--format", "json"),
+]
+
+
+def _with_option(argv, option, value):
+    """``argv`` with ``option`` set to ``value`` (a flag when None)."""
+    if option in argv:
+        i = argv.index(option)
+        return argv[:i + 1] + [value] + argv[i + 2:]
+    return argv + [option] + ([] if value is None else [value])
+
+
+def _manifest_of(argv, out, capsys):
+    run_cli(argv + ["--out", str(out)], capsys)
+    return json.loads(out.with_name(out.name + ".manifest.json").read_text())
+
+
+def test_manifest_variants_cover_every_option():
+    from modhand.cli import build_parser
+
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    options = {
+        (name, opt)
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        for opt in action.option_strings
+        if opt not in ("-h", "--help", "--out")
+    }
+    assert options == {(name, opt) for name, opt, _ in MANIFEST_VARIANTS}
+
+
+@pytest.mark.parametrize(
+    "command, option, value", MANIFEST_VARIANTS,
+    ids=[f"{c}{o}" for c, o, _ in MANIFEST_VARIANTS],
+)
+def test_every_option_changes_the_manifest(tmp_path, capsys, monkeypatch,
+                                           command, option, value):
+    monkeypatch.delenv("UCM_SEED", raising=False)
+    if value is LAYOUT_FILE:
+        value = tmp_path / "layout.json"
+        value.write_text(_layout(0), encoding="utf-8")
+    elif value is JOINTS_FILE:
+        value = tmp_path / "joints.json"
+        value.write_text(json.dumps([[0, 0.5, 0.3, 0.2]] * 5), encoding="utf-8")
+    out = tmp_path / "result.out"
+    base = MANIFEST_BASE[command]
+    before = _manifest_of(base, out, capsys)
+    after = _manifest_of(_with_option(base, option, None if value is None else str(value)),
+                         out, capsys)
+    assert before["subcommand"] == after["subcommand"] == command
+    assert before != after
+
+
+@pytest.mark.parametrize(
+    "option, old, new",
+    [
+        ("--layout", _layout(3, aa_spring=150.0), _layout(3, aa_spring=160.0)),
+        ("--joints", json.dumps([[0, 0.5, 0.3, 0.2]] * 5),
+         json.dumps([[0, 0.5, 0.3, 0.25]] * 5)),
+    ],
+    ids=["layout", "joints"],
+)
+def test_hand_fk_digest_follows_file_content(tmp_path, capsys, option, old, new):
+    path, out = tmp_path / "input.json", tmp_path / "fk.txt"
+    digests = []
+    for text in (old, new):
+        path.write_text(text, encoding="utf-8")
+        digests.append(_manifest_of(["hand-fk", option, str(path)], out, capsys)["config_digest"])
+    assert digests[0] != digests[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["drive-map", "--a1", "0.1", "--a2", "0.2"], ["ucm-report"], ["hand-fk"],
+], ids=lambda argv: argv[0])
+def test_embedded_manifest_matches_manifest_file(tmp_path, capsys, argv):
+    out = tmp_path / "result.json"
+    manifest = _manifest_of(argv + ["--format", "json"], out, capsys)
+    assert json.loads(out.read_text())["manifest"] == manifest
+    assert manifest["outputs"] == [str(out)]
