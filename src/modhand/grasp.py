@@ -206,16 +206,18 @@ class _Hit(NamedTuple):
     normal: tuple   # unit direction from the object toward the axis
     point: tuple    # contact point on the capsule surface
     grad: tuple     # d gap / d (q1, q2, q3)
-    hess: tuple     # d2 gap / d (q1, q2, q3)^2, three rows
+    hess: tuple     # d2 gap / d (q1, q2, q3)^2, three rows; None beyond ACTIVATION_THRESHOLD
 
 
 def _kernel(x, frame: _Frame) -> list:
-    """Gap, normal, contact point, gradient and Hessian of every phalanx at
-    flexion ``x`` in one pass of closed forms, proximal to distal; none if no
-    object.  A body-fixed point P of phalanx i moves with joint k <= i as
-    dP/dq_k = z x (P - J_k), so a gap with normal n has the gradient row
-    g_k = -n_x (P_y - J_k,y) + n_y (P_x - J_k,x).  The Hessian follows from
-    d2P/dq_k dq_l = -(P - J_max(k,l)):
+    """Gap, normal, contact point and gradient of every phalanx at flexion
+    ``x`` in one pass of closed forms, proximal to distal, and the Hessian of
+    each candidate (gap at most ``ACTIVATION_THRESHOLD``, the only hits a QP
+    row or the curved model reads); none if no object.  A body-fixed point
+    P of phalanx i moves with joint k <= i as dP/dq_k = z x (P - J_k), so a
+    gap with normal n has the gradient row g_k = -n_x (P_y - J_k,y) +
+    n_y (P_x - J_k,x).  The Hessian follows from d2P/dq_k dq_l =
+    -(P - J_max(k,l)):
 
     * sphere, interior closest point: the gap is the distance to the axis
       line, d = sqrt(s^2 + c_z^2) with s = (C - J_i) . u_i^perp, where
@@ -247,7 +249,6 @@ def _kernel(x, frame: _Frame) -> list:
     hits = []
     for i in range(3):
         length, radius = lengths[i], radii[i]
-        hess = [[0.0] * 3 for _ in range(3)]
         if sphere:
             ex, ey = cx - jx[i], cy - jy[i]
             t = min(1.0, max(0.0, (ex * ux[i] + ey * uy[i]) / length))
@@ -271,27 +272,31 @@ def _kernel(x, frame: _Frame) -> list:
             gap = min(g0, g1) - radius
         n0, n1, n2 = normal
         grad = [-n0 * (py - jy[k]) + n1 * (px - jx[k]) if k <= i else 0.0 for k in range(3)]
-        if interior := sphere and dist >= 1e-12 and 0.0 < t < 1.0:  # s, ds/dq_k, d2s/dq_k dq_l
-            s = -ex * uy[i] + ey * ux[i]
-            ds = [-((cx - jx[k]) * ux[i] + (cy - jy[k]) * uy[i]) for k in range(i + 1)]
-            dds = [(cx - jx[k]) * uy[i] - (cy - jy[k]) * ux[i] for k in range(i + 1)]
-        for k in range(i + 1):
-            for l in range(k, i + 1):
-                if not sphere:
-                    value = -(n0 * (px - jx[l]) + n1 * (py - jy[l]))
-                elif dist < 1e-12:
-                    value = 0.0
-                elif interior:
-                    value = (ds[k] * ds[l] * cz * cz / (dist * dist) + s * dds[k]) / dist
-                else:
-                    value = (
-                        (px - jx[k]) * (px - jx[l]) + (py - jy[k]) * (py - jy[l])
-                        - dx * (px - jx[l]) - dy * (py - jy[l])
-                        - grad[k] * grad[l]
-                    ) / dist
-                hess[k][l] = hess[l][k] = value
+        hess = None
+        if gap <= ACTIVATION_THRESHOLD:  # only a candidate's curvature is ever read
+            hess = [[0.0] * 3 for _ in range(3)]
+            if interior := sphere and dist >= 1e-12 and 0.0 < t < 1.0:  # s, ds/dq_k, d2s/dq_k dq_l
+                s = -ex * uy[i] + ey * ux[i]
+                ds = [-((cx - jx[k]) * ux[i] + (cy - jy[k]) * uy[i]) for k in range(i + 1)]
+                dds = [(cx - jx[k]) * uy[i] - (cy - jy[k]) * ux[i] for k in range(i + 1)]
+            for k in range(i + 1):
+                for l in range(k, i + 1):
+                    if not sphere:
+                        value = -(n0 * (px - jx[l]) + n1 * (py - jy[l]))
+                    elif dist < 1e-12:
+                        value = 0.0
+                    elif interior:
+                        value = (ds[k] * ds[l] * cz * cz / (dist * dist) + s * dds[k]) / dist
+                    else:
+                        value = (
+                            (px - jx[k]) * (px - jx[l]) + (py - jy[k]) * (py - jy[l])
+                            - dx * (px - jx[l]) - dy * (py - jy[l])
+                            - grad[k] * grad[l]
+                        ) / dist
+                    hess[k][l] = hess[l][k] = value
+            hess = tuple(map(tuple, hess))
         point = (px - radius * n0, py - radius * n1, -radius * n2)
-        hits.append(_Hit(i + 1, t, gap, normal, point, tuple(grad), tuple(map(tuple, hess))))
+        hits.append(_Hit(i + 1, t, gap, normal, point, tuple(grad), hess))
     return hits
 
 

@@ -11,7 +11,15 @@ The composite proximal joint rotates first about the palm normal (+y at the
 joint, positive swing toward -z), then three parallel-axis flexion joints
 follow.  The chain is evaluated with standard four-parameter link transforms:
 a 90 degree twist takes the swing axis into the flexion axes, and each
-flexion link carries its phalanx length.
+flexion link carries its phalanx length.  That product defines every frame
+and tip.
+
+Workspace clouds evaluate the same tips in closed form (planar chain, then
+the swing), which costs a fraction of the 4 x 4 products.  The two agree to a
+few ulp, not bit for bit, so a cloud row whose 9-significant-digit text
+could differ between them (a coordinate near a rounding midpoint or a
+decade boundary) takes the DH product instead: cloud CSVs are byte for byte
+the DH chain's.
 """
 
 from __future__ import annotations
@@ -151,10 +159,86 @@ def batch_fingertips(
     return _chain(np.asarray(qs, dtype=float), params, base)[-1][:, :3, 3]
 
 
+def _closed_form_tips(qs: np.ndarray, params: FingerParams) -> tuple:
+    """Fingertips of an (n, 4) block of joint rows in closed form, and per
+    row a slack that bounds their distance from ``batch_fingertips``'s.
+
+    The tip is ``(u cos q_aa, v, -u sin q_aa)`` with ``u`` and ``v`` the
+    sums of ``L_i cos c_i`` and ``L_i sin c_i`` over the cumulative flexion
+    angles ``c_i``.  Forward error bound, to first order in the unit
+    roundoff ``e = 2**-53``, with ``R = L_1 + L_2 + L_3``, ``S = |q1| + |q2|
+    + |q3|`` and each libm cosine or sine within ``t = 2e`` (2 ulp of a
+    value at most 1):
+
+    * closed form: rounding the angle sums moves ``c_i`` by at most ``2eS``;
+      with the cosines, three products and two sums ``u`` and ``v`` are off
+      by at most ``R (t + 2eS + 3e)``, and the swing factor adds ``R (t +
+      e)``: at most ``R (2t + 2eS + 4e)`` per coordinate;
+    * DH product: each link transform's rotation is off by ``2t + 2e`` in
+      Frobenius norm (its cosines, sines and the rounded 90 degree twist),
+      and each 4 x 4 product adds ``9e`` to the rotation (``gamma_3`` times
+      entries of orthonormal rows and columns), so the rotation that carries
+      flexion link ``j`` is off by ``j (2t + 11e)``.  Link ``j`` then moves
+      the tip by its length ``L_j`` along a direction off by that much, plus
+      ``sqrt(2) L_j (t + e)`` from its rounded offset and ``3e (sqrt(3) L_j
+      + |p_j|)`` from the product's sums, with ``p_j`` the position it
+      starts from (``p_1 = 0``, ``|p_2| + |p_3| <= 2R``).  Summed over the
+      three links: at most ``R (7.42 t + 45.6 e)``.
+
+    Together ``R e (2S + 68.5)`` with ``t = 2e``.  The slack returned is
+    ``R e (2S + 80)``, which also covers the ``4 e |w|`` that
+    ``_rounding_ties`` may lose on a coordinate ``w`` and the second-order
+    terms, plus ``64`` of the smallest subnormal for the absolute rounding
+    of underflowing products.
+    """
+    swing, q1, q2, q3 = qs.T
+    c2 = q1 + q2
+    flexion = np.stack([q1, c2, c2 + q3])
+    cos, sin = np.cos(flexion), np.sin(flexion)
+    l1, l2, l3 = params.link_lengths
+    u = l1 * cos[0] + l2 * cos[1] + l3 * cos[2]
+    v = l1 * sin[0] + l2 * sin[1] + l3 * sin[2]
+    tips = np.column_stack([u * np.cos(swing), v, -(u * np.sin(swing))])
+    spread = np.abs(q1) + np.abs(q2) + np.abs(q3)
+    slack = (l1 + l2 + l3) * 2.0**-53 * (2.0 * spread + 80.0) + 64 * 5e-324
+    return tips, slack
+
+
+def _rounding_ties(tips: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """Rows of ``tips`` with a coordinate ``w`` whose ``'%.9g'`` text may
+    change within ``slack`` of ``w``: the interval holds a rounding midpoint
+    of 9 significant digits or a decade boundary, or the test itself is not
+    finite.  The 9-digit grid of ``|w|`` is ``10**(e - 8)`` with ``e`` its
+    decade, so ``|w|`` over the grid lies in ``[1e8, 1e9)`` and the midpoints
+    sit at half-integers there; a decade misjudged by ``log10`` falls outside
+    that range and counts as a tie.  Every ``|w|`` below ``2e8 * slack``
+    (about 2e-4 mm on the stock finger) has grid steps finer than twice the
+    slack, so zero and the sign of zero always count as ties."""
+    a = np.abs(tips)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grid = 10.0 ** (np.floor(np.log10(a)) - 8.0)
+        r = a / grid
+        steps = np.minimum(np.abs(r - np.floor(r) - 0.5), np.minimum(r - 1e8, 1e9 - r))
+        clear = steps * grid > slack[:, None]
+    return ~(clear[:, 0] & clear[:, 1] & clear[:, 2])
+
+
+def _cloud_tips(qs: np.ndarray, params: FingerParams) -> np.ndarray:
+    """Fingertips of a block of joint rows whose ``'%.9g'`` text equals that
+    of ``batch_fingertips``: the closed form, except the rows at a 9-digit
+    rounding tie (``_rounding_ties``), which take the DH product.  Each row
+    depends only on itself, not on the block around it."""
+    tips, slack = _closed_form_tips(qs, params)
+    ties = _rounding_ties(tips, slack)
+    if ties.any():
+        tips[ties] = batch_fingertips(qs[ties], params)
+    return tips
+
+
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MASK = (1 << 64) - 1
 
-# Rows per block of the workspace path.  Each row's matmul and CSV text do not
+# Rows per block of the workspace path.  Each row's tip and CSV text do not
 # depend on the stack they sit in, so the block size changes memory, not bytes.
 _BLOCK_ROWS = 4096
 
@@ -226,6 +310,12 @@ def sample_workspace(
     evaluated in counter form, so row i depends only on the seed and i: the
     first m points of a run are exactly the m-point run with the same seed,
     and any row range can be regenerated on its own.
+
+    Tips come from ``_cloud_tips``: the closed form, with the DH product of
+    ``batch_fingertips`` for the rows at a 9-digit rounding tie (a few per
+    thousand on the stock finger).  So the points print with ``'%.9g'``
+    exactly as the DH tips do, while their bits may differ from them by a
+    few ulp.
     """
     if n < 1:
         raise ValidationError("sample count n must be >= 1")
@@ -247,7 +337,7 @@ def sample_workspace(
         if coupled:
             q1 = qs[:, 1]
             qs = np.column_stack([qs[:, 0], q1, q1 * r1 / r0, q1 * r2 / r0])
-        points[first:first + rows] = batch_fingertips(qs, params)
+        points[first:first + rows] = _cloud_tips(qs, params)
     return WorkspaceCloud(
         points=points, seed=seed, coupled=coupled, joint_limits=limits
     )

@@ -15,6 +15,7 @@ from modhand.errors import (
     ValidationError,
 )
 from modhand.grasp import (
+    ACTIVATION_THRESHOLD,
     COMPLEMENTARITY_TOL,
     PENETRATION_TOL,
     RigidObject,
@@ -773,13 +774,57 @@ def test_kernel_matches_world_frame_oracle(q_aa, x, obj):
         assert np.asarray(hit.grad) == pytest.approx(grad, abs=1e-9)
 
 
+def object_near(data, joints, i, form):
+    """An object within the activation threshold of phalanx ``i`` (0 is
+    proximal) at ``joints``, whose closest point on it has the given form:
+    a sphere beside the axis ("interior") or past one end ("endpoint"), or a
+    half-space below the phalanx's lower end ("half_space")."""
+    chain = forward_kinematics(joints, P)
+    p0, p1 = chain.segments()[i]
+    axis = (p1 - p0) / np.linalg.norm(p1 - p0)
+    plane_normal = chain.frames[0][:3, 2]  # the flexion axes
+    turn = data.draw(st.floats(-math.pi, math.pi))
+    side = math.cos(turn) * np.cross(plane_normal, axis) + math.sin(turn) * plane_normal
+    gap = data.draw(st.floats(-0.4, ACTIVATION_THRESHOLD))
+    reach = P.link_radii[i] + gap
+    if form == "half_space":
+        n = np.array(data.draw(HALF_SPACES).normal)
+        assume(abs(float(np.dot(n, p1 - p0))) > 1e-6)  # no end-point tie
+        lowest = min(float(np.dot(n, p0)), float(np.dot(n, p1)))
+        return RigidObject.half_space(n * (lowest - reach), n)
+    radius = data.draw(st.floats(min_value=2.0, max_value=30.0))
+    if form == "interior":
+        t = data.draw(st.floats(0.05, 0.95))
+        return RigidObject.sphere(p0 + t * (p1 - p0) + (reach + radius) * side, radius)
+    end = data.draw(st.sampled_from([0, 1]))
+    tilt = data.draw(st.floats(-1.2, 1.2))
+    away = math.cos(tilt) * (axis if end else -axis) + math.sin(tilt) * side
+    return RigidObject.sphere((p1 if end else p0) + (reach + radius) * away, radius)
+
+
 @settings(max_examples=200, deadline=None)
-@given(q_aa=SWING, x=st.tuples(FLEX, FLEX, FLEX), obj=OBJECTS)
-def test_kernel_hessians_match_gradient_differences(q_aa, x, obj):
+@given(q_aa=SWING, x=st.tuples(FLEX, FLEX, FLEX), data=st.data())
+def test_kernel_hessians_match_gradient_differences(q_aa, x, data):
+    # The kernel computes the Hessian of candidates only, so every scene puts
+    # an object within the activation threshold of one phalanx, in each of
+    # the three closed forms: interior sphere point, sphere end point and
+    # half-space end point.
+    i = data.draw(st.integers(0, 2))
+    form = data.draw(st.sampled_from(["interior", "endpoint", "half_space"]))
+    obj = object_near(data, JointState(q_aa, *x), i, form)
     h = 1e-6
     assume(smooth_around(x, q_aa, P, obj, h))
     hits = kernel_at(x, q_aa, P, obj)
-    for i, hit in enumerate(hits):
+    target = hits[i]
+    assert target.gap <= ACTIVATION_THRESHOLD + 1e-9
+    if form == "interior":
+        assert 0.0 < target.t < 1.0
+    else:
+        assert target.t in (0.0, 1.0)
+    for k, hit in enumerate(hits):
+        if hit.gap > ACTIVATION_THRESHOLD:
+            assert hit.hess is None
+            continue
         fd = np.zeros((3, 3))
         for j in range(3):
             xp = np.array(x, dtype=float)
@@ -787,8 +832,8 @@ def test_kernel_hessians_match_gradient_differences(q_aa, x, obj):
             xp[j] += h
             xm[j] -= h
             fd[:, j] = (
-                np.asarray(kernel_at(xp, q_aa, P, obj)[i].grad)
-                - np.asarray(kernel_at(xm, q_aa, P, obj)[i].grad)
+                np.asarray(kernel_at(xp, q_aa, P, obj)[k].grad)
+                - np.asarray(kernel_at(xm, q_aa, P, obj)[k].grad)
             ) / (2 * h)
         hess = np.asarray(hit.hess)
         assert np.array_equal(hess, hess.T)

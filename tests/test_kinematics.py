@@ -327,23 +327,39 @@ def test_subseed_is_word_index_plus_one(seed, index):
     assert derive_subseed(seed, index) == recurrence_words(seed, index + 1)[index]
 
 
+def recorded_blocks(monkeypatch) -> list:
+    """The joint blocks that ``sample_workspace`` hands to its tip helper
+    from now on, in order."""
+    blocks, cloud_tips = [], kinematics._cloud_tips
+
+    def recording(qs, params):
+        blocks.append(np.array(qs))
+        return cloud_tips(qs, params)
+
+    monkeypatch.setattr(kinematics, "_cloud_tips", recording)
+    return blocks
+
+
 @pytest.mark.parametrize("coupled", [False, True])
 @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
 def test_blocked_sampling_equals_loop(monkeypatch, n, coupled):
+    # The sampler hands the loop's joints to its tip helper in blocks; the
+    # helper's rows do not depend on the block around them (one call on all
+    # rows, in either order, gives the same bits), and the cloud prints as
+    # the DH tips of the same joints do.
     seed = -3 if coupled else 2**64 + 5
-    blocks = []
-
-    def recording(qs, params, base=None):
-        blocks.append(np.array(qs))
-        return batch_fingertips(qs, params, base)
-
-    monkeypatch.setattr(kinematics, "batch_fingertips", recording)
+    cloud_tips = kinematics._cloud_tips
+    blocks = recorded_blocks(monkeypatch)
     cloud = sample_workspace(P, n, seed=seed, coupled=coupled)
     want_qs = loop_joints(P, n, seed, coupled)
     assert max(len(b) for b in blocks) <= BLOCK
     assert np.concatenate(blocks).tobytes() == want_qs.tobytes()
-    assert cloud.points.tobytes() == batch_fingertips(want_qs, P).tobytes()
-    assert points_to_csv(cloud.points, ("x", "y", "z")) == row_csv(cloud.points, ("x", "y", "z"))
+    assert cloud.points.tobytes() == cloud_tips(want_qs, P).tobytes()
+    assert cloud.points.tobytes() == cloud_tips(want_qs[::-1].copy(), P)[::-1].tobytes()
+    header = ("x", "y", "z")
+    text = points_to_csv(cloud.points, header)
+    assert text == points_to_csv(batch_fingertips(want_qs, P), header)
+    assert text == row_csv(cloud.points, header)
     proj = project_workspace(cloud, "xoz")
     assert points_to_csv(proj, ("u", "v")) == row_csv(proj, ("u", "v"))
 
@@ -360,3 +376,83 @@ def test_csv_special_values_equal_row_formatter():
     bits = np.random.default_rng(8).integers(0, 2**64, size=(3 * BLOCK, 3), dtype=np.uint64)
     for points in (special, bits.view(np.float64), special[:, :1], np.zeros((0, 3))):
         assert points_to_csv(points, ("a", "b", "c")) == row_csv(points, ("a", "b", "c"))
+
+
+# --------------------------------------------------------------------------
+# Closed-form cloud tips: within the slack of the DH product, DH at ties
+# --------------------------------------------------------------------------
+
+# Link lengths and limits across what FingerParams accepts: any positive
+# finite length, any finite min < max.
+LENGTHS = st.tuples(*[st.one_of(st.just(45.0), st.floats(1e-200, 1e200))] * 3)
+ANGLES = st.floats(-1e4, 1e4)
+LIMITS = st.tuples(*[st.tuples(ANGLES, ANGLES).filter(lambda p: p[0] < p[1])] * 4)
+
+
+def drawn_rows(limits, seed, inside, rows=512) -> np.ndarray:
+    """Joint rows inside the box ``limits``, or anywhere at magnitudes
+    from 1e-8 to 1e4 rad; tiny swing angles give tiny z, where 9-digit
+    rounding ties are dense."""
+    rng = np.random.default_rng(seed)
+    if inside:
+        lo, hi = np.array(limits).T
+        return lo + (hi - lo) * rng.random((rows, 4))
+    return rng.uniform(-1.0, 1.0, (rows, 4)) * 10.0 ** rng.uniform(-8.0, 4.0, (rows, 4))
+
+
+ROWS = dict(lengths=LENGTHS, limits=LIMITS, seed=st.integers(0, 2**32 - 1),
+            inside=st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(**ROWS)
+def test_closed_form_tips_within_slack_of_dh(lengths, limits, seed, inside):
+    params = FingerParams(link_lengths=lengths, joint_limits=limits)
+    qs = drawn_rows(params.joint_limits, seed, inside)
+    tips, slack = kinematics._closed_form_tips(qs, params)
+    assert np.all(np.abs(tips - batch_fingertips(qs, params)) <= slack[:, None])
+
+
+@settings(max_examples=100, deadline=None)
+@given(**ROWS)
+def test_values_left_on_the_closed_form_print_alike_across_the_slack(
+    lengths, limits, seed, inside
+):
+    # '%.9g' is monotone in the value, so equal text at both ends of the
+    # slack means equal text for every value between, the DH tip's included.
+    params = FingerParams(link_lengths=lengths, joint_limits=limits)
+    qs = drawn_rows(params.joint_limits, seed, inside)
+    tips, slack = kinematics._closed_form_tips(qs, params)
+    kept = ~kinematics._rounding_ties(tips, slack)
+    for row, d in zip(tips[kept].tolist(), slack[kept].tolist()):
+        for w in row:
+            assert "%.9g" % (w - d) == "%.9g" % w == "%.9g" % (w + d), (w, d)
+    header = ("x", "y", "z")
+    assert points_to_csv(kinematics._cloud_tips(qs, params), header) == points_to_csv(
+        batch_fingertips(qs, params), header
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("mode", [[], ["--coupled"], ["--coupled", "--project", "xoy"]])
+def test_workspace_csv_equals_dh_csv(monkeypatch, capsys, seed, mode):
+    from modhand.cli import main
+
+    ties = []
+
+    def counting(qs, params, base=None):
+        ties.append(len(qs))
+        return batch_fingertips(qs, params, base)
+
+    blocks = recorded_blocks(monkeypatch)
+    monkeypatch.setattr(kinematics, "batch_fingertips", counting)
+    assert main(["workspace", "--n", "100000", "--seed", str(seed)] + mode) == 0
+    got = capsys.readouterr().out
+    dh = batch_fingertips(np.concatenate(blocks), P)
+    assert 0 < sum(ties) < 1000  # the DH product serves the ties alone
+    if "--project" in mode:
+        want = points_to_csv(dh[:, :2], ("u_mm", "v_mm"))
+    else:
+        want = points_to_csv(dh, ("x_mm", "y_mm", "z_mm"))
+    assert len(dh) == 100_000
+    assert got == want

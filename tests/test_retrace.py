@@ -1,5 +1,6 @@
-"""The trace corpus tool: a dump diffs clean against itself, and the diff
-names exactly the step that a doctored copy changed."""
+"""The trace corpus tool: a dump diffs clean against itself, the diff names
+exactly the step that a doctored copy changed, and each step's KKT residual
+is recorded and its largest reported."""
 
 import importlib.util
 import io
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from modhand.grasp import KKT_REL_TOL
 
 ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("retrace", ROOT / "tools" / "retrace.py")
@@ -97,3 +100,22 @@ def test_diff_reports_exactly_the_step_whose_energy_changed_bits(dump, tmp_path)
     changed = [line.strip() for line in text.splitlines() if line.startswith("    ")]
     assert changed == [f"{scene} step 10: energy"]
     assert "steps with changed bits in energy, gaps or forces: 1" in text
+
+
+def test_dump_records_each_steps_kkt_residual(dump, tmp_path):
+    steps = [json.loads(line) for line in dump.read_text().splitlines()]
+    steps = [record for record in steps if "step" in record]
+    # certified steps: the certification bound plus its rounding floor
+    assert steps and all(0.0 <= record["kkt"] <= 2 * KKT_REL_TOL for record in steps)
+    largest = max(record["kkt"] for record in steps)
+
+    def worsen(record):
+        record["kkt"] = 0.25
+
+    path, _ = doctored(dump, tmp_path, worsen)
+    code, text = run_diff(dump, path)
+    assert code == 0  # residuals are reported, not failed
+    sides = [line.strip() for line in text.splitlines() if "largest KKT residual" in line]
+    assert [side[:2] for side in sides] == ["a:", "b:"]
+    assert f"largest KKT residual {largest:.3g};" in sides[0]
+    assert "largest KKT residual 0.25;" in sides[1]

@@ -6,9 +6,10 @@
 ``dump`` imports ``modhand`` from the ``src`` tree it is given, runs the
 corpus's enveloping sweeps and writes one JSON record per drive step: the
 drive, joints and energy as ``float.hex``, each candidate contact's phalanx,
-gap and force, the candidate and touching sets, and the lowest eigenvalue of
-the reduced Lagrangian Hessian (negative at a saddle).  One record per sweep
-follows its steps with the status and the contact-kernel and QP call counts.
+gap and force, the candidate and touching sets, the relative stationarity
+residual (KKT residual) and the lowest eigenvalue of the reduced Lagrangian
+Hessian (negative at a saddle).  One record per sweep follows its steps with
+the status and the contact-kernel and QP call counts.
 Run it once per source tree, each in its own process: the corpus of one
 commit against the corpus of another is the re-baseline of a solver change.
 
@@ -16,9 +17,9 @@ commit against the corpus of another is the re-baseline of a solver change.
 candidate or touching set changed, the largest joint move, every step whose
 joints moved more than 1e-9 rad, how many steps changed any bit of their
 energy, gaps or forces (the first 20 listed), the status totals, saddles,
-and kernel evaluations and QP calls per step on each side.  It exits 1 when
-any status, set or joint (beyond 1e-9 rad) differs, else 0: changed bits
-alone are reported, not failed.
+the largest KKT residual, and kernel evaluations and QP calls per step on
+each side.  It exits 1 when any status, set or joint (beyond 1e-9 rad)
+differs, else 0: changed bits and residuals alone are reported, not failed.
 
 Groups: ``bench`` (the benchmark's five envelop scenes at seeds 0-12),
 ``coarse`` (the ejection scene and the 8 mm scene at 38 and 75 steps),
@@ -86,29 +87,42 @@ def scenes(groups, env, base, sphere, half_space):
                            sphere((float(x), float(y), 0.0), radius), sweep(150), None)
 
 
-def lowest_reduced_eigenvalue(grasp, step, params, obj) -> float:
-    """Lowest eigenvalue of H - sum f_k Hess g_k over the contacts carrying
-    force, on the null space of their rows and of the stops the step rests
-    on, relative to |H|_2; +inf when that null space is empty."""
+def optimality(grasp, step, params, obj) -> tuple:
+    """(stationarity, lowest eigenvalue) of a trace step.
+
+    Stationarity: the energy gradient less the trace forces along the
+    kernel's gap rows, with the part a stop the step rests on can balance
+    (one-sided) removed, relative to 1 + |grad E|.  Lowest eigenvalue: that
+    of H - sum f_k Hess g_k over the contacts carrying force, on the null
+    space of their rows and of the stops the step rests on, relative to
+    |H|_2; +inf when that null space is empty."""
     frame = grasp._solve_frame(step.joints.q_aa, params, obj)
     x = step.joints.flexion()
     hits = {hit.phalanx: hit for hit in grasp._kernel(x, frame)}
     H = grasp.stiffness_matrices(params).joint
-    W, rows = H.copy(), []
+    grad = grasp.elastic_energy_gradient(x, step.a, params)
+    residual, W, rows = grad.copy(), H.copy(), []
     for c in step.contacts:
+        residual -= c.force * np.asarray(hits[c.phalanx].grad)
         if c.force > 0.0:
             W -= c.force * np.asarray(hits[c.phalanx].hess)
             rows.append(hits[c.phalanx].grad)
     for j, (value, (lo, hi)) in enumerate(zip(x, params.joint_limits[1:])):
-        if value - lo <= 1e-9 or hi - value <= 1e-9:
-            rows.append(np.eye(3)[j])
+        if value - lo <= 1e-9:
+            residual[j] = min(residual[j], 0.0)
+        elif hi - value <= 1e-9:
+            residual[j] = max(residual[j], 0.0)
+        else:
+            continue
+        rows.append(np.eye(3)[j])
+    kkt = float(np.linalg.norm(residual) / (1.0 + np.linalg.norm(grad)))
     Z = np.eye(3)
     if rows:
         _, s, vt = np.linalg.svd(np.asarray(rows, dtype=float))
         Z = vt[int(np.sum(s > 1e-9 * max(s[0], 1.0))):].T
     if not Z.shape[1]:
-        return float("inf")
-    return float(np.linalg.eigvalsh(Z.T @ W @ Z).min() / np.linalg.norm(H, 2))
+        return kkt, float("inf")
+    return kkt, float(np.linalg.eigvalsh(Z.T @ W @ Z).min() / np.linalg.norm(H, 2))
 
 
 def dump(src: str, out: str, groups) -> None:
@@ -141,6 +155,7 @@ def dump(src: str, out: str, groups) -> None:
             calls = dict(counts)
             for i, step in enumerate(steps):
                 present = remove_at is None or i < remove_at
+                kkt, lowest_eig = optimality(grasp, step, params, obj if present else None)
                 record = {
                     "group": group, "scene": name, "step": i,
                     "a": step.a.hex(),
@@ -149,9 +164,8 @@ def dump(src: str, out: str, groups) -> None:
                     "contacts": [[c.phalanx, c.gap.hex(), c.force.hex()] for c in step.contacts],
                     "candidates": [c.phalanx for c in step.contacts],
                     "touching": [c.phalanx for c in step.contacts if grasp.touches(c)],
-                    "lowest_eig": lowest_reduced_eigenvalue(
-                        grasp, step, params, obj if present else None
-                    ),
+                    "kkt": kkt,
+                    "lowest_eig": lowest_eig,
                 }
                 fh.write(json.dumps(record) + "\n")
             fh.write(json.dumps({
@@ -187,7 +201,7 @@ def diff(path_a: str, path_b: str, out=sys.stdout) -> int:
     for group, names in by_group.items():
         status_changes, set_changes, moves, largest, bits = [], [], [], 0.0, []
         totals = [Counter(), Counter()]
-        saddles, work = [0, 0], [[0, 0, 0], [0, 0, 0]]
+        saddles, work, kkt = [0, 0], [[0, 0, 0], [0, 0, 0]], [0.0, 0.0]
         for scene in names:
             a, b = sweeps_a[scene], sweeps_b.get(scene)
             if b is None:
@@ -205,7 +219,9 @@ def diff(path_a: str, path_b: str, out=sys.stdout) -> int:
             for i in range(max(a["steps"], b["steps"])):
                 sa, sb = steps_a.get((scene, i)), steps_b.get((scene, i))
                 for side, s in enumerate((sa, sb)):
-                    saddles[side] += s is not None and s["lowest_eig"] < -1e-6
+                    if s is not None:
+                        saddles[side] += s["lowest_eig"] < -1e-6
+                        kkt[side] = max(kkt[side], s["kkt"])
                 if sa is None or sb is None:
                     continue
                 for key in ("candidates", "touching"):
@@ -234,7 +250,8 @@ def diff(path_a: str, path_b: str, out=sys.stdout) -> int:
             per = (f"kernel {kernel / steps:.3f} / QP {qp / steps:.3f} per step"
                    if steps else "no steps")
             print(f"  {label}: {dict(sorted(totals[side].items()))}; "
-                  f"saddles {saddles[side]}; {per}", file=out)
+                  f"saddles {saddles[side]}; largest KKT residual {kkt[side]:.3g}; {per}",
+                  file=out)
         print(f"  status changes: {len(status_changes) or 'none'}", file=out)
         for line in status_changes:
             print(f"    {line}", file=out)
