@@ -55,7 +55,11 @@ def sig_list(values) -> list:
 def _default_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
-    return int(os.environ.get("UCM_SEED", "0"))
+    text = os.environ.get("UCM_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"UCM_SEED: expected an integer, got {text!r}") from None
 
 
 def _manifest(args, config, seed=None) -> dict:

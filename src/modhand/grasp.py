@@ -20,19 +20,21 @@ builds once with the object in its coordinates and the stiffness blocks.  One
 pass of closed forms in the cumulative flexion angles (``_kernel``) gives
 every gap with its gradient and Hessian; the Hessians enter only the QP
 model, and the certification that accepts a point is first-order.  Each
-iterate is evaluated once: its hits travel with it to the certification and
-the next sweep step.  Contacts are mapped to world coordinates only when
-reported.
+iterate is evaluated once, into a record (``_Hits``) whose one scan also finds
+the candidates and the least gap; it travels with the iterate to the QP, the
+certification, the reported contacts and the next sweep step.  Contacts are
+mapped to world coordinates only when reported.
 
 The solver runs on float triples and row tuples, as the kernel does: its
 matrices are at most 6x6, so a numpy call would cost more than its few dozen
-flops.  H is ill-conditioned, so each KKT system is solved in full space by
-Gaussian elimination with partial pivoting; the QP tries the rows its last
-solve rested on first, then the subsets nearest them.  The multipliers are
-fitted by modified Gram-Schmidt, and the curved model's rank test and
-eigenproblems (at most 2x2, on the active rows' null space) are closed forms.
-numpy stays in frame setup, at the public API and in the one call a solved
-step makes, ``transmission_state`` (its record's dot products).
+flops, and its 3-vector arithmetic is written out on local floats.  H is
+ill-conditioned, so each KKT system is solved in full space by Gaussian
+elimination with partial pivoting; the QP tries the rows its last solve
+rested on first, then the subsets nearest them.  The multipliers are fitted
+by modified Gram-Schmidt, and the curved model's rank test and eigenproblems
+(at most 2x2, on the active rows' null space) are closed forms.  numpy stays
+in frame setup, at the public API and in the one call a solved step makes,
+``transmission_state`` (its record's dot products).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from itertools import chain, combinations
+from operator import neg
 from typing import NamedTuple
 
 import numpy as np
@@ -68,6 +71,8 @@ MAX_OUTER = 20
 ADVANCE_FRACTION = 0.9       # share of a free phalanx's gap one advance may close
 ADVANCE_STEPS = 64           # advances per outer step, each re-measuring the gaps
 
+# Hessian entries (k, l), k <= l <= i, that phalanx i's gap depends on.
+_PAIRS = tuple(tuple((k, l) for k in range(i + 1) for l in range(k, i + 1)) for i in range(3))
 # Joint-limit rows of the QP, x_j >= lo_j then -x_j >= -hi_j; contacts follow.
 _BOX_ROWS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
              (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
@@ -197,6 +202,14 @@ def _solve_frame(q_aa: float, params: FingerParams, obj: RigidObject | None) -> 
     return _frame(forward_kinematics(JointState(q_aa=q_aa), params).frames[0], params, obj)
 
 
+class _Hits(list):
+    """One kernel evaluation: its hits, proximal to distal, with what the solver
+    reads of them found in the same scan: ``rows`` the candidates (the QP's
+    contact rows) and ``least`` the least gap (0.0 without an object)."""
+
+    __slots__ = ("rows", "least")
+
+
 class _Hit(NamedTuple):
     """One phalanx against the object, in frame coordinates."""
 
@@ -209,7 +222,7 @@ class _Hit(NamedTuple):
     hess: tuple     # d2 gap / d (q1, q2, q3)^2, three rows; None beyond ACTIVATION_THRESHOLD
 
 
-def _kernel(x, frame: _Frame) -> list:
+def _kernel(x, frame: _Frame) -> _Hits:
     """Gap, normal, contact point and gradient of every phalanx at flexion
     ``x`` in one pass of closed forms, proximal to distal, and the Hessian of
     each candidate (gap at most ``ACTIVATION_THRESHOLD``, the only hits a QP
@@ -229,74 +242,78 @@ def _kernel(x, frame: _Frame) -> list:
     A sphere centre on the axis leaves the normal undefined; the in-plane
     perpendicular of the axis keeps deep penetrations detectable."""
     params, obj = frame.params, frame.obj
+    hits = _Hits()
+    hits.rows, hits.least = [], 0.0
     if obj is None:
-        return []
+        return hits
     lengths, radii = params.link_lengths, params.link_radii
-    q1, q2, q3 = (float(v) for v in x)
-    cums = (q1, q1 + q2, q1 + q2 + q3)
-    ux = [math.cos(c) for c in cums]
-    uy = [math.sin(c) for c in cums]
+    q1, q2, q3 = map(float, x)
+    c2, c3 = q1 + q2, q1 + q2 + q3
+    ux = (math.cos(q1), math.cos(c2), math.cos(c3))
+    uy = (math.sin(q1), math.sin(c2), math.sin(c3))
     jx, jy = [0.0], [0.0]
     for length, co, si in zip(lengths, ux, uy):
         jx.append(jx[-1] + length * co)
         jy.append(jy[-1] + length * si)
     sphere = obj.shape == "sphere"
     if sphere:
-        cx, cy, cz = obj.center
+        (cx, cy, cz), r_obj = obj.center, obj.radius
     else:
         nx, ny, nz = obj.normal
         px0, py0, pz0 = obj.point
-    hits = []
-    for i in range(3):
-        length, radius = lengths[i], radii[i]
+    for i, pairs in enumerate(_PAIRS):
+        length, radius, ui, vi, jxi, jyi = lengths[i], radii[i], ux[i], uy[i], jx[i], jy[i]
         if sphere:
-            ex, ey = cx - jx[i], cy - jy[i]
-            t = min(1.0, max(0.0, (ex * ux[i] + ey * uy[i]) / length))
-            px = jx[i] + t * length * ux[i]
-            py = jy[i] + t * length * uy[i]
+            ex, ey = cx - jxi, cy - jyi
+            t = min(1.0, max(0.0, (ex * ui + ey * vi) / length))
+            px = jxi + t * length * ui
+            py = jyi + t * length * vi
             dx, dy = px - cx, py - cy
             dist = math.sqrt(dx * dx + dy * dy + cz * cz)
             if dist < 1e-12:
-                normal = (uy[i], -ux[i], 0.0)
-                gap = -radius - obj.radius
+                normal = (vi, -ui, 0.0)
+                gap = -radius - r_obj
             else:
                 normal = (dx / dist, dy / dist, -cz / dist)
-                gap = dist - radius - obj.radius
+                gap = dist - radius - r_obj
         else:
-            g0 = nx * (jx[i] - px0) + ny * (jy[i] - py0) - nz * pz0
+            g0 = nx * (jxi - px0) + ny * (jyi - py0) - nz * pz0
             g1 = nx * (jx[i + 1] - px0) + ny * (jy[i + 1] - py0) - nz * pz0
             t = 0.5 if abs(g0 - g1) <= 1e-12 else (0.0 if g0 < g1 else 1.0)
-            px = jx[i] + t * (jx[i + 1] - jx[i])
-            py = jy[i] + t * (jy[i + 1] - jy[i])
+            px = jxi + t * (jx[i + 1] - jxi)
+            py = jyi + t * (jy[i + 1] - jyi)
             normal = obj.normal
             gap = min(g0, g1) - radius
         n0, n1, n2 = normal
         grad = [-n0 * (py - jy[k]) + n1 * (px - jx[k]) if k <= i else 0.0 for k in range(3)]
         hess = None
         if gap <= ACTIVATION_THRESHOLD:  # only a candidate's curvature is ever read
-            hess = [[0.0] * 3 for _ in range(3)]
+            hess = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
             if interior := sphere and dist >= 1e-12 and 0.0 < t < 1.0:  # s, ds/dq_k, d2s/dq_k dq_l
-                s = -ex * uy[i] + ey * ux[i]
-                ds = [-((cx - jx[k]) * ux[i] + (cy - jy[k]) * uy[i]) for k in range(i + 1)]
-                dds = [(cx - jx[k]) * uy[i] - (cy - jy[k]) * ux[i] for k in range(i + 1)]
-            for k in range(i + 1):
-                for l in range(k, i + 1):
-                    if not sphere:
-                        value = -(n0 * (px - jx[l]) + n1 * (py - jy[l]))
-                    elif dist < 1e-12:
-                        value = 0.0
-                    elif interior:
-                        value = (ds[k] * ds[l] * cz * cz / (dist * dist) + s * dds[k]) / dist
-                    else:
-                        value = (
-                            (px - jx[k]) * (px - jx[l]) + (py - jy[k]) * (py - jy[l])
-                            - dx * (px - jx[l]) - dy * (py - jy[l])
-                            - grad[k] * grad[l]
-                        ) / dist
-                    hess[k][l] = hess[l][k] = value
+                s, ds, dds, dist2 = -ex * vi + ey * ui, [], [], dist * dist
+                for k in range(i + 1):
+                    ds.append(-((cx - jx[k]) * ui + (cy - jy[k]) * vi))
+                    dds.append((cx - jx[k]) * vi - (cy - jy[k]) * ui)
+            for k, l in pairs:
+                if not sphere:
+                    value = -(n0 * (px - jx[l]) + n1 * (py - jy[l]))
+                elif dist < 1e-12:
+                    value = 0.0
+                elif interior:
+                    value = (ds[k] * ds[l] * cz * cz / dist2 + s * dds[k]) / dist
+                else:
+                    value = (
+                        (px - jx[k]) * (px - jx[l]) + (py - jy[k]) * (py - jy[l])
+                        - dx * (px - jx[l]) - dy * (py - jy[l])
+                        - grad[k] * grad[l]
+                    ) / dist
+                hess[k][l] = hess[l][k] = value
             hess = tuple(map(tuple, hess))
         point = (px - radius * n0, py - radius * n1, -radius * n2)
         hits.append(_Hit(i + 1, t, gap, normal, point, tuple(grad), hess))
+        if hess is not None:
+            hits.rows.append(hits[-1])
+    hits.least = min(hits[0].gap, hits[1].gap, hits[2].gap)
     return hits
 
 
@@ -386,33 +403,32 @@ def _solve_qp(H, c, G, h, warm=None):
     def attempt(subset):
         if any(j + 3 in subset for j in subset if j < 3):
             return None  # both stops of one joint: no point rests on the two
-        rows = [G[i] for i in subset]
-        sol = _gauss(
-            [[*H[r], *(-g[r] for g in rows), -c[r]] for r in range(n)]
-            + [[*g, *(0.0 for _ in rows), h[i]] for g, i in zip(rows, subset)]
-        )
+        rows, zeros = [G[i] for i in subset], [0.0] * len(subset)
+        cols = [*zip(*rows)] or [(), (), ()]  # G_s', whose negation borders H
+        sol = _gauss([[*Hr, *map(neg, col), -cr] for Hr, col, cr in zip(H, cols, c)]
+                     + [[*g, *zeros, h[i]] for g, i in zip(rows, subset)])
         if sol is None or not all(map(math.isfinite, sol)):
             return None
-        x, lam = tuple(sol[:n]), sol[n:]
-        if any(v < -QP_TOL for v in lam):
-            return None
-        gx = [_dot(g, x) for g in G]
-        if any(abs(gx[i] - h[i]) > QP_TOL for i in subset) or any(
-                v < b - QP_TOL for v, b in zip(gx, h)):
-            return None
+        x0, x1, x2, *lam = sol
+        for v in lam:
+            if v < -QP_TOL:
+                return None
+        for i, (g0, g1, g2) in enumerate(G):
+            v = g0 * x0 + g1 * x1 + g2 * x2
+            if v < h[i] - QP_TOL or i in subset and abs(v - h[i]) > QP_TOL:
+                return None
         full = [0.0] * m
         for j, idx in enumerate(subset):
             full[idx] = max(lam[j], 0.0)
-        return x, full, tuple(subset)
+        return (x0, x1, x2), full, tuple(subset)
 
-    def subsets():
-        first, near = tuple(sorted(warm or ())), set(warm or ())
-        if len(first) <= n:
-            yield first
-        every = chain.from_iterable(combinations(range(m), k) for k in range(n + 1))
-        yield from sorted((s for s in every if s != first), key=lambda s: len(near ^ set(s)))
-
-    return next(filter(None, map(attempt, subsets())), None)
+    first = tuple(sorted(warm or ()))
+    if len(first) <= n and (sol := attempt(first)):
+        return sol
+    every = chain.from_iterable(combinations(range(m), k) for k in range(n + 1))
+    near = set(first)
+    rest = sorted((s for s in every if s != first), key=lambda s: len(near ^ set(s)))
+    return next(filter(None, map(attempt, rest)), None)
 
 
 def _lstsq(cols, b):
@@ -421,13 +437,14 @@ def _lstsq(cols, b):
     a column within rounding of the span of those before it gets 0."""
     qs, R, kept = [], [], []
     for j, a in enumerate([*cols, b]):
-        v, r = a, []
-        for q in qs:
-            r.append(_dot(q, v))
-            v = [vi - r[-1] * qi for vi, qi in zip(v, q)]
-        norm = math.hypot(*v)
+        (v0, v1, v2), r = a, []
+        for q0, q1, q2 in qs:
+            d = q0 * v0 + q1 * v1 + q2 * v2
+            r.append(d)
+            v0, v1, v2 = v0 - d * q0, v1 - d * q1, v2 - d * q2
+        norm = math.hypot(v0, v1, v2)
         if j < len(cols) and norm > 1e-12 * math.hypot(*a):
-            qs.append([vi / norm for vi in v])
+            qs.append((v0 / norm, v1 / norm, v2 / norm))
             R.append(r + [norm])  # a column of the triangular factor
             kept.append(j)
     f = [0.0] * len(cols)  # r now holds b's coordinates, norm its residual's length
@@ -446,14 +463,14 @@ def _lstsq(cols, b):
 class _Solution(NamedTuple):
     """One solved step: the reported (joints, transmission, contacts) triple,
     the joint-limit multipliers (lower, then upper rows), and the frame and
-    kernel hits of the joints, which the next sweep step starts from."""
+    kernel evaluation of the joints, which the next sweep step starts from."""
 
     joints: JointState
     transmission: TransmissionState
     contacts: list
     box_mult: tuple | None = None
     frame: _Frame | None = None
-    hits: list | None = None
+    hits: _Hits | None = None
 
     @property
     def triple(self):
@@ -461,20 +478,15 @@ class _Solution(NamedTuple):
 
 
 def _solution(x, a, q_aa, frame, hits, forces=None, box_mult=None):
-    """Record of flexion ``x`` at drive ``a`` with its kernel ``hits``;
-    ``forces`` maps a phalanx to its force, zero when absent."""
+    """Record of flexion ``x`` at drive ``a`` with its kernel ``hits``, whose
+    candidates it reports; ``forces`` maps a phalanx to its force, else 0."""
     forces = forces or {}
     return _Solution(
         JointState(q_aa, *x),
         transmission_state(x, a, frame.params),
-        [frame.contact(hit, forces.get(hit.phalanx, 0.0)) for hit in _candidates(hits)],
+        [frame.contact(hit, forces.get(hit.phalanx, 0.0)) for hit in hits.rows],
         box_mult, frame, hits,
     )
-
-
-def _candidates(hits) -> list:
-    """The candidate contacts: gap at most ``ACTIVATION_THRESHOLD``."""
-    return [hit for hit in hits if hit.gap <= ACTIVATION_THRESHOLD]
 
 
 def _advance(x, target, frame, hits):
@@ -491,19 +503,23 @@ def _advance(x, target, frame, hits):
     or ``ADVANCE_STEPS`` advances are used.  Without this bound a phalanx
     farther than the threshold has no constraint and one outer step can
     carry it through the object."""
-    lengths = frame.params.link_lengths
-    step = [b - v for v, b in zip(x, target)]
-    free = [i for i, hit in enumerate(hits) if hit.gap > ACTIVATION_THRESHOLD]
-    reach = {i: sum(abs(step[k]) * sum(lengths[k:i + 1]) for k in range(i + 1)) for i in free}
+    (x0, x1, x2), (b0, b1, b2), (l0, l1, l2) = x, target, frame.params.link_lengths
+    s0, s1, s2 = b0 - x0, b1 - x1, b2 - x2
+    a0, a1, a2 = abs(s0), abs(s1), abs(s2)
+    reach = (a0 * l0, a0 * (l0 + l1) + a1 * l1, a0 * (l0 + l1 + l2) + a1 * (l1 + l2) + a2 * l2)
+    free = [(i, reach[i]) for i, hit in enumerate(hits) if hit.gap > ACTIVATION_THRESHOLD]
     t = 0.0
     for _ in range(ADVANCE_STEPS):
-        t = min([1.0] + [t + ADVANCE_FRACTION * hits[i].gap / reach[i]
-                         for i in free if reach[i] > 0])
+        t_next = 1.0
+        for i, r in free:
+            if r > 0 and (v := t + ADVANCE_FRACTION * hits[i].gap / r) < t_next:
+                t_next = v
+        t = t_next
         if t >= 1.0:
             return target, hits if target == x else _kernel(target, frame)
-        point = tuple(v + t * s for v, s in zip(x, step))
+        point = (x0 + t * s0, x1 + t * s1, x2 + t * s2)
         hits = _kernel(point, frame)
-        if min(hits[i].gap for i in free) <= ACTIVATION_THRESHOLD:
+        if min(hits[i].gap for i, _ in free) <= ACTIVATION_THRESHOLD:
             break
     return point, hits
 
@@ -530,7 +546,7 @@ def _solve(a: float, q_init: JointState, frame: _Frame, prev=None) -> _Solution:
     if hits is None or (prev.joints.q1, prev.joints.q2, prev.joints.q3) != x:
         hits = _kernel(x, frame)
 
-    if min((hit.gap for hit in hits), default=0.0) < -RECOVERY_TOL:
+    if hits.least < -RECOVERY_TOL:
         raise InfeasibleStartError("initial configuration penetrates the object "
                                    "beyond the recovery tolerance")
 
@@ -552,19 +568,23 @@ def _solve(a: float, q_init: JointState, frame: _Frame, prev=None) -> _Solution:
     cut = False      # the trust radius cut the previous step
     grow = True      # no step has reversed yet
     for _ in range(MAX_OUTER):
-        rows = _candidates(hits)
-        G = _BOX_ROWS + tuple(hit.grad for hit in rows)
-        h = frame.h_box + tuple(_dot(hit.grad, x) - hit.gap for hit in rows)
-
-        # the rows of the carried multipliers start the QP and curve it
-        warm = [i for i in carry if i < 6] + [
-            6 + k for k, hit in enumerate(rows) if 5 + hit.phalanx in carry]
-        B = _reduced_curvature(frame, [G[i] for i in warm], [
-            (carry[5 + hit.phalanx], hit.hess) for hit in rows
-            if carry.get(5 + hit.phalanx, 0.0) > 0.0])
+        # QP rows, the stops then the candidates at x; the carried ones start and curve it
+        rows, (x0, x1, x2) = hits.rows, x
+        G, h = list(_BOX_ROWS), list(frame.h_box)
+        warm, curv = [i for i in carry if i < 6], []
+        for hit in rows:
+            g0, g1, g2 = grad = hit.grad
+            if (f := carry.get(5 + hit.phalanx)) is not None:
+                warm.append(len(G))
+                if f > 0.0:
+                    curv.append((f, hit.hess))
+            G.append(grad)
+            h.append(g0 * x0 + g1 * x1 + g2 * x2 - hit.gap)
+        B = _reduced_curvature(frame, [G[i] for i in warm], curv)
         # the model's gradient at x is the energy's: c + (H - B) x
-        cq = c if B is frame.H_rows else tuple(ci + _dot([u - v for u, v in zip(hr, br)], x)
-                                               for ci, hr, br in zip(c, frame.H_rows, B))
+        cq = c if B is frame.H_rows else tuple(
+            ci + ((h0 - b0) * x0 + (h1 - b1) * x1 + (h2 - b2) * x2)
+            for ci, (h0, h1, h2), (b0, b1, b2) in zip(c, frame.H_rows, B))
         sol = _solve_qp(B, cq, G, h, warm=warm)
         if sol is None:
             reason = "constraint system admits no feasible equilibrium"
@@ -666,16 +686,21 @@ def _reduced_curvature(frame, rows, curv):
     if v is None:
         return H
     (f, hess), *rest = curv
-    F = [[f * w for w in row] for row in hess]
+    F = [[f * w0, f * w1, f * w2] for w0, w1, w2 in hess]
     for f, hess in rest:
-        F = [[u + f * w for u, w in zip(ru, rw)] for ru, rw in zip(F, hess)]
-    Fv = [_dot(row, v) for row in F]
+        F = [[u0 + f * w0, u1 + f * w1, u2 + f * w2]
+             for (u0, u1, u2), (w0, w1, w2) in zip(F, hess)]
+    v0, v1, v2 = v
+    Fv = [r0 * v0 + r1 * v1 + r2 * v2 for r0, r1, r2 in F]
     vFv = _dot(v, Fv)
-    if rank == 1:  # B = H - F + (y'Fy) y y', y = v
-        B = [[h - f + vFv * yi * yj for h, f, yj in zip(hr, fr, v)] for hr, fr, yi in zip(H, F, v)]
-    else:  # B = H - z (Fz)' - (Fz) z' + (z'Fz) z z', z = v
-        B = [[h - (zi * fj + fi * zj) + vFv * zi * zj for h, zj, fj in zip(hr, v, Fv)]
-             for hr, zi, fi in zip(H, v, Fv)]
+    B = []
+    for (h0, h1, h2), (f0, f1, f2), vi, fi in zip(H, F, v, Fv):
+        w = vFv * vi
+        if rank == 1:  # B = H - F + (y'Fy) y y', y = v
+            B.append([h0 - f0 + w * v0, h1 - f1 + w * v1, h2 - f2 + w * v2])
+        else:  # B = H - z (Fz)' - (Fz) z' + (z'Fz) z z', z = v
+            B.append([h0 - (vi * Fv[0] + fi * v0) + w * v0, h1 - (vi * Fv[1] + fi * v1) + w * v1,
+                      h2 - (vi * Fv[2] + fi * v2) + w * v2])
     floor = 1e-6 * frame.H_max
     (d0, d1, d2), (d3, d4, d5), (d6, d7, d8) = B
     d0, d4, d8 = d0 - floor, d4 - floor, d8 - floor
@@ -725,27 +750,30 @@ def _certify_kkt(x, frame, c, hits):
     when the point certifies, else None.  The stationarity test carries a
     floor for the rounding of H @ x + c, of order eps |H| |x|, which
     dominates when the gradient vanishes and the stiffnesses are large."""
-    rows = _candidates(hits)
-    if min((hit.gap for hit in hits), default=0.0) < -PENETRATION_TOL:
+    if hits.least < -PENETRATION_TOL:
         return None
-    grad = tuple(_dot(row, x) + ci for row, ci in zip(frame.H_rows, c))
+    rows, (x0, x1, x2) = hits.rows, x
+    grad = tuple(h0 * x0 + h1 * x1 + h2 * x2 + ci for (h0, h1, h2), ci in zip(frame.H_rows, c))
 
     # Active rows, numbered as in the QP: the stops the iterate rests on,
     # then the touching candidates (one with a visible gap carries no force).
     active = []
-    for j in range(3):
-        if x[j] - frame.lo[j] <= 1e-9:
+    for j, v, lo, hi in zip(range(3), x, frame.lo, frame.hi):
+        if v - lo <= 1e-9:
             active.append(j)
-        elif frame.hi[j] - x[j] <= 1e-9:
+        elif hi - v <= 1e-9:
             active.append(3 + j)
     active += [6 + k for k, hit in enumerate(rows) if hit.gap <= TOUCH_TOL]
-
     A = [_BOX_ROWS[i] if i < 6 else rows[i - 6].grad for i in active]
     f = _fit_multipliers(A, grad)
-    residual = [g - sum(v * row[k] for v, row in zip(f, A)) for k, g in enumerate(grad)]
+    r0, r1, r2 = grad
+    s0 = s1 = s2 = 0.0  # A^T f; the residual is grad - A^T f
+    for v, (a0, a1, a2) in zip(f, A):
+        s0, s1, s2 = s0 + v * a0, s1 + v * a1, s2 + v * a2
 
     noise_floor = 64.0 * sys.float_info.epsilon * (frame.H_fro * math.hypot(*x) + math.hypot(*c))
-    if math.hypot(*residual) > KKT_REL_TOL * (1.0 + math.hypot(*grad)) + noise_floor:
+    bound = KKT_REL_TOL * (1.0 + math.hypot(*grad)) + noise_floor
+    if math.hypot(r0 - s0, r1 - s1, r2 - s2) > bound:
         return None
 
     fit = dict(zip(active, f))
@@ -828,7 +856,7 @@ def envelop_sweep(a_schedule, params: FingerParams, obj: RigidObject,
 
         energy = _stored_energy(sol.transmission, params)
         steps.append(TraceStep(a, sol.joints, sol.transmission, sol.contacts, energy, present))
-        touching = sum(1 for c in sol.contacts if touches(c))
+        touching = sum(map(touches, sol.contacts))
         if present and held and touching == 0 and a > schedule[i - 1]:
             return EquilibriumTrace(steps=tuple(steps), status="ejected")
         # Saturated only when the drive presses every joint into a stop (its

@@ -88,6 +88,13 @@ def test_ucm_seed_env_override(tmp_path, capsys, monkeypatch):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_malformed_ucm_seed_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("UCM_SEED", "abc")
+    code, out, err = run_cli(["workspace", "--n", "3"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: UCM_SEED: expected an integer, got 'abc'\n"
+
+
 def test_drive_map_json(capsys):
     code, out, _ = run_cli(
         ["drive-map", "--a1", "1", "--a2", "1", "--format", "json"], capsys

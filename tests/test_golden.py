@@ -16,10 +16,15 @@ from modhand.cli import main
 
 DATA = Path(__file__).parent / "data"
 JOINTS = str(DATA / "joints.json")
+ENV_SPRINGS = str(DATA / "env_springs.json")  # the stiff springs of the enveloping scenes
 DRIVE = ["drive-map", "--a1", "0.7", "--a2", "-0.3"]
 WORKSPACE = ["workspace", "--n", "25", "--seed", "3"]
 ENVELOP = ["envelop", "--sphere-d", "40", "--center", "34,28,0", "--a-max", "27.5",
            "--steps", "40"]
+SLIDING = ["envelop", "--config", ENV_SPRINGS, "--sphere-d", "30", "--center", "33,27,0",
+           "--a-max", "46", "--steps", "160"]
+EJECTION = ["envelop", "--config", ENV_SPRINGS, "--sphere-d", "16", "--center", "40,50,0",
+            "--a-max", "60", "--steps", "150"]
 JSON = ["--format", "json"]
 
 CASES = {
@@ -37,6 +42,8 @@ CASES = {
     "workspace-coupled": WORKSPACE + ["--coupled"],
     "workspace-xoy": WORKSPACE + ["--project", "xoy"],
     "envelop": ENVELOP,
+    "envelop-sliding": SLIDING,
+    "envelop-ejection": EJECTION,
 }
 
 

@@ -1,6 +1,7 @@
 """The trace corpus tool: a dump diffs clean against itself, the diff names
-exactly the step that a doctored copy changed, and each step's KKT residual
-is recorded and its largest reported."""
+exactly the step that a doctored copy changed, each step's KKT residual is
+recorded and its largest reported, and each step's call counts add up to its
+sweep's."""
 
 import importlib.util
 import io
@@ -119,3 +120,25 @@ def test_dump_records_each_steps_kkt_residual(dump, tmp_path):
     assert [side[:2] for side in sides] == ["a:", "b:"]
     assert f"largest KKT residual {largest:.3g};" in sides[0]
     assert "largest KKT residual 0.25;" in sides[1]
+
+
+def test_dump_counts_each_steps_calls(dump):
+    records = [json.loads(line) for line in dump.read_text().splitlines()]
+    keys = ("kernel_calls", "qp_calls", "gauss_calls", "lstsq_calls")
+    sweeps = [record for record in records if "status" in record]
+    for sweep in sweeps:
+        steps = [r for r in records if r["scene"] == sweep["scene"] and "step" in r]
+        assert len(steps) == sweep["steps"]
+        assert all(type(r[key]) is int and r[key] >= 0 for r in steps for key in keys)
+        assert steps[0]["kernel_calls"] >= 1 and steps[0]["lstsq_calls"] >= 1
+        sums = [sum(r[key] for r in steps) for key in keys]
+        if sweep["status"] in ("completed", "ejected", "limit-saturated"):
+            assert sums == [sweep[key] for key in keys]
+        else:  # the failed step has no record, but its kernel or QP calls count
+            assert all(s <= sweep[key] for s, key in zip(sums, keys))
+            assert sums[0] + sums[1] < sweep["kernel_calls"] + sweep["qp_calls"]
+
+    code, text = run_diff(dump, dump)
+    assert code == 0
+    rates = [line for line in text.splitlines() if line.strip().startswith("a:")]
+    assert rates and all("gauss" in line and "lstsq" in line for line in rates)

@@ -9,7 +9,11 @@ drive, joints and energy as ``float.hex``, each candidate contact's phalanx,
 gap and force, the candidate and touching sets, the relative stationarity
 residual (KKT residual) and the lowest eigenvalue of the reduced Lagrangian
 Hessian (negative at a saddle).  One record per sweep follows its steps with
-the status and the contact-kernel and QP call counts.
+the status.  Step and sweep records both count the calls of the contact
+kernel, the QP, its KKT eliminations (``_gauss``) and the multiplier fit's
+least-squares solves (``_lstsq``).  Each outer iteration runs one QP and at
+most one plain fit, so a step with more fits than QP calls ran the fit's
+nonnegative support search.
 Run it once per source tree, each in its own process: the corpus of one
 commit against the corpus of another is the re-baseline of a solver change.
 
@@ -17,8 +21,8 @@ commit against the corpus of another is the re-baseline of a solver change.
 candidate or touching set changed, the largest joint move, every step whose
 joints moved more than 1e-9 rad, how many steps changed any bit of their
 energy, gaps or forces (the first 20 listed), the status totals, saddles,
-the largest KKT residual, and kernel evaluations and QP calls per step on
-each side.  It exits 1 when any status, set or joint (beyond 1e-9 rad)
+the largest KKT residual, and the kernel, QP, elimination and fit calls per
+step on each side.  It exits 1 when any status, set or joint (beyond 1e-9 rad)
 differs, else 0: changed bits and residuals alone are reported, not failed.
 
 Groups: ``bench`` (the benchmark's five envelop scenes at seeds 0-12),
@@ -43,6 +47,9 @@ import numpy as np
 GROUPS = ("bench", "coarse", "ejection", "grazing", "vertex", "removal", "scan")
 MOVE_TOL = 1e-9  # rad, joint move that the diff lists step by step
 BITS_LISTED = 20  # steps with changed energy, gap or force bits listed per group
+# Record key -> the modhand.grasp function whose calls it counts, per step and per sweep.
+COUNTED = {"kernel_calls": "_kernel", "qp_calls": "_solve_qp",
+           "gauss_calls": "_gauss", "lstsq_calls": "_lstsq"}
 
 
 def scenes(groups, env, base, sphere, half_space):
@@ -131,12 +138,20 @@ def dump(src: str, out: str, groups) -> None:
     from modhand.errors import SweepError
     from modhand.params import default_params
 
-    counts = Counter()
-    for name in ("_kernel", "_solve_qp"):
+    counts, step_calls = Counter(), []
+    for name in COUNTED.values():
         def counted(*args, _fn=getattr(grasp, name), _name=name, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
         setattr(grasp, name, counted)
+
+    def solve(*args, _fn=grasp._solve, **kwargs):  # one call per drive step
+        before = counts.copy()
+        try:
+            return _fn(*args, **kwargs)
+        finally:
+            step_calls.append(counts - before)
+    grasp._solve = solve
 
     base = default_params()
     env = replace(base, spring_serial=200.0, spring_parallel=(300.0, 300.0, 0.2))
@@ -146,13 +161,14 @@ def dump(src: str, out: str, groups) -> None:
             groups, env, base, RigidObject.sphere, RigidObject.half_space
         ):
             counts.clear()
+            step_calls.clear()
             try:
                 trace = grasp.envelop_sweep(schedule, params, obj, remove_object_at=remove_at)
             except SweepError as exc:
                 status, steps = f"infeasible ({type(exc.cause).__name__})", ()
             else:
                 status, steps = trace.status, trace.steps
-            calls = dict(counts)
+            calls = counts.copy()
             for i, step in enumerate(steps):
                 present = remove_at is None or i < remove_at
                 kkt, lowest_eig = optimality(grasp, step, params, obj if present else None)
@@ -166,11 +182,12 @@ def dump(src: str, out: str, groups) -> None:
                     "touching": [c.phalanx for c in step.contacts if grasp.touches(c)],
                     "kkt": kkt,
                     "lowest_eig": lowest_eig,
+                    **{key: step_calls[i][name] for key, name in COUNTED.items()},
                 }
                 fh.write(json.dumps(record) + "\n")
             fh.write(json.dumps({
                 "group": group, "scene": name, "status": status, "steps": len(steps),
-                "kernel_calls": calls.get("_kernel", 0), "qp_calls": calls.get("_solve_qp", 0),
+                **{key: calls[name] for key, name in COUNTED.items()},
             }) + "\n")
 
 
@@ -201,7 +218,7 @@ def diff(path_a: str, path_b: str, out=sys.stdout) -> int:
     for group, names in by_group.items():
         status_changes, set_changes, moves, largest, bits = [], [], [], 0.0, []
         totals = [Counter(), Counter()]
-        saddles, work, kkt = [0, 0], [[0, 0, 0], [0, 0, 0]], [0.0, 0.0]
+        saddles, work, kkt = [0, 0], [Counter(), Counter()], [0.0, 0.0]
         for scene in names:
             a, b = sweeps_a[scene], sweeps_b.get(scene)
             if b is None:
@@ -209,9 +226,7 @@ def diff(path_a: str, path_b: str, out=sys.stdout) -> int:
                 continue
             for side, record in enumerate((a, b)):
                 totals[side][record["status"]] += 1
-                work[side][0] += record["steps"]
-                work[side][1] += record["kernel_calls"]
-                work[side][2] += record["qp_calls"]
+                work[side].update({key: record.get(key, 0) for key in ("steps", *COUNTED)})
             if (a["status"], a["steps"]) != (b["status"], b["steps"]):
                 status_changes.append(
                     f"{scene}: {a['status']} after {a['steps']} -> {b['status']} after {b['steps']}"
@@ -246,9 +261,9 @@ def diff(path_a: str, path_b: str, out=sys.stdout) -> int:
         dirty = dirty or bool(status_changes or set_changes or moves)
         print(f"== {group}: {len(names)} sweeps", file=out)
         for side, label in enumerate(("a", "b")):
-            steps, kernel, qp = work[side]
-            per = (f"kernel {kernel / steps:.3f} / QP {qp / steps:.3f} per step"
-                   if steps else "no steps")
+            steps = work[side]["steps"]
+            per = " / ".join(f"{key.split('_')[0]} {work[side][key] / steps:.3f}"
+                             for key in COUNTED) + " per step" if steps else "no steps"
             print(f"  {label}: {dict(sorted(totals[side].items()))}; "
                   f"saddles {saddles[side]}; largest KKT residual {kkt[side]:.3g}; {per}",
                   file=out)
