@@ -30,11 +30,12 @@ matrices are at most 6x6, so a numpy call would cost more than its few dozen
 flops, and its 3-vector arithmetic is written out on local floats.  H is
 ill-conditioned, so each KKT system is solved in full space by Gaussian
 elimination with partial pivoting; the QP tries the rows its last solve
-rested on first, then the subsets nearest them.  The multipliers are fitted
-by modified Gram-Schmidt, and the curved model's rank test and eigenproblems
-(at most 2x2, on the active rows' null space) are closed forms.  numpy stays
-in frame setup, at the public API and in the one call a solved step makes,
-``transmission_state`` (its record's dot products).
+rested on first, then the subsets nearest them.  Certification fits the
+multipliers of those rows by modified Gram-Schmidt, and the curved model's
+rank test and eigenproblems (at most 2x2, on the active rows' null space)
+are closed forms.  numpy stays in frame setup, at the public API and in the
+one call a solved step makes, ``transmission_state`` (its record's dot
+products).
 """
 
 from __future__ import annotations
@@ -432,9 +433,9 @@ def _solve_qp(H, c, G, h, warm=None):
 
 
 def _lstsq(cols, b):
-    """Coefficients f minimizing |b - sum_i f_i cols_i| over 3-vectors, and
-    that residual's norm, by modified Gram-Schmidt with b as the last column;
-    a column within rounding of the span of those before it gets 0."""
+    """Coefficients f minimizing |b - sum_i f_i cols_i| over 3-vectors, by
+    modified Gram-Schmidt with b as the last column; a column within rounding
+    of the span of those before it gets 0."""
     qs, R, kept = [], [], []
     for j, a in enumerate([*cols, b]):
         (v0, v1, v2), r = a, []
@@ -447,13 +448,13 @@ def _lstsq(cols, b):
             qs.append((v0 / norm, v1 / norm, v2 / norm))
             R.append(r + [norm])  # a column of the triangular factor
             kept.append(j)
-    f = [0.0] * len(cols)  # r now holds b's coordinates, norm its residual's length
+    f = [0.0] * len(cols)  # r now holds b's coordinates
     for i in range(len(qs) - 1, -1, -1):  # back substitution on the triangular factor
         value = r[i]
         for j in range(i + 1, len(qs)):
             value -= R[j][i] * f[kept[j]]
         f[kept[i]] = value / R[i][i]
-    return f, norm
+    return f
 
 
 # --------------------------------------------------------------------------
@@ -462,30 +463,30 @@ def _lstsq(cols, b):
 
 class _Solution(NamedTuple):
     """One solved step: the reported (joints, transmission, contacts) triple,
-    the joint-limit multipliers (lower, then upper rows), and the frame and
-    kernel evaluation of the joints, which the next sweep step starts from."""
+    the multipliers that certified it keyed like the QP's rows (stop row 0-5,
+    5 + phalanx for a contact; empty when none did), and the frame and kernel
+    evaluation of the joints, which the next sweep step starts from."""
 
     joints: JointState
     transmission: TransmissionState
     contacts: list
-    box_mult: tuple | None = None
-    frame: _Frame | None = None
-    hits: _Hits | None = None
+    mult: dict
+    frame: _Frame
+    hits: _Hits
 
     @property
     def triple(self):
         return self.joints, self.transmission, self.contacts
 
 
-def _solution(x, a, q_aa, frame, hits, forces=None, box_mult=None):
+def _solution(x, a, q_aa, frame, hits, mult):
     """Record of flexion ``x`` at drive ``a`` with its kernel ``hits``, whose
-    candidates it reports; ``forces`` maps a phalanx to its force, else 0."""
-    forces = forces or {}
+    candidates it reports with their forces in the multiplier map ``mult``."""
     return _Solution(
         JointState(q_aa, *x),
         transmission_state(x, a, frame.params),
-        [frame.contact(hit, forces.get(hit.phalanx, 0.0)) for hit in hits.rows],
-        box_mult, frame, hits,
+        [frame.contact(hit, mult.get(5 + hit.phalanx, 0.0)) for hit in hits.rows],
+        mult, frame, hits,
     )
 
 
@@ -529,7 +530,7 @@ def equilibrium_solve(a: float, q_init: JointState, params: FingerParams,
     """Flexion equilibrium at drive ``a`` from ``q_init``, the swing angle
     carried through: (JointState, TransmissionState, contacts), the contact
     forces being the multipliers the certification fits at that point, by
-    nonnegative least squares on the touching contacts and the stops."""
+    least squares on the rows the last QP rested on that still hold there."""
     return _solve(a, q_init, _solve_frame(q_init.q_aa, params, obj)).triple
 
 
@@ -551,12 +552,9 @@ def _solve(a: float, q_init: JointState, frame: _Frame, prev=None) -> _Solution:
                                    "beyond the recovery tolerance")
 
     c = tuple(d * float(a) for d in frame.joint_drive)
-    # Multipliers of the rows the last QP rested on, keyed by box row (0-5) or
+    # Multipliers of the rows the last QP rested on, keyed by stop row (0-5) or
     # 5 + phalanx; the first QP takes those that certified the sweep step before.
-    carry = {} if prev is None else {
-        **{i: f for i, f in enumerate(prev.box_mult) if f > 0.0},
-        **{5 + con.phalanx: con.force for con in prev.contacts if con.force > 0.0},
-    }
+    carry = {} if prev is None else {k: f for k, f in prev.mult.items() if f > 0.0}
 
     best = None
     # Trust region on the outer steps: large jumps make the frozen contact
@@ -571,7 +569,7 @@ def _solve(a: float, q_init: JointState, frame: _Frame, prev=None) -> _Solution:
         # QP rows, the stops then the candidates at x; the carried ones start and curve it
         rows, (x0, x1, x2) = hits.rows, x
         G, h = list(_BOX_ROWS), list(frame.h_box)
-        warm, curv = [i for i in carry if i < 6], []
+        warm, curv = sorted(i for i in carry if i < 6), []
         for hit in rows:
             g0, g1, g2 = grad = hit.grad
             if (f := carry.get(5 + hit.phalanx)) is not None:
@@ -606,14 +604,14 @@ def _solve(a: float, q_init: JointState, frame: _Frame, prev=None) -> _Solution:
         # clipped: the QP accepts points up to QP_TOL outside the box
         x_new, new_hits = _advance(x, _clip(x_new, frame), frame, hits)
 
-        fit = _certify_kkt(x_new, frame, c, new_hits)
+        fit = _certify_kkt(x_new, frame, c, new_hits, carry)
         if fit is not None:
-            return _solution(x_new, a, q_aa, frame, new_hits, *fit)
+            return _solution(x_new, a, q_aa, frame, new_hits, fit)
 
         best, x, hits = x_new, x_new, new_hits
     else:
         reason = "equilibrium iteration cap reached"
-    best = None if best is None else _solution(best, a, q_aa, frame, hits).triple
+    best = None if best is None else _solution(best, a, q_aa, frame, hits, {}).triple
     raise NonConvergedError(reason, best=best)
 
 
@@ -725,29 +723,14 @@ def _reduced_curvature(frame, rows, curv):
             for i, ri in enumerate(PH)]
 
 
-def _fit_multipliers(A, grad):
-    """Multipliers f >= 0 minimizing |grad - A^T f| over the active rows A,
-    3-vectors like ``grad``: the least-squares solution when nonnegative,
-    else the best nonnegative one on a support of at most three rows (by
-    Caratheodory some optimal support is linearly independent)."""
-    f, _ = _lstsq(A, grad)
-    if all(v >= 0.0 for v in f):
-        return f
-    best, best_res = [0.0] * len(A), math.hypot(*grad)
-    for size in range(1, min(3, len(A)) + 1):
-        for support in combinations(range(len(A)), size):
-            fs, res = _lstsq([A[i] for i in support], grad)
-            if all(v >= 0.0 for v in fs) and res < best_res:
-                fit = dict(zip(support, fs))
-                best, best_res = [fit.get(i, 0.0) for i in range(len(A))], res
-    return best
-
-
-def _certify_kkt(x, frame, c, hits):
+def _certify_kkt(x, frame, c, hits, rested):
     """Stationarity, complementarity and feasibility of the true (curved-gap)
-    problem at ``x`` with its ``hits``, the multipliers fitted fresh by
-    nonnegative least squares: (force per phalanx, joint-limit multipliers)
-    when the point certifies, else None.  The stationarity test carries a
+    problem at ``x`` with its ``hits``, on those of the rows the last QP
+    rested on (``rested``, keyed by stop row 0-5 or 5 + phalanx) that still
+    hold at ``x``: a stop within 1e-9 of its bound, a contact whose gap is at
+    most ``TOUCH_TOL``.  Their multipliers are fitted fresh by least squares;
+    returns their map, keyed like ``rested``, when the point certifies, else
+    None, as when a multiplier is negative.  The stationarity test carries a
     floor for the rounding of H @ x + c, of order eps |H| |x|, which
     dominates when the gradient vanishes and the stiffnesses are large."""
     if hits.least < -PENETRATION_TOL:
@@ -755,17 +738,17 @@ def _certify_kkt(x, frame, c, hits):
     rows, (x0, x1, x2) = hits.rows, x
     grad = tuple(h0 * x0 + h1 * x1 + h2 * x2 + ci for (h0, h1, h2), ci in zip(frame.H_rows, c))
 
-    # Active rows, numbered as in the QP: the stops the iterate rests on,
-    # then the touching candidates (one with a visible gap carries no force).
-    active = []
-    for j, v, lo, hi in zip(range(3), x, frame.lo, frame.hi):
-        if v - lo <= 1e-9:
-            active.append(j)
-        elif hi - v <= 1e-9:
-            active.append(3 + j)
-    active += [6 + k for k, hit in enumerate(rows) if hit.gap <= TOUCH_TOL]
-    A = [_BOX_ROWS[i] if i < 6 else rows[i - 6].grad for i in active]
-    f = _fit_multipliers(A, grad)
+    # The fit's columns: the stops by joint, then the contacts proximal to distal.
+    keys = [k for j, v, lo, hi in zip(range(3), x, frame.lo, frame.hi)
+            for k, slack in ((j, v - lo), (3 + j, hi - v)) if k in rested and slack <= 1e-9]
+    A = [_BOX_ROWS[k] for k in keys]
+    for hit in rows:
+        if 5 + hit.phalanx in rested and hit.gap <= TOUCH_TOL:
+            keys.append(5 + hit.phalanx)
+            A.append(hit.grad)
+    f = _lstsq(A, grad)
+    if not all(v >= 0.0 for v in f):
+        return None
     r0, r1, r2 = grad
     s0 = s1 = s2 = 0.0  # A^T f; the residual is grad - A^T f
     for v, (a0, a1, a2) in zip(f, A):
@@ -776,11 +759,10 @@ def _certify_kkt(x, frame, c, hits):
     if math.hypot(r0 - s0, r1 - s1, r2 - s2) > bound:
         return None
 
-    fit = dict(zip(active, f))
-    forces = {hit.phalanx: fit[6 + k] for k, hit in enumerate(rows) if 6 + k in fit}
-    if any(abs(forces.get(hit.phalanx, 0.0) * hit.gap) > COMPLEMENTARITY_TOL for hit in rows):
+    mult = dict(zip(keys, f))
+    if any(abs(mult.get(5 + hit.phalanx, 0.0) * hit.gap) > COMPLEMENTARITY_TOL for hit in rows):
         return None
-    return forces, tuple(fit.get(i, 0.0) for i in range(6))
+    return mult
 
 
 # --------------------------------------------------------------------------
@@ -861,7 +843,7 @@ def envelop_sweep(a_schedule, params: FingerParams, obj: RigidObject,
             return EquilibriumTrace(steps=tuple(steps), status="ejected")
         # Saturated only when the drive presses every joint into a stop (its
         # multiplier engaged), not merely resting on one, with no contact load.
-        if all(sol.box_mult[j] > 1e-9 or sol.box_mult[3 + j] > 1e-9 for j in range(3)):
+        if all(sol.mult.get(j, 0.0) > 1e-9 or sol.mult.get(3 + j, 0.0) > 1e-9 for j in range(3)):
             return EquilibriumTrace(steps=tuple(steps), status="limit-saturated")
         held = held or (present and touching >= 2)
         q = sol.joints

@@ -486,6 +486,60 @@ def test_each_iterate_is_evaluated_once(scene, bound):
     assert len(calls) / len(trace.steps) <= bound
 
 
+def test_each_solve_fits_once_per_qp():
+    # Certification fits one least-squares system on the rows the QP rested
+    # on, so no solve of the five bench scenes fits more often than it
+    # solves a QP.
+    counts, excess = {"qp": 0, "fit": 0}, []
+    solve, solve_qp, lstsq = grasp._solve, grasp._solve_qp, grasp._lstsq
+
+    def counted_solve(a, *args):
+        counts.update(qp=0, fit=0)
+        try:
+            return solve(a, *args)
+        finally:
+            if counts["fit"] > counts["qp"]:
+                excess.append((a, dict(counts)))
+
+    def counted_qp(*args, **kwargs):
+        counts["qp"] += 1
+        return solve_qp(*args, **kwargs)
+
+    def counted_lstsq(*args):
+        counts["fit"] += 1
+        return lstsq(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grasp, "_solve", counted_solve)
+        mp.setattr(grasp, "_solve_qp", counted_qp)
+        mp.setattr(grasp, "_lstsq", counted_lstsq)
+        for params, obj, schedule in bench_scenes(0):
+            assert envelop_sweep(schedule, params, obj).status != "non-converged"
+    assert excess == []
+
+
+def test_certification_fits_the_rows_the_qp_rested_on():
+    # At step 53 of the 40 mm sweep q1 rests on its lower stop, but the QP
+    # rests on the proximal contact alone, whose row is parallel to the
+    # stop's.  Certified on the QP's rows, the step fits without the stop;
+    # with the stop as well, least squares gives the stop a multiplier near
+    # -7.7e3 and the point fails.
+    center, a_max = ENV_SCENES[40.0]
+    frame = grasp._solve_frame(0.0, ENV_PARAMS, RigidObject.sphere(center, 20.0))
+    q, sol = JointState(), None
+    for a in np.linspace(0.0, a_max, 160)[:54]:
+        sol = grasp._solve(a, q, frame, sol)
+        q = sol.joints
+    x, c = (q.q1, q.q2, q.q3), tuple(d * float(a) for d in frame.joint_drive)
+    assert q.q1 - frame.lo[0] <= 1e-9 and set(sol.mult) == {6}
+    mult = grasp._certify_kkt(x, frame, c, sol.hits, {6})
+    assert mult == sol.mult and 0 not in mult
+    assert grasp._certify_kkt(x, frame, c, sol.hits, {0, 6}) is None
+    grad = tuple(elastic_energy_gradient(x, a, ENV_PARAMS).tolist())
+    stop, proximal = grasp._lstsq([grasp._BOX_ROWS[0], sol.hits.rows[0].grad], grad)
+    assert stop == pytest.approx(-7.7e3, rel=0.01)
+
+
 def test_equilibrium_solve_evaluates_each_iterate_once():
     center, _ = ENV_SCENES[30.0]
     with pytest.MonkeyPatch.context() as mp:

@@ -1,8 +1,8 @@
 """The grasp solver's float algebra against numpy references.
 
-``_solve_qp``, ``_fit_multipliers`` and ``_reduced_curvature`` run on float
-triples and row tuples; the numpy versions below are the references they are
-checked against.
+``_solve_qp``, ``_lstsq`` and ``_reduced_curvature`` run on float triples
+and row tuples; the numpy versions below are the references they are checked
+against.
 """
 
 import math
@@ -70,23 +70,10 @@ def reference_solve_qp(H, c, G, h, warm=None):
     return None
 
 
-def reference_fit_multipliers(A, grad):
-    """Nonnegative least squares on at most six rows with numpy's SVD-based
-    ``lstsq``: the full fit when nonnegative, else the best nonnegative
-    support of at most three rows."""
-    f = np.linalg.lstsq(A.T, grad, rcond=None)[0]
-    if np.all(f >= 0.0):
-        return f
-    best, best_res = np.zeros(len(A)), float(np.linalg.norm(grad))
-    for size in range(1, min(3, len(A)) + 1):
-        for support in combinations(range(len(A)), size):
-            rows = A[list(support)]
-            fs = np.linalg.lstsq(rows.T, grad, rcond=None)[0]
-            res = float(np.linalg.norm(grad - rows.T @ fs))
-            if np.all(fs >= 0.0) and res < best_res:
-                best, best_res = np.zeros(len(A)), res
-                best[list(support)] = fs
-    return best
+def reference_lstsq(A, grad):
+    """Least-squares multipliers on the rows A with numpy's SVD-based
+    ``lstsq``."""
+    return np.linalg.lstsq(A.T, grad, rcond=None)[0]
 
 
 def as_rows(M) -> list:
@@ -242,12 +229,11 @@ def evaluation_noise(A, f) -> float:
 
 @settings(max_examples=400, deadline=None)
 @given(problem=fits())
-def test_float_fit_matches_reference(problem):
+def test_float_lstsq_matches_reference(problem):
     A, grad = problem
-    ref = reference_fit_multipliers(A, grad)
-    got = np.asarray(grasp._fit_multipliers(as_rows(A), tuple(grad.tolist())))
+    ref = reference_lstsq(A, grad)
+    got = np.asarray(grasp._lstsq(as_rows(A), tuple(grad.tolist())))
     assert got.shape == ref.shape
-    assert np.all(got >= 0.0)
     residual = np.linalg.norm(grad - A.T @ got)
     bound = np.linalg.norm(grad - A.T @ ref) + 1e-12 * np.linalg.norm(grad)
     assert residual <= bound + evaluation_noise(A, got) + evaluation_noise(A, ref)

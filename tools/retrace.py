@@ -11,9 +11,9 @@ residual (KKT residual) and the lowest eigenvalue of the reduced Lagrangian
 Hessian (negative at a saddle).  One record per sweep follows its steps with
 the status.  Step and sweep records both count the calls of the contact
 kernel, the QP, its KKT eliminations (``_gauss``) and the multiplier fit's
-least-squares solves (``_lstsq``).  Each outer iteration runs one QP and at
-most one plain fit, so a step with more fits than QP calls ran the fit's
-nonnegative support search.
+least-squares solves (``_lstsq``).  Each outer iteration runs one QP and
+certifies its point with one fit on the rows that QP rested on, so a step
+has no more fits than QP calls.
 Run it once per source tree, each in its own process: the corpus of one
 commit against the corpus of another is the re-baseline of a solver change.
 
