@@ -33,9 +33,7 @@ elimination with partial pivoting; the QP tries the rows its last solve
 rested on first, then the subsets nearest them.  Certification fits the
 multipliers of those rows by modified Gram-Schmidt, and the curved model's
 rank test and eigenproblems (at most 2x2, on the active rows' null space)
-are closed forms.  numpy stays in frame setup, at the public API and in the
-one call a solved step makes, ``transmission_state`` (its record's dot
-products).
+are closed forms.  numpy stays in frame setup and at the public API.
 """
 
 from __future__ import annotations
@@ -44,7 +42,8 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from itertools import chain, combinations
-from operator import neg
+from functools import reduce
+from operator import add, neg
 from typing import NamedTuple
 
 import numpy as np
@@ -338,7 +337,7 @@ def elastic_energy(q_fe, a: float, params: FingerParams) -> float:
 
 def _stored_energy(state: TransmissionState, params: FingerParams) -> float:
     """Elastic energy of the deflections ``state``."""
-    parallel = sum(k * t**2 for k, t in zip(params.spring_parallel, state.parallel))
+    parallel = _total(k * t**2 for k, t in zip(params.spring_parallel, state.parallel))
     return 0.5 * params.spring_serial * state.serial**2 + 0.5 * parallel
 
 
@@ -355,6 +354,11 @@ def elastic_energy_gradient(q_fe, a: float, params: FingerParams) -> np.ndarray:
 def _dot(u, v) -> float:
     """Dot product of two 3-vectors."""
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _total(values) -> float:
+    """Float sum left to right from 0.0, as ``sum`` adds before Python 3.12."""
+    return reduce(add, values, 0.0)
 
 
 def _gauss(aug):
@@ -397,8 +401,8 @@ def _solve_qp(H, c, G, h, warm=None):
     [[H, -G_s'], [G_s, 0]] is solved by Gaussian elimination and accepted
     when, within ``QP_TOL``, its multipliers are nonnegative, its own rows
     hold as equalities (dependent rows can yield a point that misses them)
-    and every row holds.  Returns (x, multipliers, active_tuple), or None
-    when no subset yields a feasible KKT point."""
+    and every row holds.  Returns (x, the active rows' multipliers clipped at
+    0, active_tuple), or None when no subset yields a feasible KKT point."""
     n, m = len(c), len(G)
 
     def attempt(subset):
@@ -418,10 +422,7 @@ def _solve_qp(H, c, G, h, warm=None):
             v = g0 * x0 + g1 * x1 + g2 * x2
             if v < h[i] - QP_TOL or i in subset and abs(v - h[i]) > QP_TOL:
                 return None
-        full = [0.0] * m
-        for j, idx in enumerate(subset):
-            full[idx] = max(lam[j], 0.0)
-        return (x0, x1, x2), full, tuple(subset)
+        return (x0, x1, x2), [max(v, 0.0) for v in lam], tuple(subset)
 
     first = tuple(sorted(warm or ()))
     if len(first) <= n and (sol := attempt(first)):
@@ -588,7 +589,7 @@ def _solve(a: float, q_init: JointState, frame: _Frame, prev=None) -> _Solution:
             reason = "constraint system admits no feasible equilibrium"
             break
         x_new, mult, active = sol
-        carry = {i if i < 6 else 5 + rows[i - 6].phalanx: mult[i] for i in active}
+        carry = {i if i < 6 else 5 + rows[i - 6].phalanx: f for i, f in zip(active, mult)}
         step = [u - v for u, v in zip(x_new, x)]
         step_norm = math.hypot(*step)
         if rows and step_norm > 1e-12:
@@ -641,8 +642,8 @@ def _active_span(rows):
         T = _dot(rows[0], rows[0])
         return (1, _unit(rows[0])) if T > 1e-12 * max(T, 1.0) else (0, None)
     crosses = [_cross(u, v) for u, v in combinations(rows, 2)]
-    T = sum(_dot(v, v) for v in rows)
-    S = sum(_dot(v, v) for v in crosses)
+    T = _total(_dot(v, v) for v in rows)
+    S = _total(_dot(v, v) for v in crosses)
     D = _dot(rows[0], crosses[2]) ** 2 if len(rows) == 3 else 0.0
     floor = 1e-12 * max(T, 1.0)  # rank 3 if l2 >= S/(3 T) and l3 >= D/S clear it
     if D > floor * S and S > 3.0 * floor * T:
@@ -663,7 +664,7 @@ def _active_span(rows):
     if len(rows) == rank:
         return rank, _unit(rows[0] if rank == 1 else crosses[0])
     shift = l1 if rank == 1 else l3  # the Gram matrix's eigenvector of l1 or l3
-    M = [[sum(a[i] * a[j] for a in rows) - shift * (i == j) for j in range(3)] for i in range(3)]
+    M = [[_total(a[i] * a[j] for a in rows) - shift * (i == j) for j in range(3)] for i in range(3)]
     crosses = [_cross(u, v) for u, v in combinations(M, 2)]
     return rank, _unit(max(crosses, key=lambda v: _dot(v, v)))
 
@@ -716,11 +717,11 @@ def _reduced_curvature(frame, rows, curv):
         theta = 0.5 * math.atan2(2.0 * _dot(u, Ww), _dot(u, Wu) - _dot(w, Ww))
         co, si = math.cos(theta), math.sin(theta)
         Z = [[co * a + si * b for a, b in zip(u, w)], [co * b - si * a for a, b in zip(u, w)]]
-    P = [[float(i == j) - sum(z[i] * z[j] for z in Z) for j in range(3)] for i in range(3)]
+    P = [[float(i == j) - _total(z[i] * z[j] for z in Z) for j in range(3)] for i in range(3)]
     PH = [[_dot(pi, hj) for hj in H] for pi in P]  # H is symmetric
     curvature = [(max(_dot(z, [_dot(row, z) for row in W]), floor), z) for z in Z]
-    return [[_dot(ri, pj) + sum(mu * z[i] * z[j] for mu, z in curvature) for j, pj in enumerate(P)]
-            for i, ri in enumerate(PH)]
+    return [[_dot(ri, pj) + _total(mu * z[i] * z[j] for mu, z in curvature)
+             for j, pj in enumerate(P)] for i, ri in enumerate(PH)]
 
 
 def _certify_kkt(x, frame, c, hits, rested):
@@ -836,8 +837,7 @@ def envelop_sweep(a_schedule, params: FingerParams, obj: RigidObject,
         except ModhandError as exc:
             raise SweepError(i, exc) from exc
 
-        energy = _stored_energy(sol.transmission, params)
-        steps.append(TraceStep(a, sol.joints, sol.transmission, sol.contacts, energy, present))
+        steps.append(TraceStep(a, *sol.triple, _stored_energy(sol.transmission, params), present))
         touching = sum(map(touches, sol.contacts))
         if present and held and touching == 0 and a > schedule[i - 1]:
             return EquilibriumTrace(steps=tuple(steps), status="ejected")

@@ -81,35 +81,26 @@ def jacobians_from_geometry(teeth, drive_radii, coupling_radii) -> TransmissionJ
     )
 
 
+@lru_cache(maxsize=16)
 def transmission_jacobians(params: FingerParams) -> TransmissionJacobians:
-    return jacobians_from_geometry(
-        params.drive_teeth, params.drive_radii, params.coupling_radii
-    )
+    """``params``' Jacobians, cached: a sweep evaluates the transmission at
+    every step of one finger, and the record is frozen, so sharing is safe."""
+    return jacobians_from_geometry(params.drive_teeth, params.drive_radii, params.coupling_radii)
 
 
 def transmission_state(q_fe, a: float, params: FingerParams) -> TransmissionState:
-    """Deflections of the four elastic elements at flexion q_fe and drive a.
+    """Deflections of the four elastic elements at flexion q_fe and drive a,
+    on floats from the cached Jacobian rows, each sum taken left to right.
 
     The serial element absorbs whatever drive travel the tooth-ratio-weighted
     joint motion has not consumed; the parallel elements absorb the mismatch
     between adjacent coupling gears (the third is referenced to the frame).
     """
-    drive, serial_joint, parallel = _jacobian_arrays(params)
-    q = np.asarray(q_fe, dtype=float)
-    serial = float(a) * drive + float(np.dot(serial_joint, q))
-    return TransmissionState(serial, (parallel @ q).tolist())
-
-
-@lru_cache(maxsize=16)
-def _jacobian_arrays(params: FingerParams) -> tuple:
-    """(serial_drive, serial_joint, parallel) of ``params``' Jacobians, the
-    two blocks as read-only arrays: a sweep evaluates the transmission at
-    every step of one finger."""
     jac = transmission_jacobians(params)
-    serial_joint, parallel = np.array(jac.serial_joint), np.array(jac.parallel)
-    serial_joint.setflags(write=False)
-    parallel.setflags(write=False)
-    return jac.serial_drive, serial_joint, parallel
+    q1, q2, q3 = map(float, q_fe)
+    s1, s2, s3 = jac.serial_joint
+    serial = float(a) * jac.serial_drive + (s1 * q1 + s2 * q2 + s3 * q3)
+    return TransmissionState(serial, [p1 * q1 + p2 * q2 + p3 * q3 for p1, p2, p3 in jac.parallel])
 
 
 def stacked_constraint_rank(jac: TransmissionJacobians, rtol: float = 1e-10) -> int:
@@ -237,8 +228,8 @@ def motion_subspaces(params: FingerParams) -> MotionSubspaces:
     if not stiff.positive_definite:
         raise SingularStiffnessError("joint stiffness matrix is not positive definite")
 
-    v = np.array([rd1, (z1 / z2) * rd2, (z1 / z3) * rd3])
-    response = np.linalg.solve(stiff.joint, v)
+    drive_row = -np.asarray(transmission_jacobians(params).serial_joint)
+    response = np.linalg.solve(stiff.joint, drive_row)
     active = response / np.linalg.norm(response)
 
     normal = np.array([rc1 * z1 / z3, rc2 * z2 / z3, rc3])

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -599,6 +602,71 @@ def test_reported_joints_stay_in_the_joint_box():
             for step in envelop_sweep(schedule, params, obj).steps:
                 for value, (lo, hi) in zip(step.joints.flexion(), params.joint_limits[1:]):
                     assert lo <= value <= hi, f"seed {seed}: {value} outside [{lo}, {hi}]"
+
+
+def test_solved_step_makes_no_numpy_call():
+    # A solved step runs on floats: no C function of numpy or method of a
+    # numpy object is called, and no frame of numpy's Python code runs.
+    numpy_dir = os.path.dirname(np.__file__)
+    calls, solve = Counter(), grasp._solve
+
+    def hook(frame, event, arg):
+        if event == "c_call":
+            owner = type(getattr(arg, "__self__", None)).__module__
+            if (getattr(arg, "__module__", None) or owner).split(".")[0] == "numpy":
+                calls[arg.__qualname__] += 1
+        elif event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+            calls[frame.f_code.co_name] += 1
+
+    def profiled(*args):
+        previous = sys.getprofile()
+        sys.setprofile(hook)
+        try:
+            return solve(*args)
+        finally:
+            sys.setprofile(previous)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grasp, "_solve", profiled)
+        trace = env_sweep(30.0)
+    assert len(trace.steps) == 160
+    assert calls == Counter()
+
+
+def sum_312(iterable, start=0):
+    """CPython 3.12's builtin ``sum``: ints add exactly; from the first float
+    on, Neumaier's compensated summation, the compensation added at the end
+    when it is finite and nonzero."""
+    total, items = start, iter(iterable)
+    for x in items:
+        total = total + x
+        if isinstance(total, float):
+            break
+    c = 0.0
+    for x in items:
+        if isinstance(x, float):
+            t = total + x
+            c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        else:
+            total = total + x
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_traces_do_not_depend_on_the_sum_algorithm():
+    # Python 3.12 made ``sum`` compensate its float rounding.  The solver
+    # adds its floats left to right itself, so no trace bit depends on it.
+    assert sum_312([0.1] * 10) == 1.0 and sum_312([1, 2, True]) == 4
+
+    def traces():
+        return [trace_bits(envelop_sweep(schedule, params, obj))
+                for params, obj, schedule in bench_scenes(0)]
+
+    plain = traces()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grasp, "sum", sum_312, raising=False)
+        compensated = traces()
+    assert compensated == plain
 
 
 def test_sweep_rejects_decreasing_schedule():

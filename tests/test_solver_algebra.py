@@ -261,7 +261,7 @@ def test_qp_rejects_subset_missing_its_own_rows(a, proximal, middle):
         for i in active:
             assert abs(grasp._dot(G[i], x) - h[i]) <= QP_TOL
         assert all(grasp._dot(g, x) >= b - QP_TOL for g, b in zip(G, h))
-        assert all(v >= 0.0 for v in mult)
+        assert len(mult) == len(active) and all(v >= 0.0 for v in mult)
 
 
 def reference_curved_hessian(H, H_max, rows, forces, hessians):
