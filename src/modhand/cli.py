@@ -11,6 +11,9 @@ the same manifest in their payload.
 All numeric output is fixed at 9 significant digits; computation is full
 double precision.  The environment variable UCM_SEED overrides the default
 sampling seed (0) when --seed is not given.
+
+drive-map and ucm-report compute on floats and never import numpy; workspace,
+hand-fk and envelop import it with the modules they load on first use.
 """
 
 from __future__ import annotations
@@ -18,16 +21,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
-
-import numpy as np
+from importlib import import_module
 
 from . import __version__
 from .drive import drive_to_mcp, rigid_coupled_flexion
 from .errors import ModhandError, SweepError, ValidationError
-from .hand import default_layout, hand_fk, load_layout
-from .kinematics import points_to_csv, project_workspace, sample_workspace
 from .params import (
     DriveState,
     JointState,
@@ -37,6 +38,25 @@ from .params import (
     resolve_params,
 )
 from .ucm import constraint_rank, motion_subspaces, stiffness_matrices, transmission_jacobians
+
+# The array subcommands' names and their modules, bound on first use (PEP 562)
+# so that the short reports never import numpy.
+_LAZY = {**dict.fromkeys(("points_to_csv", "project_workspace", "sample_workspace"), "kinematics"),
+         **dict.fromkeys(("default_layout", "hand_fk", "load_layout"), "hand")}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value = getattr(import_module(f".{_LAZY[name]}", __package__), name)
+    return value
+
+
+def _bind(*names) -> None:
+    """Bind the lazy ``names``; a bound one (perhaps a wrapper) is kept."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
 
 
 def fmt(x: float) -> str:
@@ -49,7 +69,7 @@ def sig(x: float) -> float:
 
 
 def sig_list(values) -> list:
-    return [sig(v) for v in np.asarray(values, dtype=float).ravel()]
+    return [sig(v) for v in values]
 
 
 def _default_seed(args) -> int:
@@ -104,7 +124,7 @@ def cmd_drive_map(args) -> int:
     if args.format == "json":
         # single-line structured record
         payload = {
-            "theta_rad": sig_list(theta.as_array()),
+            "theta_rad": sig_list((theta.theta1, theta.theta2)),
             "q_aa_rad": sig(q_aa),
             "q_fe_rad": sig(q_fe),
             "rigid_flexion_rad": sig_list([q_fe, q2, q3]),
@@ -132,6 +152,7 @@ def cmd_workspace(args) -> int:
         raise ValidationError("--n must be >= 1")
     params = resolve_params(args.config)
     seed = _default_seed(args)
+    _bind("sample_workspace", "project_workspace", "points_to_csv")
     cloud = sample_workspace(params, args.n, seed=seed, coupled=args.coupled)
     if args.project:
         pts = project_workspace(cloud, args.project)
@@ -192,7 +213,7 @@ def _trace_records(trace) -> str:
         record = {
             "step": i,
             "a": sig(step.a),
-            "q_deg": sig_list(np.degrees(step.joints.as_array())),
+            "q_deg": sig_list(map(math.degrees, step.joints.as_array())),
             "contacts": [
                 {
                     "phalanx": c.phalanx,
@@ -212,6 +233,8 @@ def _trace_records(trace) -> str:
 
 
 def cmd_envelop(args) -> int:
+    from numpy import linspace
+
     from .grasp import EquilibriumTrace, RigidObject, envelop_sweep  # only envelop needs it
 
     params = resolve_params(args.config)
@@ -226,7 +249,7 @@ def cmd_envelop(args) -> int:
     if args.steps < 1:
         raise ValidationError("--steps must be >= 1")
     obj = RigidObject.sphere(tuple(center), args.sphere_d / 2.0)
-    schedule = np.linspace(0.0, args.a_max, args.steps)
+    schedule = linspace(0.0, args.a_max, args.steps)
     try:
         trace = envelop_sweep(schedule, params, obj)
     except SweepError as exc:
@@ -238,6 +261,7 @@ def cmd_envelop(args) -> int:
 
 
 def cmd_hand_fk(args) -> int:
+    _bind("default_layout", "hand_fk", "load_layout")
     layout = default_layout() if args.layout == "default" else load_layout(args.layout)
     if args.joints == "zeros":
         states = [JointState() for _ in layout.fingers]

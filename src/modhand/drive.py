@@ -4,14 +4,13 @@ The composite proximal joint is driven through a gear differential: the sum
 mode of the two motors produces one planetary motion, the difference mode the
 other.  Downstream, the flexion chain is gear-coupled so a single flexion
 drive moves all three joints in a fixed proportion until the elastic elements
-deflect.
+deflect.  Every map here is 2x2 or 2x3, so it is computed on floats.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import DegenerateCouplingError
+from .floats import _gauss, _total
 from .params import CouplingModel, DifferentialTrain, DriveState, PlanetaryState
 
 
@@ -23,8 +22,9 @@ def drive_to_mcp(a: DriveState, train: DifferentialTrain):
     only the second; the first mode is reported as abduction-adduction and
     the second as the flexion drive unless ``swap_modes`` is set.
     """
-    theta = train.composite() @ a.as_array()
-    state = PlanetaryState(theta1=float(theta[0]), theta2=float(theta[1]))
+    motors = (a.a1, a.a2)
+    theta1, theta2 = (_total(m * v for m, v in zip(row, motors)) for row in train.composite_rows())
+    state = PlanetaryState(theta1=theta1, theta2=theta2)
     if train.swap_modes:
         return state, (state.theta2, state.theta1)
     return state, (state.theta1, state.theta2)
@@ -32,9 +32,9 @@ def drive_to_mcp(a: DriveState, train: DifferentialTrain):
 
 def mcp_to_drive(q_aa: float, q_fe: float, train: DifferentialTrain) -> DriveState:
     """Invert drive_to_mcp: motor angles realizing a given (q_aa, q_fe)."""
-    target = np.array([q_fe, q_aa]) if train.swap_modes else np.array([q_aa, q_fe])
-    a = np.linalg.solve(train.composite(), target)
-    return DriveState(a1=float(a[0]), a2=float(a[1]))
+    target = (q_fe, q_aa) if train.swap_modes else (q_aa, q_fe)
+    a1, a2 = _gauss([[*row, float(t)] for row, t in zip(train.composite_rows(), target)])
+    return DriveState(a1=a1, a2=a2)
 
 
 def rigid_coupled_flexion(q1: float, coupling: CouplingModel):
@@ -45,6 +45,6 @@ def rigid_coupled_flexion(q1: float, coupling: CouplingModel):
     return q1 * r[1] / r[0], q1 * r[2] / r[0]
 
 
-def coupling_residual(q_fe, coupling: CouplingModel) -> np.ndarray:
+def coupling_residual(q_fe, coupling: CouplingModel) -> tuple:
     """Constraint-row residual of a flexion vector; zero on the coupled line."""
-    return np.asarray(coupling.constraint) @ np.asarray(q_fe, dtype=float)
+    return tuple(_total(c * float(v) for c, v in zip(row, q_fe)) for row in coupling.constraint)

@@ -33,7 +33,8 @@ elimination with partial pivoting; the QP tries the rows its last solve
 rested on first, then the subsets nearest them.  Certification fits the
 multipliers of those rows by modified Gram-Schmidt, and the curved model's
 rank test and eigenproblems (at most 2x2, on the active rows' null space)
-are closed forms.  numpy stays in frame setup and at the public API.
+are closed forms.  The stiffness blocks arrive as float tuples; numpy stays in
+frame setup (rotation, H's norm and top eigenvalue) and at the public API.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from itertools import chain, combinations
-from functools import reduce
-from operator import add, neg
+from operator import neg
 from typing import NamedTuple
 
 import numpy as np
@@ -56,6 +56,7 @@ from .errors import (
     SweepError,
     ValidationError,
 )
+from .floats import _cross, _gauss, _total
 from .kinematics import FingerPoseChain, coupled_flexion_range, forward_kinematics, unit_vector
 from .params import FingerParams, JointState
 from .ucm import TransmissionState, stiffness_matrices, transmission_state
@@ -188,12 +189,11 @@ def _frame(pose, params: FingerParams, obj: RigidObject | None) -> _Frame:
         )
     lo, hi = zip(*params.joint_limits[1:])
     stiff = stiffness_matrices(params)
-    H = stiff.joint
+    H = np.array(stiff.joint)
     return _Frame(
         tuple(map(tuple, rot.tolist())), tuple(origin.tolist()), params, obj,
-        lo, hi, lo + tuple(-v for v in hi), tuple(map(tuple, H.tolist())),
-        float(np.linalg.norm(H, ord="fro")), float(np.linalg.eigvalsh(H)[-1]),
-        tuple(stiff.joint_drive.tolist()),
+        lo, hi, lo + tuple(-v for v in hi), stiff.joint,
+        float(np.linalg.norm(H, ord="fro")), float(np.linalg.eigvalsh(H)[-1]), stiff.joint_drive,
     )
 
 
@@ -344,7 +344,8 @@ def _stored_energy(state: TransmissionState, params: FingerParams) -> float:
 def elastic_energy_gradient(q_fe, a: float, params: FingerParams) -> np.ndarray:
     """Analytic gradient of elastic_energy with respect to the flexion angles."""
     stiff = stiffness_matrices(params)
-    return stiff.joint @ np.asarray(q_fe, dtype=float) + stiff.joint_drive * float(a)
+    H, joint_drive = np.array(stiff.joint), np.array(stiff.joint_drive)
+    return H @ np.asarray(q_fe, dtype=float) + joint_drive * float(a)
 
 
 # --------------------------------------------------------------------------
@@ -354,41 +355,6 @@ def elastic_energy_gradient(q_fe, a: float, params: FingerParams) -> np.ndarray:
 def _dot(u, v) -> float:
     """Dot product of two 3-vectors."""
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _total(values) -> float:
-    """Float sum left to right from 0.0, as ``sum`` adds before Python 3.12."""
-    return reduce(add, values, 0.0)
-
-
-def _gauss(aug):
-    """Solution of the square system with augmented rows ``aug`` (changed in
-    place) by Gaussian elimination with partial pivoting; None when a pivot is
-    exactly zero, where an LU factorization reports the matrix singular."""
-    n = len(aug)
-    for col in range(n):
-        best, size = col, abs(aug[col][col])
-        for r in range(col + 1, n):
-            if abs(aug[r][col]) > size:
-                best, size = r, abs(aug[r][col])
-        if size == 0.0:
-            return None
-        pivot_row = aug[best]
-        aug[best], aug[col] = aug[col], pivot_row
-        pivot, cols = pivot_row[col], range(col + 1, n + 1)
-        for row in aug[col + 1:]:
-            f = row[col] / pivot
-            if f != 0.0:
-                for j in cols:
-                    row[j] -= f * pivot_row[j]
-    x = [0.0] * n
-    for r in range(n - 1, -1, -1):
-        row = aug[r]
-        s = row[n]
-        for j in range(r + 1, n):
-            s -= row[j] * x[j]
-        x[r] = s / row[r]
-    return x
 
 
 def _solve_qp(H, c, G, h, warm=None):
@@ -589,6 +555,9 @@ def _solve(a: float, q_init: JointState, frame: _Frame, prev=None) -> _Solution:
             reason = "constraint system admits no feasible equilibrium"
             break
         x_new, mult, active = sol
+        if not all(map(math.isfinite, x_new)):
+            reason = "QP returned a non-finite iterate"
+            break
         carry = {i if i < 6 else 5 + rows[i - 6].phalanx: f for i, f in zip(active, mult)}
         step = [u - v for u, v in zip(x_new, x)]
         step_norm = math.hypot(*step)
@@ -619,10 +588,6 @@ def _solve(a: float, q_init: JointState, frame: _Frame, prev=None) -> _Solution:
 def _clip(x, frame):
     """``x`` moved into the joint box; a coordinate inside keeps its bits."""
     return tuple(map(min, map(max, x, frame.lo), frame.hi))
-
-
-def _cross(u, v) -> tuple:
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
 def _unit(v) -> tuple:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
+from .floats import _total
 from .params import FingerParams, JointState
 
 # Fixed alignment from the first link frame to the base convention above.
@@ -54,7 +55,7 @@ def unit_vector(v) -> np.ndarray | None:
     scale = float(np.abs(a).max())
     if not 0 < scale < math.inf:
         return None
-    if not np.finfo(float).tiny <= sum(x * x for x in a.tolist()) < math.inf:
+    if not np.finfo(float).tiny <= _total(x * x for x in a.tolist()) < math.inf:
         a = a / scale
     return a / np.linalg.norm(a)
 

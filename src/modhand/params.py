@@ -2,7 +2,8 @@
 
 All types are frozen dataclasses holding plain floats/tuples, so instances
 are immutable value objects: safe to share across workers, hashable where it
-matters, and exactly round-trippable through the JSON config format.
+matters, and exactly round-trippable through the JSON config format.  Their
+maps are computed on floats; only the methods returning arrays import numpy.
 
 Units are fixed package-wide: radians, millimeters, newtons, N*mm torques.
 Config documents are checked against the shipped schemas (schema/*.schema.json,
@@ -21,9 +22,8 @@ from functools import cache
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from .errors import ConfigSchemaError, ValidationError
+from .floats import _total
 
 SCHEMA_VERSION = 1
 
@@ -161,16 +161,22 @@ class DifferentialTrain:
             if not all(math.isfinite(x) for r in rows for x in r):
                 raise ValidationError(f"differential.{name} must be finite")
             object.__setattr__(self, name, rows)
-        if abs(np.linalg.det(self.composite())) < 1e-12:
+        (a, b), (c, d) = self.composite_rows()
+        if abs(a * d - b * c) < 1e-12:
             raise ValidationError("composite differential matrix is singular")
 
-    def composite(self) -> np.ndarray:
-        """Output-stage @ coupling @ motor-stage, the full drive-to-planetary map."""
-        return (
-            np.asarray(self.output_stage)
-            @ np.asarray(self.coupling)
-            @ np.asarray(self.motor_stage)
-        )
+    def composite_rows(self) -> tuple:
+        """Output-stage @ coupling @ motor-stage as float rows, the full
+        drive-to-planetary map; each entry summed left to right."""
+        rows = self.output_stage
+        for m in (self.coupling, self.motor_stage):
+            rows = tuple(tuple(_total(x * y for x, y in zip(r, c)) for c in zip(*m)) for r in rows)
+        return rows
+
+    def composite(self):
+        """composite_rows as a 2x2 array."""
+        import numpy as np
+        return np.array(self.composite_rows())
 
 
 @dataclass(frozen=True)
@@ -194,8 +200,8 @@ class CouplingModel:
             raise ValidationError("coupling ratio must have 3 entries")
         object.__setattr__(self, "constraint", rows)
         object.__setattr__(self, "ratio", ratio)
-        residual = np.asarray(rows) @ np.asarray(ratio)
-        if np.max(np.abs(residual)) > 1e-12 * max(1.0, float(np.max(np.abs(rows)))):
+        residual = [_total(c * x for c, x in zip(row, ratio)) for row in rows]
+        if max(map(abs, residual)) > 1e-12 * max(1.0, *(abs(x) for row in rows for x in row)):
             raise ValidationError("coupling constraint does not annihilate the ratio")
 
     @classmethod
@@ -268,7 +274,7 @@ class FingerParams:
     @property
     def reach(self) -> float:
         """Straight-finger distance from the composite joint to the tip, mm."""
-        return sum(self.link_lengths)
+        return _total(self.link_lengths)
 
 
 @cache
@@ -297,10 +303,12 @@ class JointState(_FiniteState):
     q2: float = 0.0
     q3: float = 0.0
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self):
+        import numpy as np
         return np.array([self.q_aa, self.q1, self.q2, self.q3])
 
-    def flexion(self) -> np.ndarray:
+    def flexion(self):
+        import numpy as np
         return np.array([self.q1, self.q2, self.q3])
 
     def within_limits(self, params: FingerParams, tol: float = 1e-9) -> bool:
@@ -317,7 +325,8 @@ class DriveState(_FiniteState):
     a1: float = 0.0
     a2: float = 0.0
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self):
+        import numpy as np
         return np.array([self.a1, self.a2])
 
 
@@ -328,7 +337,8 @@ class PlanetaryState(_FiniteState):
     theta1: float = 0.0
     theta2: float = 0.0
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self):
+        import numpy as np
         return np.array([self.theta1, self.theta2])
 
 

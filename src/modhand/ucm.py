@@ -4,17 +4,19 @@ The flexion chain is a three-joint transmission with one elastic element in
 series with the drive and three in parallel across the coupling gears.  Every
 quantity here is linear in the joint angles and the drive coordinate, so the
 Jacobians, stiffness matrices, and motion subspaces depend only on the
-structural parameters.
+structural parameters.  The matrices are at most 4x3, so they are computed
+on floats and held in float tuples; only the methods returning arrays import
+numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import SingularStiffnessError, ValidationError
+from .floats import _cross, _gauss, _total
 from .params import FingerParams
 
 
@@ -29,7 +31,8 @@ class TransmissionState:
         object.__setattr__(self, "serial", float(self.serial))
         object.__setattr__(self, "parallel", tuple(map(float, self.parallel)))
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self):
+        import numpy as np
         return np.array([self.serial, *self.parallel])
 
 
@@ -57,15 +60,16 @@ class TransmissionJacobians:
         object.__setattr__(self, "serial_drive", float(self.serial_drive))
         object.__setattr__(self, "parallel", par)
 
-    def stacked(self) -> np.ndarray:
-        """4x3 constraint matrix: serial row over the parallel block."""
-        return np.vstack([np.asarray(self.serial_joint), np.asarray(self.parallel)])
+    def stacked(self):
+        """4x3 constraint array: serial row over the parallel block."""
+        import numpy as np
+        return np.array([self.serial_joint, *self.parallel])
 
-    def full_matrix(self) -> np.ndarray:
-        """4x4 map from (q1, q2, q3, a) to (serial, parallel) deflections."""
-        top = np.concatenate([self.serial_joint, [self.serial_drive]])
-        bottom = np.hstack([np.asarray(self.parallel), np.zeros((3, 1))])
-        return np.vstack([top, bottom])
+    def full_matrix(self):
+        """4x4 array mapping (q1, q2, q3, a) to (serial, parallel) deflections."""
+        import numpy as np
+        return np.array([(*self.serial_joint, self.serial_drive),
+                         *((*row, 0.0) for row in self.parallel)])
 
 
 def jacobians_from_geometry(teeth, drive_radii, coupling_radii) -> TransmissionJacobians:
@@ -103,12 +107,37 @@ def transmission_state(q_fe, a: float, params: FingerParams) -> TransmissionStat
     return TransmissionState(serial, [p1 * q1 + p2 * q2 + p3 * q3 for p1, p2, p3 in jac.parallel])
 
 
+def _singular_values(rows) -> list:
+    """Singular values, largest first, of the matrix with ``rows`` (3 columns)
+    by one-sided Jacobi: rotate column pairs until all are orthogonal to
+    rounding; the column norms are then the singular values, the small ones to
+    high relative accuracy (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 1992)."""
+    cols = [list(c) for c in zip(*rows)]
+    for _ in range(30):  # a 3-column matrix takes a few sweeps
+        rotated = False
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            u, v = cols[i], cols[j]
+            alpha, beta = _total(x * x for x in u), _total(y * y for y in v)
+            gamma = _total(x * y for x, y in zip(u, v))
+            if abs(gamma) <= 1e-15 * math.sqrt(alpha * beta):
+                continue
+            rotated = True
+            zeta = (beta - alpha) / (2.0 * gamma)
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            c = 1.0 / math.hypot(1.0, t)
+            s = c * t
+            cols[i] = [c * x - s * y for x, y in zip(u, v)]
+            cols[j] = [s * x + c * y for x, y in zip(u, v)]
+        if not rotated:
+            break
+    return sorted((math.sqrt(_total(x * x for x in col)) for col in cols), reverse=True)
+
+
 def stacked_constraint_rank(jac: TransmissionJacobians, rtol: float = 1e-10) -> int:
-    """Numerical rank of the stacked 4x3 constraint matrix."""
-    sv = np.linalg.svd(jac.stacked(), compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > rtol * sv[0]))
+    """Numerical rank of the stacked 4x3 constraint matrix: its singular
+    values above ``rtol`` times the largest."""
+    sv = _singular_values((jac.serial_joint, *jac.parallel))
+    return sum(s > rtol * sv[0] for s in sv)
 
 
 def constraint_rank(params: FingerParams) -> int:
@@ -123,100 +152,90 @@ def is_transmission_stable(params: FingerParams) -> bool:
 
 @dataclass(frozen=True)
 class StiffnessSet:
-    """Quadratic-form blocks of the elastic energy in (q, a)."""
+    """Quadratic-form blocks of the elastic energy in (q, a), as floats."""
 
-    joint: np.ndarray        # 3x3, symmetric
-    drive: float             # scalar
-    joint_drive: np.ndarray  # 3-vector coupling block
+    joint: tuple        # 3 rows of 3, symmetric
+    drive: float
+    joint_drive: tuple  # 3-vector coupling block
     positive_definite: bool
     min_eigenvalue: float
 
-    def __post_init__(self):
-        joint = np.array(self.joint, dtype=float)
-        joint.setflags(write=False)
-        jd = np.array(self.joint_drive, dtype=float)
-        jd.setflags(write=False)
-        object.__setattr__(self, "joint", joint)
-        object.__setattr__(self, "joint_drive", jd)
+
+def _cholesky_runs(H) -> bool:
+    """Whether Cholesky on the lower triangle of the symmetric ``H`` finds every
+    pivot positive, LAPACK's test of positive definiteness."""
+    L = []
+    for i, row in enumerate(H):
+        li = []
+        for j in range(i):
+            li.append((row[j] - _total(a * b for a, b in zip(li, L[j]))) / L[j][j])
+        pivot = row[i] - _total(a * a for a in li)
+        if not pivot > 0.0:
+            return False
+        L.append([*li, math.sqrt(pivot)])
+    return True
 
 
 def stiffness_matrices(params: FingerParams) -> StiffnessSet:
     """Joint, drive, and joint-drive stiffness blocks.
 
-    The spring constants are the finger's own; FingerParams keeps them
-    strictly positive.
+    The joint block ks s's + P' diag(kp) P (serial row s, parallel block P) is
+    A'A for A the rows sqrt(ks) s over sqrt(kp_i) P_i, so its least eigenvalue
+    is A's least singular value squared.  FingerParams keeps the spring
+    constants strictly positive.
     """
-    ks = params.spring_serial
-    kp = np.asarray(params.spring_parallel)
-
+    ks, kp = params.spring_serial, params.spring_parallel
     jac = transmission_jacobians(params)
-    sj = np.asarray(jac.serial_joint)
-    par = np.asarray(jac.parallel)
-    joint = ks * np.outer(sj, sj) + par.T @ (kp[:, None] * par)
-    joint = 0.5 * (joint + joint.T)  # exact symmetry against rounding
-    drive = ks * jac.serial_drive**2
-    joint_drive = sj * ks * jac.serial_drive
-
-    try:
-        np.linalg.cholesky(joint)
-        pd = True
-    except np.linalg.LinAlgError:
-        pd = False
-    min_eig = float(np.linalg.eigvalsh(joint)[0])
+    sj, sd, cols = jac.serial_joint, jac.serial_drive, tuple(zip(*jac.parallel))
+    joint = [[ks * (u * v) + _total(p * (k * q) for p, k, q in zip(ci, kp, cj))
+              for v, cj in zip(sj, cols)] for u, ci in zip(sj, cols)]
+    joint = tuple(tuple(0.5 * (a + b) for a, b in zip(row, col))  # exact symmetry
+                  for row, col in zip(joint, zip(*joint)))
+    scaled = [[math.sqrt(k) * x for x in row] for k, row in zip((ks, *kp), (sj, *jac.parallel))]
     return StiffnessSet(
         joint=joint,
-        drive=drive,
-        joint_drive=joint_drive,
-        positive_definite=pd,
-        min_eigenvalue=min_eig,
+        drive=ks * sd**2,
+        joint_drive=tuple(u * ks * sd for u in sj),
+        positive_definite=_cholesky_runs(joint),
+        min_eigenvalue=_singular_values(scaled)[-1] ** 2,
     )
 
 
 @dataclass(frozen=True)
 class MotionSubspaces:
-    """Directions the drive produces and the compliance admits.
+    """Directions the drive produces and the compliance admits, as floats.
 
     active_direction: unit joint-velocity direction per unit drive input.
-    passive_basis: orthonormal basis (2 x 3) of the plane of joint motions
-    the gear train admits without drive motion.
+    passive_basis: orthonormal basis (2 rows of 3) of the plane of joint
+    motions the gear train admits without drive motion.
     passive_normal: coefficients of that plane equation.
     active_force: joint-torque row the drive applies per unit actuator force.
     drive_sensitivity: unnormalized joint response to drive input.
     """
 
-    active_direction: np.ndarray
-    passive_basis: np.ndarray
-    passive_normal: np.ndarray
-    active_force: np.ndarray
-    drive_sensitivity: np.ndarray
-
-    def __post_init__(self):
-        for name in (
-            "active_direction",
-            "passive_basis",
-            "passive_normal",
-            "active_force",
-            "drive_sensitivity",
-        ):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    active_direction: tuple
+    passive_basis: tuple
+    passive_normal: tuple
+    active_force: tuple
+    drive_sensitivity: tuple
 
 
-def _plane_basis(normal: np.ndarray) -> np.ndarray:
+def _normalized(v) -> tuple:
+    """``v`` over its norm taken as numpy takes it, the square root of the sum of squares."""
+    norm = math.sqrt(_total(x * x for x in v))
+    return tuple(x / norm for x in v)
+
+
+def _plane_basis(normal) -> tuple:
     """Deterministic orthonormal basis of the plane {x : normal . x = 0}:
     project the first coordinate axis onto the plane (second axis if the
     normal is parallel to the first), then complete with the cross product."""
-    n = normal / np.linalg.norm(normal)
-    seed = np.array([1.0, 0.0, 0.0])
-    b1 = seed - np.dot(seed, n) * n
-    if np.linalg.norm(b1) < 1e-9:
-        seed = np.array([0.0, 1.0, 0.0])
-        b1 = seed - np.dot(seed, n) * n
-    b1 = b1 / np.linalg.norm(b1)
-    b2 = np.cross(n, b1)
-    b2 = b2 / np.linalg.norm(b2)
-    return np.vstack([b1, b2])
+    n0, n1, n2 = n = _normalized(normal)
+    b1 = (1.0 - n0 * n0, 0.0 - n0 * n1, 0.0 - n0 * n2)  # e1 - (e1.n) n, zeros kept +0.0
+    if math.sqrt(_total(x * x for x in b1)) < 1e-9:
+        b1 = (0.0 - n1 * n0, 1.0 - n1 * n1, 0.0 - n1 * n2)
+    first = _normalized(b1)
+    return first, _normalized(_cross(n, first))
 
 
 def motion_subspaces(params: FingerParams) -> MotionSubspaces:
@@ -228,19 +247,15 @@ def motion_subspaces(params: FingerParams) -> MotionSubspaces:
     if not stiff.positive_definite:
         raise SingularStiffnessError("joint stiffness matrix is not positive definite")
 
-    drive_row = -np.asarray(transmission_jacobians(params).serial_joint)
-    response = np.linalg.solve(stiff.joint, drive_row)
-    active = response / np.linalg.norm(response)
-
-    normal = np.array([rc1 * z1 / z3, rc2 * z2 / z3, rc3])
-    basis = _plane_basis(normal)
-
-    force_row = np.array([(z1 / z3) * rd1, (z2 / z3) * rd2, rd3])
-    sensitivity = -np.linalg.solve(stiff.joint, stiff.joint_drive)
+    # the drive row is -serial_joint, and -H^-1 b solves H x = -b bit for bit
+    serial_joint = transmission_jacobians(params).serial_joint
+    response = _gauss([[*row, -s] for row, s in zip(stiff.joint, serial_joint)])
+    sensitivity = _gauss([[*row, -d] for row, d in zip(stiff.joint, stiff.joint_drive)])
+    normal = (rc1 * z1 / z3, rc2 * z2 / z3, rc3)
     return MotionSubspaces(
-        active_direction=active,
-        passive_basis=basis,
+        active_direction=_normalized(response),
+        passive_basis=_plane_basis(normal),
         passive_normal=normal,
-        active_force=force_row,
-        drive_sensitivity=sensitivity,
+        active_force=((z1 / z3) * rd1, (z2 / z3) * rd2, rd3),
+        drive_sensitivity=tuple(sensitivity),
     )

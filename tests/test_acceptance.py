@@ -111,7 +111,8 @@ def test_criterion_03_ucm_structure():
     assert jac.serial_joint == (-11.0, -11.0, -11.0)
     assert constraint_rank(P) == 3
     stiff = stiffness_matrices(P)
-    assert np.array_equal(stiff.joint, stiff.joint.T)
+    joint = np.asarray(stiff.joint)
+    assert np.array_equal(joint, joint.T)
     assert stiff.positive_definite
 
     rng = np.random.default_rng(303)

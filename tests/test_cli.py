@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from modhand import grasp
 from modhand.cli import main
 from modhand.params import params_to_dict, default_params
 
@@ -233,6 +234,80 @@ print(json.dumps([loaded, differ]))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(PACKAGE_EXPORTS)],
                           capture_output=True, text=True, check=True)
     assert json.loads(proc.stdout) == [False, []]
+
+
+SHORT_REPORTS = [
+    ["drive-map", "--a1", "0.3", "--a2", "-0.2"],
+    ["drive-map", "--a1", "0.3", "--a2", "-0.2", "--format", "json"],
+    ["ucm-report"],
+    ["ucm-report", "--format", "json"],
+    ["ucm-report", "--config", "text-ratio"],
+    ["ucm-report", "--config", "text-ratio", "--format", "json"],
+]
+
+
+def test_short_reports_load_no_numpy():
+    # In a fresh process: drive-map and ucm-report compute on floats, so
+    # neither numpy nor the array modules are ever imported.
+    script = """
+import contextlib, io, json, sys
+from modhand import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+loaded = [m for m in ("numpy", "modhand.kinematics", "modhand.hand") if m in sys.modules]
+print(json.dumps([codes, loaded]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(SHORT_REPORTS)],
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == [[0] * len(SHORT_REPORTS), []]
+
+
+def test_array_subcommands_call_the_names_bound_on_the_cli_module():
+    # In a fresh process, as a tracer wraps them: the kinematics and hand
+    # names resolve on the CLI module without its import loading them, a
+    # wrapper set there is what workspace calls, and restoring it holds.
+    script = """
+import contextlib, io, json, sys
+import modhand.cli as cli
+unloaded = not {"modhand.kinematics", "modhand.hand"} & set(sys.modules)
+from modhand import hand, kinematics
+names = {"sample_workspace": kinematics, "points_to_csv": kinematics, "hand_fk": hand}
+resolved = all(getattr(cli, name) is getattr(module, name) for name, module in names.items())
+original, calls = cli.sample_workspace, []
+def wrapper(*args, **kwargs):
+    calls.append(args[1])
+    return original(*args, **kwargs)
+cli.sample_workspace = wrapper
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["workspace", "--n", "3", "--seed", "0"])]
+    cli.sample_workspace = original
+    codes.append(cli.main(["workspace", "--n", "4", "--seed", "0"]))
+print(json.dumps([unloaded, resolved, codes, calls, cli.sample_workspace is original]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True)
+    assert json.loads(proc.stdout) == [True, True, [0, 0], [3], True]
+
+
+def test_non_finite_qp_point_ends_the_sweep_non_converged(monkeypatch, capsys):
+    # A QP point that is not finite fails its step with a named cause: the
+    # solved steps are kept and envelop exits 2, as for any non-convergence.
+    solve_qp, calls = grasp._solve_qp, []
+
+    def poisoned(*args, **kwargs):
+        sol = solve_qp(*args, **kwargs)
+        calls.append(sol)
+        return sol if sol is None or len(calls) < 10 else ((math.nan,) * 3, *sol[1:])
+
+    monkeypatch.setattr(grasp, "_solve_qp", poisoned)
+    code, out, err = run_cli(["envelop", "--sphere-d", "40", "--center", "34,28,0",
+                              "--a-max", "27.5", "--steps", "40"], capsys)
+    records = [json.loads(line) for line in out.splitlines()]
+    step, cause = records[-1]["step"], "QP returned a non-finite iterate"
+    assert code == 2 and step > 0
+    assert [r["step"] for r in records] == list(range(step + 1))
+    assert records[-1] == {"step": step, "status": "non-converged", "cause": cause}
+    assert err == f"error: sweep failed at step {step}: {cause}\n"
 
 
 def test_envelop_validates_center(capsys):

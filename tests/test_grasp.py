@@ -669,6 +669,26 @@ def test_traces_do_not_depend_on_the_sum_algorithm():
     assert compensated == plain
 
 
+def test_short_reports_do_not_depend_on_the_sum_algorithm(capsys):
+    # The float report code adds left to right too: with 3.12's sum in the
+    # modules drive-map and ucm-report run, they print the same bytes.
+    from modhand import cli, drive, params, ucm
+
+    reports = [[*argv, *fmt] for fmt in ([], ["--format", "json"]) for argv in (
+        ["drive-map", "--a1", "0.7", "--a2", "-0.3"], ["ucm-report"],
+        ["ucm-report", "--config", "text-ratio"])]
+
+    def outputs():
+        assert [cli.main(argv) for argv in reports] == [0] * len(reports)
+        return capsys.readouterr().out
+
+    plain = outputs()
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (ucm, params, drive):
+            mp.setattr(module, "sum", sum_312, raising=False)
+        assert outputs() == plain
+
+
 def test_sweep_rejects_decreasing_schedule():
     obj = RigidObject.sphere((30.0, 25.0, 0.0), 15.0)
     with pytest.raises(ValidationError):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from modhand import ucm
 from modhand.errors import ValidationError
-from modhand.params import FingerParams, default_params
+from modhand.params import FingerParams, default_params, text_ratio_params
 from modhand.ucm import (
     constraint_rank,
     is_transmission_stable,
@@ -110,7 +113,8 @@ def test_constraint_rank_never_exceeds_three():
 
 def test_stiffness_values_default():
     st = stiffness_matrices(P)
-    assert np.allclose(st.joint, st.joint.T, atol=0)
+    joint = np.asarray(st.joint)
+    assert np.allclose(joint, joint.T, atol=0)
     assert st.positive_definite
     assert st.min_eigenvalue > 0
     assert st.drive == 50.0
@@ -159,18 +163,124 @@ def test_passive_plane_default_coefficients():
 
 def test_passive_basis_orthonormal_and_in_plane():
     ms = motion_subspaces(P)
-    gram = ms.passive_basis @ ms.passive_basis.T
+    basis = np.asarray(ms.passive_basis)
+    gram = basis @ basis.T
     assert np.allclose(gram, np.eye(2), atol=1e-12)
-    residuals = ms.passive_basis @ ms.passive_normal
+    residuals = basis @ ms.passive_normal
     assert np.max(np.abs(residuals)) < 1e-12
 
 
 def test_active_direction_not_in_passive_plane():
     ms = motion_subspaces(P)
-    assert float(ms.passive_normal @ ms.active_direction) > 0.0
+    assert float(np.asarray(ms.passive_normal) @ np.asarray(ms.active_direction)) > 0.0
 
 
 def test_drive_sensitivity_parallel_to_active_direction():
     ms = motion_subspaces(P)
     unit = ms.drive_sensitivity / np.linalg.norm(ms.drive_sensitivity)
     assert np.allclose(unit, ms.active_direction, atol=1e-12)
+
+
+# --------------------------------------------------------------------------
+# The float report algebra, with numpy as the oracle
+# --------------------------------------------------------------------------
+
+def reference_joint_stiffness(params):
+    """The joint stiffness block as numpy forms it: ks s s' + P' (kp P), symmetrized."""
+    ks, kp = params.spring_serial, np.asarray(params.spring_parallel)
+    jac = transmission_jacobians(params)
+    sj, par = np.asarray(jac.serial_joint), np.asarray(jac.parallel)
+    joint = ks * np.outer(sj, sj) + par.T @ (kp[:, None] * par)
+    return 0.5 * (joint + joint.T)
+
+
+def triples(values):
+    return st.tuples(values, values, values)
+
+
+TEETH = triples(st.integers(1, 59))
+# The 1000-draw family of test_positive_definite_for_1000_random_draws, and
+# the same ranges with integer-valued springs and radii.
+FINGERS = st.builds(
+    FingerParams, drive_teeth=TEETH, drive_radii=triples(st.floats(0.5, 30.0)),
+    coupling_radii=triples(st.floats(0.5, 30.0)), spring_serial=st.floats(0.1, 1e4),
+    spring_parallel=triples(st.floats(0.1, 1e4)))
+INTEGER_FINGERS = st.builds(
+    FingerParams, drive_teeth=TEETH, drive_radii=triples(st.integers(1, 30)),
+    coupling_radii=triples(st.integers(1, 30)), spring_serial=st.integers(1, 10_000),
+    spring_parallel=triples(st.integers(1, 10_000)))
+ENV_SPRINGS = FingerParams(spring_serial=200.0, spring_parallel=(300.0, 300.0, 0.2))
+
+
+@pytest.mark.parametrize("params", [P, text_ratio_params(), ENV_SPRINGS],
+                         ids=["default", "text-ratio", "env-springs"])
+def test_named_stiffness_is_numpys_bit_for_bit(params):
+    joint = np.array(stiffness_matrices(params).joint)
+    assert joint.tobytes() == reference_joint_stiffness(params).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(params=st.one_of(FINGERS, INTEGER_FINGERS))
+def test_float_report_algebra_matches_numpy(params):
+    stiff = stiffness_matrices(params)
+    joint, reference = np.array(stiff.joint), reference_joint_stiffness(params)
+    integral = (*params.drive_radii, *params.coupling_radii, params.spring_serial,
+                *params.spring_parallel)
+    if all(v.is_integer() for v in integral):
+        assert joint.tobytes() == reference.tobytes()
+    else:
+        # numpy's matrix product may fuse a multiply-add in P' (kp P): 1 ulp
+        # there, and with the rounding of adding ks s s', up to 2 ulps in H
+        assert np.all(np.abs(joint - reference) <= 2 * np.spacing(np.abs(reference)))
+    norm = np.linalg.norm(reference, 2)
+    assert abs(stiff.min_eigenvalue - np.linalg.eigvalsh(reference)[0]) <= 1e-13 * norm
+    try:
+        np.linalg.cholesky(joint)
+        cholesky = True
+    except np.linalg.LinAlgError:
+        cholesky = False
+    assert stiff.positive_definite == cholesky
+
+    # Two backward-stable solves of one system differ by up to about
+    # cond(H) eps relative: 1.3e-12 on the unit active direction at cond 5.8e4,
+    # where each lies within 1.3e-16 of the exact solution (0.00013).
+    tol = max(1e-12, 10 * np.linalg.cond(joint) * np.finfo(float).eps)
+    ms = motion_subspaces(params)
+    response = np.linalg.solve(joint, -np.asarray(transmission_jacobians(params).serial_joint))
+    active = response / np.linalg.norm(response)
+    assert np.max(np.abs(np.asarray(ms.active_direction) - active)) <= tol
+    sensitivity = -np.linalg.solve(joint, np.asarray(stiff.joint_drive))
+    scale = np.max(np.abs(sensitivity))
+    assert np.max(np.abs(np.asarray(ms.drive_sensitivity) - sensitivity)) <= tol * scale
+
+
+# A radius that is zero, near zero or ordinary, so the stacks are rank 0 to 3.
+RADIUS = st.one_of(st.just(0.0), st.floats(1e-14, 1e-6), st.floats(0.1, 30.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(teeth=TEETH, drive=triples(RADIUS), coupling=triples(RADIUS))
+def test_float_rank_matches_numpy_svd(teeth, drive, coupling):
+    jac = jacobians_from_geometry(teeth, drive, coupling)
+    sv = np.linalg.svd(jac.stacked(), compute_uv=False)
+    if sv[0] > 0 and np.any(np.abs(sv / (1e-10 * sv[0]) - 1.0) <= 1e-6):
+        return  # numpy's own verdict rests on the threshold's rounding
+    expected = 0 if sv[0] == 0.0 else int(np.sum(sv > 1e-10 * sv[0]))
+    assert stacked_constraint_rank(jac) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(entries=st.lists(st.floats(-10.0, 10.0), min_size=9, max_size=9),
+       shift=st.floats(-50.0, 50.0))
+def test_float_cholesky_verdict_matches_lapack(entries, shift):
+    # B'B + shift I is positive definite, semidefinite or indefinite.
+    B = np.array(entries).reshape(3, 3)
+    H = B.T @ B + shift * np.eye(3)
+    if abs(np.linalg.eigvalsh(H)[0]) <= 1e-12 * max(np.linalg.norm(H, 2), 1e-300):
+        return  # rounding decides a pivot this close to zero
+    try:
+        np.linalg.cholesky(H)
+        expected = True
+    except np.linalg.LinAlgError:
+        expected = False
+    assert ucm._cholesky_runs(tuple(map(tuple, H.tolist()))) == expected

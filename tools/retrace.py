@@ -108,7 +108,7 @@ def optimality(grasp, step, params, obj) -> tuple:
     hits = {hit.phalanx: hit for hit in grasp._kernel(x, frame)}
     H = grasp.stiffness_matrices(params).joint
     grad = grasp.elastic_energy_gradient(x, step.a, params)
-    residual, W, rows = grad.copy(), H.copy(), []
+    residual, W, rows = grad.copy(), np.array(H, dtype=float), []
     for c in step.contacts:
         residual -= c.force * np.asarray(hits[c.phalanx].grad)
         if c.force > 0.0:
