@@ -276,7 +276,7 @@ def cmd_hand_fk(args) -> int:
              "params": params_to_dict(m.params), "aa_spring": m.aa_spring}
             for m in layout.fingers
         ],
-        "joints": [s.as_array().tolist() for s in states],
+        "joints": [list(s.as_array()) for s in states],
     })
     if args.format == "json":
         payload = {

@@ -33,8 +33,9 @@ elimination with partial pivoting; the QP tries the rows its last solve
 rested on first, then the subsets nearest them.  Certification fits the
 multipliers of those rows by modified Gram-Schmidt, and the curved model's
 rank test and eigenproblems (at most 2x2, on the active rows' null space)
-are closed forms.  The stiffness blocks arrive as float tuples; numpy stays in
-frame setup (rotation, H's norm and top eigenvalue) and at the public API.
+are closed forms.  The stiffness blocks arrive as float tuples, and frame
+setup reads the DH pose into floats; numpy only for H's top eigenvalue
+(LAPACK), whose bits the curvature floor reads.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from itertools import chain, combinations
-from operator import neg
+from operator import neg, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -180,21 +181,22 @@ def _frame(pose, params: FingerParams, obj: RigidObject | None) -> _Frame:
     the object moved into it: a sphere keeps its out-of-plane centre offset,
     a half-space its normal and a point of its boundary plane.  The stiffness
     blocks are evaluated here, once per frame."""
-    rot, origin = pose[:3, :3], pose[:3, 3]
+    rows = pose.tolist()[:3]
+    rot, origin = tuple(tuple(r[:3]) for r in rows), tuple(r[3] for r in rows)
+    axes = tuple(zip(*rot))  # rot's columns, so _dot(axis, v) is rot' v
     if obj is not None and obj.shape == "sphere":
-        obj = RigidObject.sphere(rot.T @ (np.asarray(obj.center) - origin), obj.radius)
+        centre = [*map(sub, obj.center, origin)]
+        obj = RigidObject.sphere([_dot(e, centre) for e in axes], obj.radius)
     elif obj is not None:
-        obj = RigidObject.half_space(
-            rot.T @ (np.asarray(obj.point) - origin), rot.T @ np.asarray(obj.normal)
-        )
+        point = [*map(sub, obj.point, origin)]
+        obj = RigidObject.half_space([_dot(e, point) for e in axes],
+                                     [_dot(e, obj.normal) for e in axes])
     lo, hi = zip(*params.joint_limits[1:])
     stiff = stiffness_matrices(params)
-    H = np.array(stiff.joint)
-    return _Frame(
-        tuple(map(tuple, rot.tolist())), tuple(origin.tolist()), params, obj,
-        lo, hi, lo + tuple(-v for v in hi), stiff.joint,
-        float(np.linalg.norm(H, ord="fro")), float(np.linalg.eigvalsh(H)[-1]), stiff.joint_drive,
-    )
+    H = stiff.joint
+    return _Frame(rot, origin, params, obj, lo, hi, lo + tuple(-v for v in hi), H,
+                  math.sqrt(_total(h * h for row in H for h in row)),
+                  float(np.linalg.eigvalsh(H)[-1]), stiff.joint_drive)
 
 
 def _solve_frame(q_aa: float, params: FingerParams, obj: RigidObject | None) -> _Frame:
@@ -341,11 +343,18 @@ def _stored_energy(state: TransmissionState, params: FingerParams) -> float:
     return 0.5 * params.spring_serial * state.serial**2 + 0.5 * parallel
 
 
-def elastic_energy_gradient(q_fe, a: float, params: FingerParams) -> np.ndarray:
+def elastic_energy_gradient(q_fe, a: float, params: FingerParams) -> tuple:
     """Analytic gradient of elastic_energy with respect to the flexion angles."""
     stiff = stiffness_matrices(params)
-    H, joint_drive = np.array(stiff.joint), np.array(stiff.joint_drive)
-    return H @ np.asarray(q_fe, dtype=float) + joint_drive * float(a)
+    c = tuple(d * float(a) for d in stiff.joint_drive)
+    return _gradient(stiff.joint, c, tuple(map(float, q_fe)))
+
+
+def _gradient(H, c, x) -> tuple:
+    """The energy's gradient H x + c, c the joint-drive block times the drive,
+    each row summed left to right."""
+    x0, x1, x2 = x
+    return tuple(h0 * x0 + h1 * x1 + h2 * x2 + ci for (h0, h1, h2), ci in zip(H, c))
 
 
 # --------------------------------------------------------------------------
@@ -701,8 +710,7 @@ def _certify_kkt(x, frame, c, hits, rested):
     dominates when the gradient vanishes and the stiffnesses are large."""
     if hits.least < -PENETRATION_TOL:
         return None
-    rows, (x0, x1, x2) = hits.rows, x
-    grad = tuple(h0 * x0 + h1 * x1 + h2 * x2 + ci for (h0, h1, h2), ci in zip(frame.H_rows, c))
+    rows, grad = hits.rows, _gradient(frame.H_rows, c, x)
 
     # The fit's columns: the stops by joint, then the contacts proximal to distal.
     keys = [k for j, v, lo, hi in zip(range(3), x, frame.lo, frame.hi)
@@ -847,26 +855,23 @@ def inscribed_sphere(params: FingerParams, q1: float):
     ratio = params.coupling_model().ratio
     q2 = q1 * ratio[1] / ratio[0]
     q3 = q1 * ratio[2] / ratio[0]
-    cums = (q1, q1 + q2, q1 + q2 + q3)
-    pts = [np.zeros(2)]
-    for L, cum in zip(params.link_lengths, cums):
-        pts.append(pts[-1] + L * np.array([math.cos(cum), math.sin(cum)]))
-    rows, rhs = [], []
-    for i, cum in enumerate(cums):
-        inward = np.array([-math.sin(cum), math.cos(cum)])
-        rows.append([inward[0], inward[1], -1.0])
-        rhs.append(float(inward @ pts[i]) + params.link_radii[i])
-    sol = np.linalg.solve(np.asarray(rows), np.asarray(rhs))
-    cx, cy, radius = sol
-    if radius <= 0:
+    px, py, aug = 0.0, 0.0, []
+    for L, r, cum in zip(params.link_lengths, params.link_radii, (q1, q1 + q2, q1 + q2 + q3)):
+        nx, ny = -math.sin(cum), math.cos(cum)  # inward normal of the axis
+        aug.append([nx, ny, -1.0, nx * px + ny * py + r])
+        px, py = px + L * math.cos(cum), py + L * math.sin(cum)
+    sol = _gauss(aug)
+    if sol is None or not sol[2] > 0:
         raise ValidationError("posture admits no inscribed sphere")
-    return (float(cx), float(cy), 0.0), float(radius)
+    cx, cy, radius = sol
+    return (cx, cy, 0.0), radius
 
 
-def enveloping_pose_for_radius(params: FingerParams, radius: float, tol: float = 1e-10):
+def enveloping_pose_for_radius(params: FingerParams, radius: float):
     """MCP angle on the coupled line whose inscribed sphere has the given
     radius, plus that sphere's center.  Bisection over the coupled flexion
-    range; raises ValidationError when the radius is out of reach."""
+    range to a 1e-10 rad bracket; raises ValidationError when the radius is
+    out of reach."""
     lo, hi = coupled_flexion_range(params)
     lo = max(lo, 1e-3)
     r_lo, r_hi = (inscribed_sphere(params, q1)[1] for q1 in (lo, hi))
@@ -877,7 +882,7 @@ def enveloping_pose_for_radius(params: FingerParams, radius: float, tol: float =
         mid = 0.5 * (lo + hi)
         above = inscribed_sphere(params, mid)[1] > radius
         lo, hi = (mid, hi) if above == decreasing else (lo, mid)
-        if hi - lo < tol:
+        if hi - lo < 1e-10:
             break
     q1 = 0.5 * (lo + hi)
     center, _ = inscribed_sphere(params, q1)

@@ -145,7 +145,7 @@ def forward_kinematics(
 
     ``base`` is an optional world transform of the finger root (4 x 4).
     """
-    stacks = _chain(q.as_array()[None], params, base)
+    stacks = _chain(np.array([q.as_array()]), params, base)
     return FingerPoseChain(
         base=np.eye(4) if base is None else base,
         frames=tuple(stack[0] for stack in stacks),

@@ -3,7 +3,8 @@
 All types are frozen dataclasses holding plain floats/tuples, so instances
 are immutable value objects: safe to share across workers, hashable where it
 matters, and exactly round-trippable through the JSON config format.  Their
-maps are computed on floats; only the methods returning arrays import numpy.
+maps are computed on floats and their vectors are float tuples; nothing here
+imports numpy.
 
 Units are fixed package-wide: radians, millimeters, newtons, N*mm torques.
 Config documents are checked against the shipped schemas (schema/*.schema.json,
@@ -173,11 +174,6 @@ class DifferentialTrain:
             rows = tuple(tuple(_total(x * y for x, y in zip(r, c)) for c in zip(*m)) for r in rows)
         return rows
 
-    def composite(self):
-        """composite_rows as a 2x2 array."""
-        import numpy as np
-        return np.array(self.composite_rows())
-
 
 @dataclass(frozen=True)
 class CouplingModel:
@@ -303,18 +299,16 @@ class JointState(_FiniteState):
     q2: float = 0.0
     q3: float = 0.0
 
-    def as_array(self):
-        import numpy as np
-        return np.array([self.q_aa, self.q1, self.q2, self.q3])
+    def as_array(self) -> tuple:
+        return self.q_aa, self.q1, self.q2, self.q3
 
-    def flexion(self):
-        import numpy as np
-        return np.array([self.q1, self.q2, self.q3])
+    def flexion(self) -> tuple:
+        return self.q1, self.q2, self.q3
 
-    def within_limits(self, params: FingerParams, tol: float = 1e-9) -> bool:
+    def within_limits(self, params: FingerParams) -> bool:
+        """Whether every angle lies within its limits, up to 1e-9 rad."""
         return all(
-            lo - tol <= v <= hi + tol
-            for v, (lo, hi) in zip((self.q_aa, self.q1, self.q2, self.q3), params.joint_limits)
+            lo - 1e-9 <= v <= hi + 1e-9 for v, (lo, hi) in zip(self.as_array(), params.joint_limits)
         )
 
 
@@ -325,9 +319,8 @@ class DriveState(_FiniteState):
     a1: float = 0.0
     a2: float = 0.0
 
-    def as_array(self):
-        import numpy as np
-        return np.array([self.a1, self.a2])
+    def as_array(self) -> tuple:
+        return self.a1, self.a2
 
 
 @dataclass(frozen=True)
@@ -337,9 +330,8 @@ class PlanetaryState(_FiniteState):
     theta1: float = 0.0
     theta2: float = 0.0
 
-    def as_array(self):
-        import numpy as np
-        return np.array([self.theta1, self.theta2])
+    def as_array(self) -> tuple:
+        return self.theta1, self.theta2
 
 
 def default_params() -> FingerParams:
@@ -403,15 +395,11 @@ def params_to_dict(p: FingerParams) -> dict:
     """Serialize to the config-document form; inverse of params_from_dict."""
     return {
         "version": SCHEMA_VERSION,
-        "teeth": list(p.drive_teeth),
-        "drive_radii_mm": list(p.drive_radii),
-        "coupling_radii_mm": list(p.coupling_radii),
+        **{key: list(getattr(p, name)) for key, name in _LISTS},
         "springs": {
             "serial": p.spring_serial,
             "parallel": list(p.spring_parallel),
         },
-        "links_mm": list(p.link_lengths),
-        "link_radii_mm": list(p.link_radii),
         "limits": {
             key: list(pair) for key, pair in zip(_LIMIT_KEYS, p.joint_limits)
         },

@@ -5,8 +5,7 @@ series with the drive and three in parallel across the coupling gears.  Every
 quantity here is linear in the joint angles and the drive coordinate, so the
 Jacobians, stiffness matrices, and motion subspaces depend only on the
 structural parameters.  The matrices are at most 4x3, so they are computed
-on floats and held in float tuples; only the methods returning arrays import
-numpy.
+on floats and held in float tuples; nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -31,9 +30,8 @@ class TransmissionState:
         object.__setattr__(self, "serial", float(self.serial))
         object.__setattr__(self, "parallel", tuple(map(float, self.parallel)))
 
-    def as_array(self):
-        import numpy as np
-        return np.array([self.serial, *self.parallel])
+    def as_array(self) -> tuple:
+        return self.serial, *self.parallel
 
 
 @dataclass(frozen=True)
@@ -59,17 +57,6 @@ class TransmissionJacobians:
         object.__setattr__(self, "serial_joint", sj)
         object.__setattr__(self, "serial_drive", float(self.serial_drive))
         object.__setattr__(self, "parallel", par)
-
-    def stacked(self):
-        """4x3 constraint array: serial row over the parallel block."""
-        import numpy as np
-        return np.array([self.serial_joint, *self.parallel])
-
-    def full_matrix(self):
-        """4x4 array mapping (q1, q2, q3, a) to (serial, parallel) deflections."""
-        import numpy as np
-        return np.array([(*self.serial_joint, self.serial_drive),
-                         *((*row, 0.0) for row in self.parallel)])
 
 
 def jacobians_from_geometry(teeth, drive_radii, coupling_radii) -> TransmissionJacobians:
@@ -133,11 +120,11 @@ def _singular_values(rows) -> list:
     return sorted((math.sqrt(_total(x * x for x in col)) for col in cols), reverse=True)
 
 
-def stacked_constraint_rank(jac: TransmissionJacobians, rtol: float = 1e-10) -> int:
-    """Numerical rank of the stacked 4x3 constraint matrix: its singular
-    values above ``rtol`` times the largest."""
+def stacked_constraint_rank(jac: TransmissionJacobians) -> int:
+    """Numerical rank of the stacked 4x3 constraint matrix, the serial row
+    over the parallel block: its singular values above 1e-10 times the largest."""
     sv = _singular_values((jac.serial_joint, *jac.parallel))
-    return sum(s > rtol * sv[0] for s in sv)
+    return sum(s > 1e-10 * sv[0] for s in sv)
 
 
 def constraint_rank(params: FingerParams) -> int:

@@ -135,7 +135,8 @@ def test_criterion_03_ucm_structure():
 
 def test_criterion_04_jacobian_finite_differences():
     rng = np.random.default_rng(404)
-    full = transmission_jacobians(P).full_matrix()
+    jac = transmission_jacobians(P)
+    full = np.array([(*jac.serial_joint, jac.serial_drive), *((*row, 0.0) for row in jac.parallel)])
     worst = 0.0
     for _ in range(100):
         z = np.concatenate([rng.uniform(-1.0, 1.0, size=3), [rng.uniform(-5.0, 5.0)]])
@@ -143,8 +144,8 @@ def test_criterion_04_jacobian_finite_differences():
             h = (z[col] + 1e-3) - z[col]
             zp = z.copy(); zm = z.copy()
             zp[col] += h; zm[col] -= h
-            fp = transmission_state(zp[:3], zp[3], P).as_array()
-            fm = transmission_state(zm[:3], zm[3], P).as_array()
+            fp = np.array(transmission_state(zp[:3], zp[3], P).as_array())
+            fm = np.array(transmission_state(zm[:3], zm[3], P).as_array())
             worst = max(worst, float(np.max(np.abs((fp - fm) / (2 * h) - full[:, col]))))
     assert worst < 1e-9
     report(4, f"analytic vs central differences, max err {worst:.2e}")

@@ -76,7 +76,7 @@ def test_linearity(a1, a2, b1, b2, alpha, beta):
     )
     ta, _ = drive_to_mcp(DriveState(a1, a2), TRAIN)
     tb, _ = drive_to_mcp(DriveState(b1, b2), TRAIN)
-    rhs = alpha * ta.as_array() + beta * tb.as_array()
+    rhs = alpha * np.array(ta.as_array()) + beta * np.array(tb.as_array())
     assert np.allclose(lhs.as_array(), rhs, rtol=1e-12, atol=1e-12)
 
 

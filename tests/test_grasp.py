@@ -538,7 +538,7 @@ def test_certification_fits_the_rows_the_qp_rested_on():
     mult = grasp._certify_kkt(x, frame, c, sol.hits, {6})
     assert mult == sol.mult and 0 not in mult
     assert grasp._certify_kkt(x, frame, c, sol.hits, {0, 6}) is None
-    grad = tuple(elastic_energy_gradient(x, a, ENV_PARAMS).tolist())
+    grad = elastic_energy_gradient(x, a, ENV_PARAMS)
     stop, proximal = grasp._lstsq([grasp._BOX_ROWS[0], sol.hits.rows[0].grad], grad)
     assert stop == pytest.approx(-7.7e3, rel=0.01)
 
@@ -592,6 +592,18 @@ def bench_scenes(seed):
     yield ENV_PARAMS, RigidObject.sphere(center, diameter / 2.0), np.linspace(0.0, a_max, 150)
     ceiling = RigidObject.half_space((0.0, 25.0, 0.0), (0.0, -1.0, 0.0))
     yield P, ceiling, np.linspace(0.0, 16.0, 160)
+
+
+def test_energy_gradient_is_the_certified_formula():
+    # The public gradient is the one certification tests: H x + joint_drive a,
+    # each row summed left to right from the stiffness blocks, bit for bit.
+    for params, obj, schedule in bench_scenes(0):
+        stiff = grasp.stiffness_matrices(params)
+        for step in envelop_sweep(schedule, params, obj).steps:
+            x0, x1, x2 = step.joints.flexion()
+            expected = tuple(h0 * x0 + h1 * x1 + h2 * x2 + d * step.a
+                             for (h0, h1, h2), d in zip(stiff.joint, stiff.joint_drive))
+            assert elastic_energy_gradient((x0, x1, x2), step.a, params) == expected
 
 
 def test_reported_joints_stay_in_the_joint_box():
@@ -797,6 +809,12 @@ def test_inscribed_sphere_tangent_to_all_three():
     assert [c.phalanx for c in cands] == [1, 2, 3]
     for c in cands:
         assert abs(c.gap) < 1e-9
+
+
+def test_straight_finger_has_no_inscribed_sphere():
+    # All three phalanx normals coincide, so the tangency system is singular.
+    with pytest.raises(ValidationError, match="no inscribed sphere"):
+        inscribed_sphere(default_params(), 0.0)
 
 
 def test_enveloping_pose_bisection():
@@ -1005,7 +1023,7 @@ def assert_kkt(step, obj, params, tol=1e-6):
     gradient rows: nonnegative forces, complementarity, and a stationarity
     residual that only the joint stops it rests on can balance."""
     oracle = world_rows(step.joints, params, obj)
-    grad = elastic_energy_gradient(step.joints.flexion(), step.a, params)
+    grad = np.array(elastic_energy_gradient(step.joints.flexion(), step.a, params))
     residual = grad.copy()
     for c in step.contacts:
         assert c.force >= 0.0

@@ -135,7 +135,7 @@ def test_text_ratio_preset():
 
 def test_differential_defaults():
     t = DifferentialTrain()
-    composite = t.composite()
+    composite = np.array(t.composite_rows())
     expected = np.array([[0.5, 0.5], [0.5, -0.5]]) * (13.0 / 24.0)
     assert np.allclose(composite, expected, atol=0)
 

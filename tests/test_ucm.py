@@ -1,4 +1,7 @@
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +23,39 @@ from modhand.ucm import (
 )
 
 P = default_params()
+
+
+def test_float_modules_load_no_numpy():
+    # In a fresh process: every record of params, drive and ucm is built and
+    # every method and map called, and numpy is never imported.
+    script = """
+import json, sys
+from modhand import drive, params, ucm
+p = params.default_params()
+train, coupling = p.differential, p.coupling_model()
+q = params.JointState(0.1, 0.2, 0.3, 0.4)
+theta, (q_aa, q_fe) = drive.drive_to_mcp(params.DriveState(0.3, -0.2), train)
+a = drive.mcp_to_drive(q_aa, q_fe, train)
+doc = params.params_to_dict(params.resolve_params("text-ratio"))
+jac = ucm.jacobians_from_geometry(p.drive_teeth, p.drive_radii, p.coupling_radii)
+st = ucm.transmission_state(q.flexion(), 1.5, p)
+stiff, ms = ucm.stiffness_matrices(p), ucm.motion_subspaces(p)
+results = [
+    q.as_array(), q.flexion(), q.within_limits(p), a.as_array(), theta.as_array(),
+    st.as_array(), train.composite_rows(), p.reach, coupling.ratio,
+    params.CouplingModel.from_coupling_radii(p.coupling_radii).constraint,
+    params.load_params(doc) == params.params_from_dict(doc), params.parse_angle("20deg"),
+    drive.rigid_coupled_flexion(0.2, coupling), drive.coupling_residual(q.flexion(), coupling),
+    ucm.TransmissionState(1.0, (2.0, 3.0, 4.0)).as_array(), jac == ucm.transmission_jacobians(p),
+    ucm.stacked_constraint_rank(jac), ucm.constraint_rank(p), ucm.is_transmission_stable(p),
+    stiff.joint, stiff.min_eigenvalue, ms.active_direction, ms.passive_basis,
+]
+assert all(type(v) in (tuple, bool, int, float) for v in results)
+print(json.dumps("numpy" in sys.modules))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True)
+    assert json.loads(proc.stdout) is False
 
 
 def test_transmission_zero_state():
@@ -56,7 +92,7 @@ def test_jacobians_match_finite_differences():
     # nominal step is snapped to one exactly representable at each point.
     rng = np.random.default_rng(17)
     jac = transmission_jacobians(P)
-    full = jac.full_matrix()
+    full = np.array([(*jac.serial_joint, jac.serial_drive), *((*row, 0.0) for row in jac.parallel)])
     worst = 0.0
     for _ in range(100):
         q = rng.uniform(-1.0, 1.0, size=3)
@@ -66,8 +102,8 @@ def test_jacobians_match_finite_differences():
             h = (z[col] + 1e-3) - z[col]
             zp = z.copy(); zm = z.copy()
             zp[col] += h; zm[col] -= h
-            fp = transmission_state(zp[:3], zp[3], P).as_array()
-            fm = transmission_state(zm[:3], zm[3], P).as_array()
+            fp = np.array(transmission_state(zp[:3], zp[3], P).as_array())
+            fm = np.array(transmission_state(zm[:3], zm[3], P).as_array())
             fd = (fp - fm) / (2 * h)
             worst = max(worst, float(np.max(np.abs(fd - full[:, col]))))
     assert worst < 1e-9
@@ -76,11 +112,11 @@ def test_jacobians_match_finite_differences():
 def test_matrix_form_equals_formula_form():
     rng = np.random.default_rng(3)
     jac = transmission_jacobians(P)
-    full = jac.full_matrix()
+    full = np.array([(*jac.serial_joint, jac.serial_drive), *((*row, 0.0) for row in jac.parallel)])
     for _ in range(50):
         q = rng.uniform(-2.0, 2.0, size=3)
         a = rng.uniform(-10.0, 10.0)
-        direct = transmission_state(q, a, P).as_array()
+        direct = np.array(transmission_state(q, a, P).as_array())
         via_matrix = full @ np.concatenate([q, [a]])
         assert np.max(np.abs(direct - via_matrix)) < 1e-12
 
@@ -262,7 +298,7 @@ RADIUS = st.one_of(st.just(0.0), st.floats(1e-14, 1e-6), st.floats(0.1, 30.0))
 @given(teeth=TEETH, drive=triples(RADIUS), coupling=triples(RADIUS))
 def test_float_rank_matches_numpy_svd(teeth, drive, coupling):
     jac = jacobians_from_geometry(teeth, drive, coupling)
-    sv = np.linalg.svd(jac.stacked(), compute_uv=False)
+    sv = np.linalg.svd(np.array([jac.serial_joint, *jac.parallel]), compute_uv=False)
     if sv[0] > 0 and np.any(np.abs(sv / (1e-10 * sv[0]) - 1.0) <= 1e-6):
         return  # numpy's own verdict rests on the threshold's rounding
     expected = 0 if sv[0] == 0.0 else int(np.sum(sv > 1e-10 * sv[0]))

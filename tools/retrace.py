@@ -94,6 +94,12 @@ def scenes(groups, env, base, sphere, half_space):
                            sphere((float(x), float(y), 0.0), radius), sweep(150), None)
 
 
+def _flexion(joints) -> tuple:
+    """The flexion angles of a JointState as floats, read from its fields so
+    that any src tree's records read alike, whatever their methods return."""
+    return joints.q1, joints.q2, joints.q3
+
+
 def optimality(grasp, step, params, obj) -> tuple:
     """(stationarity, lowest eigenvalue) of a trace step.
 
@@ -104,10 +110,10 @@ def optimality(grasp, step, params, obj) -> tuple:
     space of their rows and of the stops the step rests on, relative to
     |H|_2; +inf when that null space is empty."""
     frame = grasp._solve_frame(step.joints.q_aa, params, obj)
-    x = step.joints.flexion()
+    x = _flexion(step.joints)
     hits = {hit.phalanx: hit for hit in grasp._kernel(x, frame)}
     H = grasp.stiffness_matrices(params).joint
-    grad = grasp.elastic_energy_gradient(x, step.a, params)
+    grad = np.asarray(grasp.elastic_energy_gradient(x, step.a, params), dtype=float)
     residual, W, rows = grad.copy(), np.array(H, dtype=float), []
     for c in step.contacts:
         residual -= c.force * np.asarray(hits[c.phalanx].grad)
@@ -175,7 +181,7 @@ def dump(src: str, out: str, groups) -> None:
                 record = {
                     "group": group, "scene": name, "step": i,
                     "a": step.a.hex(),
-                    "joints": [float(v).hex() for v in step.joints.flexion()],
+                    "joints": [v.hex() for v in _flexion(step.joints)],
                     "energy": float(step.energy).hex(),
                     "contacts": [[c.phalanx, c.gap.hex(), c.force.hex()] for c in step.contacts],
                     "candidates": [c.phalanx for c in step.contacts],
