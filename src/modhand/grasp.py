@@ -49,6 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .drive import rigid_coupled_flexion
 from .errors import (
     InfeasibleStartError,
     ModhandError,
@@ -75,9 +76,9 @@ ADVANCE_STEPS = 64           # advances per outer step, each re-measuring the ga
 
 # Hessian entries (k, l), k <= l <= i, that phalanx i's gap depends on.
 _PAIRS = tuple(tuple((k, l) for k in range(i + 1) for l in range(k, i + 1)) for i in range(3))
-# Joint-limit rows of the QP, x_j >= lo_j then -x_j >= -hi_j; contacts follow.
-_BOX_ROWS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
-             (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
+# Joint-limit rows of the QP by key: x_j >= lo_j (0-2), then -x_j >= -hi_j (3-5).
+_BOX_ROWS = dict(enumerate(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                            (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))))
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ class _Frame:
     sits at J_k = sum_{j<k} L_j (cos c_j, sin c_j), c_j the cumulative
     flexion angle, and the flexion axes are the z axis.  ``obj`` is the
     object in frame coordinates (None when absent), ``lo``/``hi`` the flexion
-    limits (``h_box`` the limit rows' bounds), H (rows ``H_rows``, norm
+    limits (``h_box`` the limit rows' bounds by key), H (rows ``H_rows``, norm
     ``H_fro``, largest eigenvalue ``H_max``) and ``joint_drive`` the energy's
     stiffness blocks."""
 
@@ -163,7 +164,7 @@ class _Frame:
     obj: RigidObject | None
     lo: tuple
     hi: tuple
-    h_box: tuple
+    h_box: dict
     H_rows: tuple
     H_fro: float
     H_max: float
@@ -192,9 +193,10 @@ def _frame(pose, params: FingerParams, obj: RigidObject | None) -> _Frame:
         obj = RigidObject.half_space([_dot(e, point) for e in axes],
                                      [_dot(e, obj.normal) for e in axes])
     lo, hi = zip(*params.joint_limits[1:])
+    h_box = dict(enumerate(lo + tuple(-v for v in hi)))
     stiff = stiffness_matrices(params)
     H = stiff.joint
-    return _Frame(rot, origin, params, obj, lo, hi, lo + tuple(-v for v in hi), H,
+    return _Frame(rot, origin, params, obj, lo, hi, h_box, H,
                   math.sqrt(_total(h * h for row in H for h in row)),
                   float(np.linalg.eigvalsh(H)[-1]), stiff.joint_drive)
 
@@ -206,8 +208,9 @@ def _solve_frame(q_aa: float, params: FingerParams, obj: RigidObject | None) -> 
 
 class _Hits(list):
     """One kernel evaluation: its hits, proximal to distal, with what the solver
-    reads of them found in the same scan: ``rows`` the candidates (the QP's
-    contact rows) and ``least`` the least gap (0.0 without an object)."""
+    reads of them found in the same scan: ``rows`` the candidates keyed by
+    their QP row (``6 + i`` for phalanx ``i + 1``, after the stops' 0-5) and
+    ``least`` the least gap (0.0 without an object)."""
 
     __slots__ = ("rows", "least")
 
@@ -245,7 +248,7 @@ def _kernel(x, frame: _Frame) -> _Hits:
     perpendicular of the axis keeps deep penetrations detectable."""
     params, obj = frame.params, frame.obj
     hits = _Hits()
-    hits.rows, hits.least = [], 0.0
+    hits.rows, hits.least = {}, 0.0
     if obj is None:
         return hits
     lengths, radii = params.link_lengths, params.link_radii
@@ -314,7 +317,7 @@ def _kernel(x, frame: _Frame) -> _Hits:
         point = (px - radius * n0, py - radius * n1, -radius * n2)
         hits.append(_Hit(i + 1, t, gap, normal, point, tuple(grad), hess))
         if hess is not None:
-            hits.rows.append(hits[-1])
+            hits.rows[6 + i] = hits[-1]
     hits.least = min(hits[0].gap, hits[1].gap, hits[2].gap)
     return hits
 
@@ -367,42 +370,42 @@ def _dot(u, v) -> float:
 
 
 def _solve_qp(H, c, G, h, warm=None):
-    """Minimize 1/2 x'Hx + c'x subject to Gx >= h, H positive definite; x is
-    a 3-vector, H and G are sequences of rows, c and h of floats.
+    """Minimize 1/2 x'Hx + c'x subject to G_k x >= h_k for every key k of the
+    dicts ``G`` (rows) and ``h`` (floats), H positive definite; x is a
+    3-vector, H a sequence of rows and c of floats.
 
-    Exhaustive KKT search over active subsets of at most dim(x) rows, each
+    Exhaustive KKT search over active subsets of at most dim(x) keys, each
     tried once: ``warm`` first, then the rest by their symmetric difference
-    from it, ties by size, then lexicographic.  A subset's full KKT system
-    [[H, -G_s'], [G_s, 0]] is solved by Gaussian elimination and accepted
-    when, within ``QP_TOL``, its multipliers are nonnegative, its own rows
-    hold as equalities (dependent rows can yield a point that misses them)
-    and every row holds.  Returns (x, the active rows' multipliers clipped at
-    0, active_tuple), or None when no subset yields a feasible KKT point."""
-    n, m = len(c), len(G)
+    from it, ties by size, then lexicographic in the sorted keys.  A subset's
+    full KKT system [[H, -G_s'], [G_s, 0]] is solved by Gaussian elimination
+    (None on a zero pivot, as for two opposite rows) and accepted when,
+    within ``QP_TOL``, its multipliers are nonnegative, its own rows hold as
+    equalities (dependent rows can yield a point that misses them) and every
+    row holds.  Returns (x, {active key: multiplier clipped at 0}), or None
+    when no subset yields a feasible KKT point."""
+    n = len(c)
 
     def attempt(subset):
-        if any(j + 3 in subset for j in subset if j < 3):
-            return None  # both stops of one joint: no point rests on the two
-        rows, zeros = [G[i] for i in subset], [0.0] * len(subset)
+        rows, zeros = [G[k] for k in subset], [0.0] * len(subset)
         cols = [*zip(*rows)] or [(), (), ()]  # G_s', whose negation borders H
         sol = _gauss([[*Hr, *map(neg, col), -cr] for Hr, col, cr in zip(H, cols, c)]
-                     + [[*g, *zeros, h[i]] for g, i in zip(rows, subset)])
+                     + [[*g, *zeros, h[k]] for g, k in zip(rows, subset)])
         if sol is None or not all(map(math.isfinite, sol)):
             return None
         x0, x1, x2, *lam = sol
         for v in lam:
             if v < -QP_TOL:
                 return None
-        for i, (g0, g1, g2) in enumerate(G):
+        for k, (g0, g1, g2) in G.items():
             v = g0 * x0 + g1 * x1 + g2 * x2
-            if v < h[i] - QP_TOL or i in subset and abs(v - h[i]) > QP_TOL:
+            if v < h[k] - QP_TOL or k in subset and abs(v - h[k]) > QP_TOL:
                 return None
-        return (x0, x1, x2), [max(v, 0.0) for v in lam], tuple(subset)
+        return (x0, x1, x2), {k: max(v, 0.0) for k, v in zip(subset, lam)}
 
     first = tuple(sorted(warm or ()))
     if len(first) <= n and (sol := attempt(first)):
         return sol
-    every = chain.from_iterable(combinations(range(m), k) for k in range(n + 1))
+    every = chain.from_iterable(combinations(sorted(G), k) for k in range(n + 1))
     near = set(first)
     rest = sorted((s for s in every if s != first), key=lambda s: len(near ^ set(s)))
     return next(filter(None, map(attempt, rest)), None)
@@ -439,9 +442,9 @@ def _lstsq(cols, b):
 
 class _Solution(NamedTuple):
     """One solved step: the reported (joints, transmission, contacts) triple,
-    the multipliers that certified it keyed like the QP's rows (stop row 0-5,
-    5 + phalanx for a contact; empty when none did), and the frame and kernel
-    evaluation of the joints, which the next sweep step starts from."""
+    the multipliers that certified it keyed by QP row (a stop's 0-5, a
+    candidate's key in ``hits.rows``; empty when none did), and the frame and
+    kernel evaluation of the joints, which the next sweep step starts from."""
 
     joints: JointState
     transmission: TransmissionState
@@ -461,7 +464,7 @@ def _solution(x, a, q_aa, frame, hits, mult):
     return _Solution(
         JointState(q_aa, *x),
         transmission_state(x, a, frame.params),
-        [frame.contact(hit, mult.get(5 + hit.phalanx, 0.0)) for hit in hits.rows],
+        [frame.contact(hit, mult.get(k, 0.0)) for k, hit in hits.rows.items()],
         mult, frame, hits,
     )
 
@@ -528,8 +531,8 @@ def _solve(a: float, q_init: JointState, frame: _Frame, prev=None) -> _Solution:
                                    "beyond the recovery tolerance")
 
     c = tuple(d * float(a) for d in frame.joint_drive)
-    # Multipliers of the rows the last QP rested on, keyed by stop row (0-5) or
-    # 5 + phalanx; the first QP takes those that certified the sweep step before.
+    # Multipliers of the rows the last QP rested on, keyed by QP row; the first
+    # QP takes those that certified the sweep step before.
     carry = {} if prev is None else {k: f for k, f in prev.mult.items() if f > 0.0}
 
     best = None
@@ -543,18 +546,14 @@ def _solve(a: float, q_init: JointState, frame: _Frame, prev=None) -> _Solution:
     grow = True      # no step has reversed yet
     for _ in range(MAX_OUTER):
         # QP rows, the stops then the candidates at x; the carried ones start and curve it
-        rows, (x0, x1, x2) = hits.rows, x
-        G, h = list(_BOX_ROWS), list(frame.h_box)
-        warm, curv = sorted(i for i in carry if i < 6), []
-        for hit in rows:
-            g0, g1, g2 = grad = hit.grad
-            if (f := carry.get(5 + hit.phalanx)) is not None:
-                warm.append(len(G))
-                if f > 0.0:
-                    curv.append((f, hit.hess))
-            G.append(grad)
-            h.append(g0 * x0 + g1 * x1 + g2 * x2 - hit.gap)
-        B = _reduced_curvature(frame, [G[i] for i in warm], curv)
+        x0, x1, x2 = x
+        G, h = dict(_BOX_ROWS), dict(frame.h_box)
+        for k, hit in hits.rows.items():
+            g0, g1, g2 = G[k] = hit.grad
+            h[k] = g0 * x0 + g1 * x1 + g2 * x2 - hit.gap
+        warm = sorted(k for k in carry if k in G)
+        curv = [(carry[k], hit.hess) for k, hit in hits.rows.items() if carry.get(k, 0.0) > 0.0]
+        B = _reduced_curvature(frame, [G[k] for k in warm], curv)
         # the model's gradient at x is the energy's: c + (H - B) x
         cq = c if B is frame.H_rows else tuple(
             ci + ((h0 - b0) * x0 + (h1 - b1) * x1 + (h2 - b2) * x2)
@@ -563,14 +562,13 @@ def _solve(a: float, q_init: JointState, frame: _Frame, prev=None) -> _Solution:
         if sol is None:
             reason = "constraint system admits no feasible equilibrium"
             break
-        x_new, mult, active = sol
+        x_new, carry = sol
         if not all(map(math.isfinite, x_new)):
             reason = "QP returned a non-finite iterate"
             break
-        carry = {i if i < 6 else 5 + rows[i - 6].phalanx: f for i, f in zip(active, mult)}
         step = [u - v for u, v in zip(x_new, x)]
         step_norm = math.hypot(*step)
-        if rows and step_norm > 1e-12:
+        if hits.rows and step_norm > 1e-12:
             if prev_step is not None and _dot(step, prev_step) < 0.0:
                 trust = max(trust * 0.5, 1e-6)
                 grow = False
@@ -701,13 +699,14 @@ def _reduced_curvature(frame, rows, curv):
 def _certify_kkt(x, frame, c, hits, rested):
     """Stationarity, complementarity and feasibility of the true (curved-gap)
     problem at ``x`` with its ``hits``, on those of the rows the last QP
-    rested on (``rested``, keyed by stop row 0-5 or 5 + phalanx) that still
-    hold at ``x``: a stop within 1e-9 of its bound, a contact whose gap is at
-    most ``TOUCH_TOL``.  Their multipliers are fitted fresh by least squares;
-    returns their map, keyed like ``rested``, when the point certifies, else
-    None, as when a multiplier is negative.  The stationarity test carries a
-    floor for the rounding of H @ x + c, of order eps |H| |x|, which
-    dominates when the gradient vanishes and the stiffnesses are large."""
+    rested on (``rested``, keyed by QP row: a stop's 0-5, a candidate's key
+    in ``hits.rows``) that still hold at ``x``: a stop within 1e-9 of its
+    bound, a contact whose gap is at most ``TOUCH_TOL``.  Their multipliers
+    are fitted fresh by least squares; returns their map, keyed like
+    ``rested``, when the point certifies, else None, as when a multiplier is
+    negative.  The stationarity test carries a floor for the rounding of
+    H @ x + c, of order eps |H| |x|, which dominates when the gradient
+    vanishes and the stiffnesses are large."""
     if hits.least < -PENETRATION_TOL:
         return None
     rows, grad = hits.rows, _gradient(frame.H_rows, c, x)
@@ -716,9 +715,9 @@ def _certify_kkt(x, frame, c, hits, rested):
     keys = [k for j, v, lo, hi in zip(range(3), x, frame.lo, frame.hi)
             for k, slack in ((j, v - lo), (3 + j, hi - v)) if k in rested and slack <= 1e-9]
     A = [_BOX_ROWS[k] for k in keys]
-    for hit in rows:
-        if 5 + hit.phalanx in rested and hit.gap <= TOUCH_TOL:
-            keys.append(5 + hit.phalanx)
+    for k, hit in rows.items():
+        if k in rested and hit.gap <= TOUCH_TOL:
+            keys.append(k)
             A.append(hit.grad)
     f = _lstsq(A, grad)
     if not all(v >= 0.0 for v in f):
@@ -734,7 +733,7 @@ def _certify_kkt(x, frame, c, hits, rested):
         return None
 
     mult = dict(zip(keys, f))
-    if any(abs(mult.get(5 + hit.phalanx, 0.0) * hit.gap) > COMPLEMENTARITY_TOL for hit in rows):
+    if any(abs(mult.get(k, 0.0) * hit.gap) > COMPLEMENTARITY_TOL for k, hit in rows.items()):
         return None
     return mult
 
@@ -852,9 +851,7 @@ def inscribed_sphere(params: FingerParams, q1: float):
     phalanx axes are lines in the flexion plane; center and radius solve the
     linear system placing the center capsule-radius-plus-R from each axis on
     the palmar side.  Returns (center, radius), the center at z = 0."""
-    ratio = params.coupling_model().ratio
-    q2 = q1 * ratio[1] / ratio[0]
-    q3 = q1 * ratio[2] / ratio[0]
+    q2, q3 = rigid_coupled_flexion(q1, params.coupling_model())
     px, py, aug = 0.0, 0.0, []
     for L, r, cum in zip(params.link_lengths, params.link_radii, (q1, q1 + q2, q1 + q2 + q3)):
         nx, ny = -math.sin(cum), math.cos(cum)  # inward normal of the axis

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .drive import rigid_coupled_flexion
 from .errors import PreconditionError, ValidationError
 from .floats import _total
 from .params import FingerParams, JointState
@@ -265,11 +266,10 @@ def derive_subseed(seed: int, index: int) -> int:
     return int(splitmix64_words(seed, index, 1)[0])
 
 
-def coupled_flexion_range(params: FingerParams, coupling=None):
+def coupled_flexion_range(params: FingerParams):
     """MCP flexion interval reachable with distal joints on the coupled line
     while every joint stays inside its own limits."""
-    coupling = coupling or params.coupling_model()
-    r0, r1, r2 = coupling.ratio
+    r0, r1, r2 = params.coupling_model().ratio
     if r1 <= 0 or r2 <= 0 or r0 <= 0:
         raise ValidationError("coupled sampling requires a positive ratio")
     (_, _), (lo1, hi1), (lo2, hi2), (lo3, hi3) = params.joint_limits
@@ -323,8 +323,7 @@ def sample_workspace(
     limits = params.joint_limits
     if coupled:
         coupling = params.coupling_model()
-        r0, r1, r2 = coupling.ratio
-        bounds = np.array([limits[0], coupled_flexion_range(params, coupling)])
+        bounds = np.array([limits[0], coupled_flexion_range(params)])
     else:
         bounds = np.array(limits)
     lo, span = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
@@ -337,7 +336,7 @@ def sample_workspace(
         qs = lo + span * u.reshape(rows, draws)
         if coupled:
             q1 = qs[:, 1]
-            qs = np.column_stack([qs[:, 0], q1, q1 * r1 / r0, q1 * r2 / r0])
+            qs = np.column_stack([qs[:, 0], q1, *rigid_coupled_flexion(q1, coupling)])
         points[first:first + rows] = _cloud_tips(qs, params)
     return WorkspaceCloud(
         points=points, seed=seed, coupled=coupled, joint_limits=limits

@@ -539,7 +539,7 @@ def test_certification_fits_the_rows_the_qp_rested_on():
     assert mult == sol.mult and 0 not in mult
     assert grasp._certify_kkt(x, frame, c, sol.hits, {0, 6}) is None
     grad = elastic_energy_gradient(x, a, ENV_PARAMS)
-    stop, proximal = grasp._lstsq([grasp._BOX_ROWS[0], sol.hits.rows[0].grad], grad)
+    stop, proximal = grasp._lstsq([grasp._BOX_ROWS[0], sol.hits.rows[6].grad], grad)
     assert stop == pytest.approx(-7.7e3, rel=0.01)
 
 

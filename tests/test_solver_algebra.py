@@ -80,6 +80,11 @@ def as_rows(M) -> list:
     return [tuple(row) for row in np.asarray(M, dtype=float).tolist()]
 
 
+def keyed(values) -> dict:
+    """The QP's keyed form of a sequence of rows or bounds: key i for item i."""
+    return dict(enumerate(values))
+
+
 def rotation(a, b, c) -> np.ndarray:
     """Rotation about z by a, then y by b, then x by c."""
     rz = np.array([[math.cos(a), -math.sin(a), 0], [math.sin(a), math.cos(a), 0], [0, 0, 1]])
@@ -142,7 +147,7 @@ def test_float_qp_matches_reference(problem):
     H, c, G, h = problem
     ref = reference_solve_qp(H, c, G, h)
     assume(ref is not None and unique_active_set(H, c, G, h, ref))
-    got = grasp._solve_qp(as_rows(H), tuple(c.tolist()), as_rows(G), tuple(h.tolist()))
+    got = grasp._solve_qp(as_rows(H), tuple(c.tolist()), keyed(as_rows(G)), keyed(h.tolist()))
     assert got is not None
     x = np.asarray(got[0])
     assert np.linalg.norm(x - ref[0]) <= 1e-9 * (1.0 + np.linalg.norm(ref[0]))
@@ -157,7 +162,8 @@ def test_float_qp_matches_reference_from_any_warm_subset(problem, data):
     ref = reference_solve_qp(H, c, G, h)
     assume(ref is not None and unique_active_set(H, c, G, h, ref))
     warm = data.draw(st.lists(st.integers(0, len(G) - 1), max_size=3, unique=True), label="warm")
-    got = grasp._solve_qp(as_rows(H), tuple(c.tolist()), as_rows(G), tuple(h.tolist()), warm=warm)
+    got = grasp._solve_qp(as_rows(H), tuple(c.tolist()), keyed(as_rows(G)), keyed(h.tolist()),
+                          warm=warm)
     assert got is not None
     x = np.asarray(got[0])
     assert np.linalg.norm(x - ref[0]) <= 1e-9 * (1.0 + np.linalg.norm(ref[0]))
@@ -239,6 +245,18 @@ def test_float_lstsq_matches_reference(problem):
     assert residual <= bound + evaluation_noise(A, got) + evaluation_noise(A, ref)
 
 
+def test_qp_is_plain_over_keyed_rows():
+    # A feasible, strictly convex QP whose rows 0 and 3 are x1 >= 1 and
+    # x2 >= 1: keys say nothing of a joint box, so the solver must not skip a
+    # subset for holding "both stops" 0 and 3.  Rows 0 and 2 are parallel.
+    H = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    G = {0: (1.0, 0.0, 0.0), 1: (0.0, 0.0, 1.0), 2: (1.0, 0.0, 0.0), 3: (0.0, 1.0, 0.0)}
+    h = {0: 1.0, 1: -5.0, 2: -5.0, 3: 1.0}
+    for warm in (None, (1, 2), (0, 2, 3)):
+        assert grasp._solve_qp(H, (0.0, 0.0, 0.0), G, h, warm=warm) == (
+            (1.0, 1.0, 0.0), {0: 1.0, 3: 1.0})
+
+
 @pytest.mark.parametrize("a, proximal, middle", [
     # round numbers
     (16.0, (-36.1, 0.0, 0.0, -36.1 * 0.02), (-47.0, -14.0, 0.0, -10.0)),
@@ -253,15 +271,15 @@ def test_qp_rejects_subset_missing_its_own_rows(a, proximal, middle):
     # finite point that meets neither row as an equality.
     frame = grasp._solve_frame(0.0, ENV_PARAMS, None)
     c = tuple(d * a for d in frame.joint_drive)
-    G = grasp._BOX_ROWS + (proximal[:3], middle[:3])
-    h = frame.h_box + (proximal[3], middle[3])
+    G = {**grasp._BOX_ROWS, 6: proximal[:3], 7: middle[:3]}
+    h = {**frame.h_box, 6: proximal[3], 7: middle[3]}
     for warm in (None, (6,), (0, 6)):
-        x, mult, active = grasp._solve_qp(frame.H_rows, c, G, h, warm=warm)
-        assert active
-        for i in active:
+        x, mult = grasp._solve_qp(frame.H_rows, c, G, h, warm=warm)
+        assert mult
+        for i in mult:
             assert abs(grasp._dot(G[i], x) - h[i]) <= QP_TOL
-        assert all(grasp._dot(g, x) >= b - QP_TOL for g, b in zip(G, h))
-        assert len(mult) == len(active) and all(v >= 0.0 for v in mult)
+        assert all(grasp._dot(G[i], x) >= h[i] - QP_TOL for i in G)
+        assert all(v >= 0.0 for v in mult.values())
 
 
 def reference_curved_hessian(H, H_max, rows, forces, hessians):
