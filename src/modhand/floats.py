@@ -1,7 +1,9 @@
 """The package's one float sum (left to right, the same on every interpreter),
-its one Gaussian elimination and its cross product, shared by the modules that
-compute on floats."""
+its one normalizer, its one Gaussian elimination and its cross product, shared
+by the modules that compute on floats."""
 
+import math
+import sys
 from functools import reduce
 from operator import add
 
@@ -9,6 +11,21 @@ from operator import add
 def _total(values) -> float:
     """Float sum left to right from 0.0, as ``sum`` adds before Python 3.12."""
     return reduce(add, values, 0.0)
+
+
+def unit_vector(v) -> tuple | None:
+    """``v`` over its length, the square root of its left-to-right sum of
+    squares, as a float tuple; None when it is zero or not finite.  A vector
+    whose squared norm overflows, underflows or is subnormal is first divided
+    by max |v_i|, so every finite nonzero vector has a direction."""
+    v = tuple(map(float, v))
+    scale = max(map(abs, v))
+    if not (scale > 0.0 and all(map(math.isfinite, v))):
+        return None
+    if not sys.float_info.min <= _total(x * x for x in v) < math.inf:
+        v = tuple(x / scale for x in v)
+    norm = math.sqrt(_total(x * x for x in v))
+    return tuple(x / norm for x in v)
 
 
 def _cross(u, v) -> tuple:

@@ -34,8 +34,7 @@ rested on first, then the subsets nearest them.  Certification fits the
 multipliers of those rows by modified Gram-Schmidt, and the curved model's
 rank test and eigenproblems (at most 2x2, on the active rows' null space)
 are closed forms.  The stiffness blocks arrive as float tuples, and frame
-setup reads the DH pose into floats; numpy only for H's top eigenvalue
-(LAPACK), whose bits the curvature floor reads.
+setup reads the DH pose into floats; this module imports no numpy.
 """
 
 from __future__ import annotations
@@ -47,8 +46,6 @@ from itertools import chain, combinations
 from operator import neg, sub
 from typing import NamedTuple
 
-import numpy as np
-
 from .drive import rigid_coupled_flexion
 from .errors import (
     InfeasibleStartError,
@@ -58,8 +55,8 @@ from .errors import (
     SweepError,
     ValidationError,
 )
-from .floats import _cross, _gauss, _total
-from .kinematics import FingerPoseChain, coupled_flexion_range, forward_kinematics, unit_vector
+from .floats import _cross, _gauss, _total, unit_vector
+from .kinematics import FingerPoseChain, coupled_flexion_range, forward_kinematics
 from .params import FingerParams, JointState
 from .ucm import TransmissionState, stiffness_matrices, transmission_state
 
@@ -110,7 +107,7 @@ class RigidObject:
             u = unit_vector(n)
             if u is None:
                 raise ValidationError("half-space normal must be nonzero")
-            object.__setattr__(self, "normal", tuple(u.tolist()))
+            object.__setattr__(self, "normal", u)
             point = tuple(float(c) for c in self.point)
             if not all(map(math.isfinite, point)):
                 raise ValidationError("half-space point must be finite")
@@ -154,9 +151,9 @@ class _Frame:
     sits at J_k = sum_{j<k} L_j (cos c_j, sin c_j), c_j the cumulative
     flexion angle, and the flexion axes are the z axis.  ``obj`` is the
     object in frame coordinates (None when absent), ``lo``/``hi`` the flexion
-    limits (``h_box`` the limit rows' bounds by key), H (rows ``H_rows``, norm
-    ``H_fro``, largest eigenvalue ``H_max``) and ``joint_drive`` the energy's
-    stiffness blocks."""
+    limits (``h_box`` the limit rows' bounds by key), H (rows ``H_rows``,
+    Frobenius norm ``H_fro``, the scale of its curvature floor) and
+    ``joint_drive`` the energy's stiffness blocks."""
 
     rotation: tuple  # rows of the matrix whose columns are the frame axes
     origin: tuple
@@ -167,7 +164,6 @@ class _Frame:
     h_box: dict
     H_rows: tuple
     H_fro: float
-    H_max: float
     joint_drive: tuple
 
     def contact(self, hit, force: float = 0.0) -> Contact:
@@ -197,8 +193,7 @@ def _frame(pose, params: FingerParams, obj: RigidObject | None) -> _Frame:
     stiff = stiffness_matrices(params)
     H = stiff.joint
     return _Frame(rot, origin, params, obj, lo, hi, h_box, H,
-                  math.sqrt(_total(h * h for row in H for h in row)),
-                  float(np.linalg.eigvalsh(H)[-1]), stiff.joint_drive)
+                  math.sqrt(_total(h * h for row in H for h in row)), stiff.joint_drive)
 
 
 def _solve_frame(q_aa: float, params: FingerParams, obj: RigidObject | None) -> _Frame:
@@ -597,6 +592,7 @@ def _clip(x, frame):
     return tuple(map(min, map(max, x, frame.lo), frame.hi))
 
 
+# math.hypot, not floats.unit_vector: its bits reach the null-space vectors and so the traces.
 def _unit(v) -> tuple:
     norm = math.hypot(*v)
     return tuple(x / norm for x in v)
@@ -648,10 +644,11 @@ def _reduced_curvature(frame, rows, curv):
     rows, which their linearization pins, and W along them and on the cross
     block: a contact pressing on a curved surface cancels much of H along it,
     and without the cross block a sliding contact converges only linearly
-    (Nocedal and Wright, Numerical Optimization, ch. 18).  If B - 1e-6 H_max I
+    (Nocedal and Wright, Numerical Optimization, ch. 18).  If B - 1e-6 |H|_F I
     fails Sylvester's test, the model is P H P plus W on the null space with
-    its eigenvalues floored at 1e-6 H_max; H's own rows without force or at
-    rank 0 or 3."""
+    its eigenvalues floored at 1e-6 |H|_F (|H|_F lies between H's largest
+    eigenvalue and sqrt(3) times it); H's own rows without force or at rank
+    0 or 3."""
     H = frame.H_rows
     rank, v = _active_span(rows) if curv else (0, None)
     if v is None:
@@ -672,7 +669,7 @@ def _reduced_curvature(frame, rows, curv):
         else:  # B = H - z (Fz)' - (Fz) z' + (z'Fz) z z', z = v
             B.append([h0 - (vi * Fv[0] + fi * v0) + w * v0, h1 - (vi * Fv[1] + fi * v1) + w * v1,
                       h2 - (vi * Fv[2] + fi * v2) + w * v2])
-    floor = 1e-6 * frame.H_max
+    floor = 1e-6 * frame.H_fro
     (d0, d1, d2), (d3, d4, d5), (d6, d7, d8) = B
     d0, d4, d8 = d0 - floor, d4 - floor, d8 - floor
     if d0 > 0.0 and d0 * d4 > d1 * d3 and (

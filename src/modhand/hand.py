@@ -21,7 +21,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .kinematics import derive_subseed, forward_kinematics, sample_workspace, unit_vector
+from .floats import unit_vector
+from .kinematics import derive_subseed, forward_kinematics, sample_workspace
 from .params import (
     _SCHEMAS,
     FingerParams,

@@ -24,14 +24,12 @@ the DH chain's.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .drive import rigid_coupled_flexion
 from .errors import PreconditionError, ValidationError
-from .floats import _total
 from .params import FingerParams, JointState
 
 # Fixed alignment from the first link frame to the base convention above.
@@ -45,20 +43,6 @@ _BASE_ALIGN = np.array(
 )
 
 _PLANES = {"xoy": (0, 1), "xoz": (0, 2), "yoz": (1, 2)}
-
-
-def unit_vector(v) -> np.ndarray | None:
-    """``v`` divided by its length, or None when it is zero or not finite.
-    A vector whose squared norm overflows, underflows or is subnormal is
-    first divided by max |v_i|, so every finite nonzero vector has a
-    direction."""
-    a = np.asarray(v, dtype=float)
-    scale = float(np.abs(a).max())
-    if not 0 < scale < math.inf:
-        return None
-    if not np.finfo(float).tiny <= _total(x * x for x in a.tolist()) < math.inf:
-        a = a / scale
-    return a / np.linalg.norm(a)
 
 
 @dataclass(frozen=True)

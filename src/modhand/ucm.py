@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import SingularStiffnessError, ValidationError
-from .floats import _cross, _gauss, _total
+from .floats import _cross, _gauss, _total, unit_vector
 from .params import FingerParams
 
 
@@ -207,22 +207,16 @@ class MotionSubspaces:
     drive_sensitivity: tuple
 
 
-def _normalized(v) -> tuple:
-    """``v`` over its norm taken as numpy takes it, the square root of the sum of squares."""
-    norm = math.sqrt(_total(x * x for x in v))
-    return tuple(x / norm for x in v)
-
-
 def _plane_basis(normal) -> tuple:
     """Deterministic orthonormal basis of the plane {x : normal . x = 0}:
     project the first coordinate axis onto the plane (second axis if the
     normal is parallel to the first), then complete with the cross product."""
-    n0, n1, n2 = n = _normalized(normal)
+    n0, n1, n2 = n = unit_vector(normal)
     b1 = (1.0 - n0 * n0, 0.0 - n0 * n1, 0.0 - n0 * n2)  # e1 - (e1.n) n, zeros kept +0.0
     if math.sqrt(_total(x * x for x in b1)) < 1e-9:
         b1 = (0.0 - n1 * n0, 1.0 - n1 * n1, 0.0 - n1 * n2)
-    first = _normalized(b1)
-    return first, _normalized(_cross(n, first))
+    first = unit_vector(b1)
+    return first, unit_vector(_cross(n, first))
 
 
 def motion_subspaces(params: FingerParams) -> MotionSubspaces:
@@ -240,7 +234,7 @@ def motion_subspaces(params: FingerParams) -> MotionSubspaces:
     sensitivity = _gauss([[*row, -d] for row, d in zip(stiff.joint, stiff.joint_drive)])
     normal = (rc1 * z1 / z3, rc2 * z2 / z3, rc3)
     return MotionSubspaces(
-        active_direction=_normalized(response),
+        active_direction=unit_vector(response),
         passive_basis=_plane_basis(normal),
         passive_normal=normal,
         active_force=((z1 / z3) * rd1, (z2 / z3) * rd2, rd3),

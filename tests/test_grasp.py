@@ -21,6 +21,7 @@ from modhand.grasp import (
     ACTIVATION_THRESHOLD,
     COMPLEMENTARITY_TOL,
     PENETRATION_TOL,
+    TOUCH_TOL,
     RigidObject,
     detect_contacts,
     elastic_energy,
@@ -452,6 +453,32 @@ def test_sweep_determinism_bit_for_bit():
     assert other != first
 
 
+def test_phalanx_between_object_and_stop_reports_the_least_force():
+    # On the 40 mm scene the proximal phalanx is held between the sphere and
+    # the q1 lower stop, whose rows are anti-parallel, so no QP subset holds
+    # both.  The reported contact force is the least that balances the load:
+    # it falls to 0 while the stop's multiplier carries the load, and comes
+    # back when the stop unloads.
+    mults, solve = [], grasp._solve
+
+    def recorded(*args):
+        sol = solve(*args)
+        mults.append(sol.mult)
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grasp, "_solve", recorded)
+        trace = env_sweep(40.0)
+    assert trace.status == "completed"
+    proximal = [next(c for c in s.contacts if c.phalanx == 1) for s in trace.steps]
+    assert all(c.gap <= TOUCH_TOL for c in proximal[1:])
+    assert all(abs(s.joints.q1) <= 1e-12 for s in trace.steps[128:])
+    assert round(proximal[129].force, 2) == 3.47 and 0 not in mults[129]
+    assert all(c.force == 0.0 for c in proximal[130:151])
+    assert all(m[0] > 0.0 and 6 not in m for m in mults[130:151])
+    assert round(proximal[151].force, 2) == 1.04 and 0 not in mults[151]
+
+
 def record_kernel_calls(mp) -> list:
     """Wrap the contact kernel; every evaluation appends (frame, x bytes)."""
     calls = []
@@ -616,11 +643,11 @@ def test_reported_joints_stay_in_the_joint_box():
                     assert lo <= value <= hi, f"seed {seed}: {value} outside [{lo}, {hi}]"
 
 
-def test_solved_step_makes_no_numpy_call():
-    # A solved step runs on floats: no C function of numpy or method of a
-    # numpy object is called, and no frame of numpy's Python code runs.
+def profiled(fn, calls):
+    """``fn`` run under a profile hook that counts in ``calls`` each numpy call
+    it makes: a C function of numpy or a method of a numpy object, or a frame
+    of numpy's Python code."""
     numpy_dir = os.path.dirname(np.__file__)
-    calls, solve = Counter(), grasp._solve
 
     def hook(frame, event, arg):
         if event == "c_call":
@@ -630,19 +657,62 @@ def test_solved_step_makes_no_numpy_call():
         elif event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
             calls[frame.f_code.co_name] += 1
 
-    def profiled(*args):
+    def run(*args):
         previous = sys.getprofile()
         sys.setprofile(hook)
         try:
-            return solve(*args)
+            return fn(*args)
+        finally:
+            sys.setprofile(previous)
+
+    return run
+
+
+def test_solved_step_makes_no_numpy_call():
+    # A solved step runs on floats: no C function of numpy or method of a
+    # numpy object is called, and no frame of numpy's Python code runs.
+    calls = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grasp, "_solve", profiled(grasp._solve, calls))
+        trace = env_sweep(30.0)
+    assert len(trace.steps) == 160
+    assert calls == Counter()
+
+
+@pytest.mark.parametrize("case", ["30mm", "ceiling", "normal"])
+def test_sweep_calls_numpy_only_for_its_dh_pose(case):
+    # A whole sweep runs on floats apart from the DH chain of its swing
+    # frame: forward_kinematics runs unprofiled, and reading its pose into
+    # floats (one ndarray.tolist per sweep) is the one numpy call outside it.
+    # A half-space's normal is normalized on floats.
+    center, a_max = ENV_SCENES[30.0]
+    env = np.linspace(0.0, a_max, 160).tolist()
+    low = np.linspace(0.0, 16.0, 160).tolist()
+    run = {
+        "30mm": lambda: envelop_sweep(env, ENV_PARAMS, RigidObject.sphere(center, 15.0)),
+        "ceiling": lambda: envelop_sweep(
+            low, P, RigidObject.half_space((0.0, 25.0, 0.0), (0.0, -1.0, 0.0))),
+        "normal": lambda: RigidObject.half_space((0, 25, 0), (1, -2, 0)),
+    }[case]
+    fk, calls = grasp.forward_kinematics, Counter()
+
+    def unprofiled(*args):
+        previous = sys.getprofile()
+        sys.setprofile(None)
+        try:
+            return fk(*args)
         finally:
             sys.setprofile(previous)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(grasp, "_solve", profiled)
-        trace = env_sweep(30.0)
-    assert len(trace.steps) == 160
-    assert calls == Counter()
+        mp.setattr(grasp, "forward_kinematics", unprofiled)
+        result = profiled(run, calls)()
+    if case == "normal":
+        assert result.normal == (1 / math.sqrt(5), -2 / math.sqrt(5), 0.0)
+        assert calls == Counter()
+    else:
+        assert (result.status, len(result.steps)) == ("completed", 160)
+        assert calls == Counter({"ndarray.tolist": 1})
 
 
 def sum_312(iterable, start=0):

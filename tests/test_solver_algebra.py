@@ -282,7 +282,7 @@ def test_qp_rejects_subset_missing_its_own_rows(a, proximal, middle):
         assert all(v >= 0.0 for v in mult.values())
 
 
-def reference_curved_hessian(H, H_max, rows, forces, hessians):
+def reference_curved_hessian(H, H_fro, rows, forces, hessians):
     """The curved model with numpy's eigh: P H P + Z floor(Z'WZ) Z', with W
     the Lagrangian Hessian, P the projector onto the rows' span and Z an
     orthonormal basis of their null space.  Returns the model, the rank and
@@ -292,7 +292,7 @@ def reference_curved_hessian(H, H_max, rows, forces, hessians):
     across = w > 1e-12 * max(w[-1], 1.0)
     Y, Z = v[:, across], v[:, ~across]
     mu, u = np.linalg.eigh(Z.T @ W @ Z)
-    floor = 1e-6 * H_max
+    floor = 1e-6 * H_fro
     model = Y @ (Y.T @ H @ Y) @ Y.T + Z @ ((u * np.maximum(mu, floor)) @ u.T) @ Z.T
     return model, int(across.sum()), w
 
@@ -336,19 +336,19 @@ def curvatures(draw):
 def test_reduced_curvature_matches_reference(problem):
     H, rows, forces, hessians = problem
     eps = np.finfo(float).eps
-    H_max = float(np.linalg.eigvalsh(H)[-1])
-    ref, rank, w = reference_curved_hessian(H, H_max, rows, forces, hessians)
+    H_fro = float(np.linalg.norm(H))
+    ref, rank, w = reference_curved_hessian(H, H_fro, rows, forces, hessians)
     # numpy's own rounding must not straddle the rank threshold
     threshold = 1e-12 * max(w[-1], 1.0)
     assume(np.all(np.abs(w - threshold) > 64 * eps * w[-1]))
     got_rank, _ = grasp._active_span(as_rows(rows))
     assert got_rank == rank
 
-    frame = SimpleNamespace(H_rows=tuple(as_rows(H)), H_max=H_max)
+    frame = SimpleNamespace(H_rows=tuple(as_rows(H)), H_fro=H_fro)
     curv = [(f, tuple(as_rows(Hk))) for f, Hk in zip(forces, hessians) if f > 0.0]
     got = np.array(grasp._reduced_curvature(frame, as_rows(rows), curv), dtype=float)
 
-    # B = W + P F P when B - 1e-6 H_max I is positive definite, else the
+    # B = W + P F P when B - 1e-6 |H|_F I is positive definite, else the
     # floored model; both within 1e-9 of the scale of H and F, plus the
     # rounding of the split into the rows' span and null space, which the
     # gap between the kept and the dropped Gram eigenvalues amplifies.
@@ -358,7 +358,7 @@ def test_reduced_curvature_matches_reference(problem):
     tol = (1e-9 + 64 * eps * w[-1] / gap) * size
     Y = np.linalg.eigh(rows.T @ rows)[1][:, 3 - rank:]
     B = H - F + Y @ Y.T @ F @ Y @ Y.T
-    lowest = np.linalg.eigvalsh(0.5 * (B + B.T))[0] - 1e-6 * H_max
+    lowest = np.linalg.eigvalsh(0.5 * (B + B.T))[0] - 1e-6 * H_fro
     assume(abs(lowest) > tol)
     want = B if lowest > 0.0 else ref
     assert np.abs(got - want).max() <= tol
