@@ -12,8 +12,8 @@ All numeric output is fixed at 9 significant digits; computation is full
 double precision.  The environment variable UCM_SEED overrides the default
 sampling seed (0) when --seed is not given.
 
-drive-map and ucm-report compute on floats and never import numpy; workspace,
-hand-fk and envelop import it with the modules they load on first use.
+drive-map, ucm-report and envelop compute on floats and never import numpy;
+workspace and hand-fk import it with the modules they load on first use.
 """
 
 from __future__ import annotations
@@ -232,9 +232,15 @@ def _trace_records(trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_envelop(args) -> int:
-    from numpy import linspace
+def _drive_schedule(a_max: float, steps: int) -> list:
+    """``numpy.linspace(0.0, a_max, steps)`` on floats, bit for bit."""
+    div = max(steps - 1, 1)
+    step = a_max / div
+    return [a_max if i == div else (i * step if step else i / div * a_max) + 0.0
+            for i in range(steps)]
 
+
+def cmd_envelop(args) -> int:
     from .grasp import EquilibriumTrace, RigidObject, envelop_sweep  # only envelop needs it
 
     params = resolve_params(args.config)
@@ -249,7 +255,7 @@ def cmd_envelop(args) -> int:
     if args.steps < 1:
         raise ValidationError("--steps must be >= 1")
     obj = RigidObject.sphere(tuple(center), args.sphere_d / 2.0)
-    schedule = linspace(0.0, args.a_max, args.steps)
+    schedule = _drive_schedule(args.a_max, args.steps)
     try:
         trace = envelop_sweep(schedule, params, obj)
     except SweepError as exc:

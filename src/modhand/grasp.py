@@ -33,8 +33,8 @@ elimination with partial pivoting; the QP tries the rows its last solve
 rested on first, then the subsets nearest them.  Certification fits the
 multipliers of those rows by modified Gram-Schmidt, and the curved model's
 rank test and eigenproblems (at most 2x2, on the active rows' null space)
-are closed forms.  The stiffness blocks arrive as float tuples, and frame
-setup reads the DH pose into floats; this module imports no numpy.
+are closed forms.  The stiffness blocks arrive as float tuples and the swing
+frame is built on floats; this module imports no numpy and no ``kinematics``.
 """
 
 from __future__ import annotations
@@ -42,11 +42,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from importlib import import_module
 from itertools import chain, combinations
-from operator import neg, sub
+from operator import add, mul, neg, sub
 from typing import NamedTuple
 
-from .drive import rigid_coupled_flexion
+from .drive import coupled_flexion_range, rigid_coupled_flexion
 from .errors import (
     InfeasibleStartError,
     ModhandError,
@@ -56,7 +57,6 @@ from .errors import (
     ValidationError,
 )
 from .floats import _cross, _gauss, _total, unit_vector
-from .kinematics import FingerPoseChain, coupled_flexion_range, forward_kinematics
 from .params import FingerParams, JointState
 from .ucm import TransmissionState, stiffness_matrices, transmission_state
 
@@ -67,6 +67,7 @@ RECOVERY_TOL = 0.1           # mm, initial penetration the solver will push out
 TOUCH_TOL = 1e-7             # mm, gap at or below which surfaces touch
 KKT_REL_TOL = 1e-8
 QP_TOL = 1e-9                # slack of the QP's feasibility and multiplier-sign tests
+QP_REFINE_RATIO = 16.0       # a KKT row's multiplier to x-and-c terms that refines its solve
 MAX_OUTER = 20
 ADVANCE_FRACTION = 0.9       # share of a free phalanx's gap one advance may close
 ADVANCE_STEPS = 64           # advances per outer step, each re-measuring the gaps
@@ -76,6 +77,12 @@ _PAIRS = tuple(tuple((k, l) for k in range(i + 1) for l in range(k, i + 1)) for 
 # Joint-limit rows of the QP by key: x_j >= lo_j (0-2), then -x_j >= -hi_j (3-5).
 _BOX_ROWS = dict(enumerate(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
                             (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))))
+
+
+def __getattr__(name):  # PEP 562, for bench/tracer.py's wrap point; grasp never calls it
+    if name == "forward_kinematics":
+        return import_module(".kinematics", __package__).forward_kinematics
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -174,12 +181,11 @@ class _Frame:
 
 
 def _frame(pose, params: FingerParams, obj: RigidObject | None) -> _Frame:
-    """Frame of the swing pose ``pose`` (a chain's first world transform) with
-    the object moved into it: a sphere keeps its out-of-plane centre offset,
-    a half-space its normal and a point of its boundary plane.  The stiffness
-    blocks are evaluated here, once per frame."""
-    rows = pose.tolist()[:3]
-    rot, origin = tuple(tuple(r[:3]) for r in rows), tuple(r[3] for r in rows)
+    """Frame of the swing pose ``pose`` (a chain's first world transform, rows
+    of floats) with the object moved into it: a sphere keeps its out-of-plane
+    centre offset, a half-space its normal and a point of its boundary plane.
+    The stiffness blocks are evaluated here, once per frame."""
+    rot, origin = tuple(tuple(r[:3]) for r in pose[:3]), tuple(r[3] for r in pose[:3])
     axes = tuple(zip(*rot))  # rot's columns, so _dot(axis, v) is rot' v
     if obj is not None and obj.shape == "sphere":
         centre = [*map(sub, obj.center, origin)]
@@ -197,8 +203,12 @@ def _frame(pose, params: FingerParams, obj: RigidObject | None) -> _Frame:
 
 
 def _solve_frame(q_aa: float, params: FingerParams, obj: RigidObject | None) -> _Frame:
-    """Frame for the solves at swing ``q_aa``, which the DH chain defines."""
-    return _frame(forward_kinematics(JointState(q_aa=q_aa), params).frames[0], params, obj)
+    """Frame for the solves at swing ``q_aa``: the DH chain's first pose on
+    floats, each entry + 0.0 as the chain's matrix product turns -0 into +0."""
+    ct, st, ca, sa = math.cos(q_aa), math.sin(q_aa), math.cos(math.pi / 2), math.sin(math.pi / 2)
+    rows = ((ct, -st * ca, st * sa, 0.0 * ct), (0.0, sa, ca, 0.0),
+            (-st, -(ct * ca), ct * sa, -(0.0 * st)))
+    return _frame([[v + 0.0 for v in row] for row in rows], params, obj)
 
 
 class _Hits(list):
@@ -317,11 +327,11 @@ def _kernel(x, frame: _Frame) -> _Hits:
     return hits
 
 
-def detect_contacts(chain: FingerPoseChain, params: FingerParams, obj: RigidObject,
+def detect_contacts(chain, params: FingerParams, obj: RigidObject,
                     threshold: float = ACTIVATION_THRESHOLD):
-    """Per-phalanx closest-point candidates with gap at most ``threshold``,
-    sorted proximal to distal."""
-    frame = _frame(chain.frames[0], params, obj)
+    """Per-phalanx closest-point candidates of a ``FingerPoseChain`` with gap
+    at most ``threshold``, sorted proximal to distal."""
+    frame = _frame(chain.frames[0].tolist(), params, obj)
     hits = _kernel(chain.joint_state.flexion(), frame)
     return [frame.contact(hit) for hit in hits if hit.gap <= threshold]
 
@@ -373,7 +383,8 @@ def _solve_qp(H, c, G, h, warm=None):
     tried once: ``warm`` first, then the rest by their symmetric difference
     from it, ties by size, then lexicographic in the sorted keys.  A subset's
     full KKT system [[H, -G_s'], [G_s, 0]] is solved by Gaussian elimination
-    (None on a zero pivot, as for two opposite rows) and accepted when,
+    (None on a zero pivot, as for two opposite rows), refined by ``_refined``
+    where its multipliers cancel, and accepted when,
     within ``QP_TOL``, its multipliers are nonnegative, its own rows hold as
     equalities (dependent rows can yield a point that misses them) and every
     row holds.  Returns (x, {active key: multiplier clipped at 0}), or None
@@ -383,11 +394,12 @@ def _solve_qp(H, c, G, h, warm=None):
     def attempt(subset):
         rows, zeros = [G[k] for k in subset], [0.0] * len(subset)
         cols = [*zip(*rows)] or [(), (), ()]  # G_s', whose negation borders H
-        sol = _gauss([[*Hr, *map(neg, col), -cr] for Hr, col, cr in zip(H, cols, c)]
-                     + [[*g, *zeros, h[k]] for g, k in zip(rows, subset)])
+        kkt = ([[*Hr, *map(neg, col), -cr] for Hr, col, cr in zip(H, cols, c)]
+               + [[*g, *zeros, h[k]] for g, k in zip(rows, subset)])
+        sol = _gauss([row[:] for row in kkt])
         if sol is None or not all(map(math.isfinite, sol)):
             return None
-        x0, x1, x2, *lam = sol
+        x0, x1, x2, *lam = _refined(kkt, sol)
         for v in lam:
             if v < -QP_TOL:
                 return None
@@ -404,6 +416,28 @@ def _solve_qp(H, c, G, h, warm=None):
     near = set(first)
     rest = sorted((s for s in every if s != first), key=lambda s: len(near ^ set(s)))
     return next(filter(None, map(attempt, rest)), None)
+
+
+def _refined(kkt, sol):
+    """``sol``, the elimination's solution of the KKT system with augmented
+    rows ``kkt`` (three stationarity rows over x and the multipliers, then the
+    active rows), after one step of iterative refinement when a stationarity
+    row cancels: when its multiplier terms outweigh its terms in x and c by
+    more than ``QP_REFINE_RATIO``.  Elimination then loses the digits of x
+    that the multipliers' forces cancel, as when an active row is nearly
+    parallel to another, and x can miss its own rows by thousands of ulps;
+    the correction solved from the residual restores them.  Otherwise ``sol``
+    is returned unchanged."""
+    x0, x1, x2, *lam = sol
+    for row in kkt[:3]:
+        if (_total(map(abs, map(mul, row[3:], lam))) > QP_REFINE_RATIO
+                * (abs(row[0] * x0) + abs(row[1] * x1) + abs(row[2] * x2) + abs(row[-1]))):
+            break
+    else:
+        return sol
+    res = [row[-1] - math.fsum(map(mul, row, sol)) for row in kkt]
+    step = _gauss([[*row[:-1], r] for row, r in zip(kkt, res)])
+    return [*map(add, sol, step)] if step and all(map(math.isfinite, step)) else sol
 
 
 def _lstsq(cols, b):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drive import rigid_coupled_flexion
+from .drive import coupled_flexion_range, rigid_coupled_flexion
 from .errors import PreconditionError, ValidationError
 from .params import FingerParams, JointState
 
@@ -199,13 +199,17 @@ def _rounding_ties(tips: np.ndarray, slack: np.ndarray) -> np.ndarray:
     sit at half-integers there; a decade misjudged by ``log10`` falls outside
     that range and counts as a tie.  Every ``|w|`` below ``2e8 * slack``
     (about 2e-4 mm on the stock finger) has grid steps finer than twice the
-    slack, so zero and the sign of zero always count as ties."""
+    slack, so zero and the sign of zero always count as ties.  The distance
+    to a midpoint, computed through the rounded grid and quotient, may come
+    out up to ``4 e |w|`` too long (``e = 2**-53``), so a coordinate is clear
+    only when that distance exceeds the slack by ``4 e |w|``: every value
+    within the slack, not just the DH tip, then prints as ``w`` does."""
     a = np.abs(tips)
     with np.errstate(divide="ignore", invalid="ignore"):
         grid = 10.0 ** (np.floor(np.log10(a)) - 8.0)
         r = a / grid
         steps = np.minimum(np.abs(r - np.floor(r) - 0.5), np.minimum(r - 1e8, 1e9 - r))
-        clear = steps * grid > slack[:, None]
+        clear = steps * grid > slack[:, None] + 2.0**-51 * a
     return ~(clear[:, 0] & clear[:, 1] & clear[:, 2])
 
 
@@ -248,20 +252,6 @@ def derive_subseed(seed: int, index: int) -> int:
     """Sub-seed of finger ``index`` of a hand cloud: word ``index + 1`` of
     the master seed's stream, computed in O(1)."""
     return int(splitmix64_words(seed, index, 1)[0])
-
-
-def coupled_flexion_range(params: FingerParams):
-    """MCP flexion interval reachable with distal joints on the coupled line
-    while every joint stays inside its own limits."""
-    r0, r1, r2 = params.coupling_model().ratio
-    if r1 <= 0 or r2 <= 0 or r0 <= 0:
-        raise ValidationError("coupled sampling requires a positive ratio")
-    (_, _), (lo1, hi1), (lo2, hi2), (lo3, hi3) = params.joint_limits
-    lo = max(lo1, lo2 * r0 / r1, lo3 * r0 / r2)
-    hi = min(hi1, hi2 * r0 / r1, hi3 * r0 / r2)
-    if not lo < hi:
-        raise ValidationError("coupled flexion range is empty for these limits")
-    return lo, hi
 
 
 @dataclass(frozen=True)

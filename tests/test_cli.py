@@ -1,12 +1,14 @@
 import argparse
 import json
 import math
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from modhand import grasp
+from modhand import cli, grasp
 from modhand.cli import main
 from modhand.params import params_to_dict, default_params
 
@@ -167,8 +169,10 @@ def test_envelop_successful_trace(tmp_path, capsys):
 
 def test_envelop_names_the_failing_step_and_cause(tmp_path, capsys):
     # A small sphere that the distal phalanx grazes: the solver fails at
-    # step 116.  The solved steps stay "ok", and a final record and stderr
-    # name the failing step and why it failed.
+    # step 116, at a fold of the quasi-static branch, where its QPs rest on
+    # a vertex with multipliers near 1e9 and the iteration runs to its cap.
+    # The solved steps stay "ok", and a final record and stderr name the
+    # failing step and why it failed.
     config = tmp_path / "springs.json"
     doc = params_to_dict(default_params())
     doc["springs"] = {"serial": 200.0, "parallel": [300.0, 300.0, 0.2]}
@@ -190,7 +194,7 @@ def test_envelop_names_the_failing_step_and_cause(tmp_path, capsys):
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert [r["step"] for r in records] == list(range(117))
     assert all(r["status"] == "ok" for r in records[:-1])
-    cause = "constraint system admits no feasible equilibrium"
+    cause = "equilibrium iteration cap reached"
     assert records[-1] == {"step": 116, "status": "non-converged", "cause": cause}
     assert err == f"error: sweep failed at step 116: {cause}\n"
 
@@ -287,6 +291,64 @@ print(json.dumps([unloaded, resolved, codes, calls, cli.sample_workspace is orig
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           check=True)
     assert json.loads(proc.stdout) == [True, True, [0, 0], [3], True]
+
+
+def test_envelop_loads_no_numpy():
+    # In a fresh process: envelop builds its schedule and its swing frame on
+    # floats, so neither numpy nor the array modules are ever imported.
+    script = """
+import contextlib, io, json, sys
+from modhand import cli
+argv = ["envelop", "--sphere-d", "40", "--center", "34,28,0", "--a-max", "27.5", "--steps", "20"]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(argv)
+loaded = [m for m in ("numpy", "modhand.kinematics", "modhand.hand") if m in sys.modules]
+print(json.dumps([code, loaded]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True)
+    assert json.loads(proc.stdout) == [0, []]
+
+
+def test_grasp_resolves_the_forward_kinematics_wrap_point():
+    # In a fresh process, as the benchmark's tracer wraps it: the name
+    # resolves on the grasp module without its import loading kinematics, a
+    # wrapper set there is what the module holds, and restoring it holds.
+    script = """
+import json, sys
+import modhand.grasp as grasp
+unloaded = "modhand.kinematics" not in sys.modules
+from modhand import kinematics
+original = getattr(grasp, "forward_kinematics")
+resolved = original is kinematics.forward_kinematics
+def wrapper(*args, **kwargs):
+    return original(*args, **kwargs)
+setattr(grasp, "forward_kinematics", wrapper)
+wrapped = grasp.forward_kinematics is wrapper
+setattr(grasp, "forward_kinematics", original)
+missing = not hasattr(grasp, "sample_workspace")
+print(json.dumps([unloaded, resolved, wrapped, grasp.forward_kinematics is original, missing]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True)
+    assert json.loads(proc.stdout) == [True, True, True, True, True]
+
+
+def test_envelop_schedule_has_linspace_bits():
+    # envelop's drive schedule is numpy.linspace(0, a_max, steps) built on
+    # floats: every value has linspace's bits, compared as hex.
+    cases = [(a_max, steps) for steps in (1, 2, 3, 7, 20, 40, 150, 160, 1000)
+             for a_max in (0.0, -0.0, 27.5, 46.0, 1 / 3, 1e-310, 5e-324, 1e308, -3.0,
+                           math.inf, math.nan)]
+    rng = random.Random(3)
+    for _ in range(3036):
+        a_max = rng.choice([rng.uniform(-100.0, 100.0), rng.uniform(0.0, 60.0),
+                            math.copysign(10.0 ** rng.uniform(-323.0, 308.0), rng.random() - 0.5)])
+        cases.append((a_max, rng.randint(1, 400)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for a_max, steps in cases:
+            expected = [v.hex() for v in np.linspace(0.0, a_max, steps).tolist()]
+            assert [v.hex() for v in cli._drive_schedule(a_max, steps)] == expected, (a_max, steps)
 
 
 def test_non_finite_qp_point_ends_the_sweep_non_converged(monkeypatch, capsys):

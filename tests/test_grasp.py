@@ -680,11 +680,10 @@ def test_solved_step_makes_no_numpy_call():
 
 
 @pytest.mark.parametrize("case", ["30mm", "ceiling", "normal"])
-def test_sweep_calls_numpy_only_for_its_dh_pose(case):
-    # A whole sweep runs on floats apart from the DH chain of its swing
-    # frame: forward_kinematics runs unprofiled, and reading its pose into
-    # floats (one ndarray.tolist per sweep) is the one numpy call outside it.
-    # A half-space's normal is normalized on floats.
+def test_sweep_makes_no_numpy_call(case):
+    # A whole sweep runs on floats, its swing frame included: no C function
+    # of numpy or method of a numpy object is called, and no frame of numpy's
+    # Python code runs.  A half-space's normal is normalized on floats.
     center, a_max = ENV_SCENES[30.0]
     env = np.linspace(0.0, a_max, 160).tolist()
     low = np.linspace(0.0, 16.0, 160).tolist()
@@ -694,25 +693,28 @@ def test_sweep_calls_numpy_only_for_its_dh_pose(case):
             low, P, RigidObject.half_space((0.0, 25.0, 0.0), (0.0, -1.0, 0.0))),
         "normal": lambda: RigidObject.half_space((0, 25, 0), (1, -2, 0)),
     }[case]
-    fk, calls = grasp.forward_kinematics, Counter()
-
-    def unprofiled(*args):
-        previous = sys.getprofile()
-        sys.setprofile(None)
-        try:
-            return fk(*args)
-        finally:
-            sys.setprofile(previous)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(grasp, "forward_kinematics", unprofiled)
-        result = profiled(run, calls)()
+    calls = Counter()
+    result = profiled(run, calls)()
     if case == "normal":
         assert result.normal == (1 / math.sqrt(5), -2 / math.sqrt(5), 0.0)
-        assert calls == Counter()
     else:
         assert (result.status, len(result.steps)) == ("completed", 160)
-        assert calls == Counter({"ndarray.tolist": 1})
+    assert calls == Counter()
+
+
+def test_swing_frame_has_the_dh_chain_bits():
+    # The solves' swing frame is the DH chain's first pose computed on
+    # floats: every entry has the chain's bits, the sign of zero included.
+    lo, hi = P.joint_limits[0]
+    rng = random.Random(7)
+    swings = [0.0, -0.0, lo, hi, 1e-300, 5e-324, math.pi / 2, -math.pi / 2]
+    swings += [rng.uniform(lo, hi) for _ in range(20_000)]
+    swings += [rng.uniform(-7.0, 7.0) for _ in range(20_000)]
+    for q_aa in swings:
+        frame = grasp._solve_frame(q_aa, P, None)
+        rows = [[*r, o] for r, o in zip(frame.rotation, frame.origin)]
+        dh = forward_kinematics(JointState(q_aa=q_aa), P).frames[0][:3].tolist()
+        assert [[v.hex() for v in r] for r in rows] == [[v.hex() for v in r] for r in dh], q_aa
 
 
 def sum_312(iterable, start=0):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modhand import kinematics
@@ -415,6 +415,13 @@ def test_closed_form_tips_within_slack_of_dh(lengths, limits, seed, inside):
 
 @settings(max_examples=100, deadline=None)
 @given(**ROWS)
+@example(  # a tip 8.29704e187 from a midpoint that the rounded test put 8.29756e187 away
+    lengths=(45.0, 45.0, 9.369164379029089e199),
+    limits=((0.0, 6374.868268004471), (0.0, 6374.868268004471), (0.0, 1e-05),
+            (1.0924207094189716e-12, 7932.7476977206425)),
+    seed=4_294_967_295,
+    inside=True,
+)
 def test_values_left_on_the_closed_form_print_alike_across_the_slack(
     lengths, limits, seed, inside
 ):

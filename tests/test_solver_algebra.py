@@ -7,12 +7,13 @@ against.
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modhand import grasp
@@ -22,9 +23,41 @@ from modhand.params import default_params
 ENV_PARAMS = replace(default_params(), spring_serial=200.0, spring_parallel=(300.0, 300.0, 0.2))
 
 
+def rounded(q: Fraction) -> float:
+    """``q`` rounded to a float, or an infinity of its sign past the range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
+def exact_solve(A, b):
+    """Solution of the system A y = b in exact rational arithmetic, rounded
+    once to floats; None when A is singular."""
+    aug = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(A.tolist(), b.tolist())]
+    m = len(aug)
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for row in aug[col + 1:]:
+            if row[col] != 0:
+                f = row[col] / aug[col][col]
+                row[col:] = [a - f * p for a, p in zip(row[col:], aug[col][col:])]
+    y = [Fraction(0)] * m
+    for i in range(m - 1, -1, -1):
+        y[i] = (aug[i][m] - sum(aug[i][j] * y[j] for j in range(i + 1, m))) / aug[i][i]
+    return np.array([rounded(v) for v in y])
+
+
 def reference_solve_qp(H, c, G, h, warm=None):
     """Minimize 1/2 x'Hx + c'x subject to Gx >= h with numpy: the same
-    active-set enumeration, each KKT system solved by LAPACK."""
+    active-set enumeration, each KKT system solved by LAPACK, then the
+    accepted subset's system solved again exactly.  LAPACK's elimination can
+    miss x by 1e-8 when an active row is nearly parallel to another, as the
+    solver's own unrefined elimination did; the exact solve is the reference
+    x both are held to."""
     n = H.shape[0]
     m = G.shape[0]
 
@@ -53,6 +86,10 @@ def reference_solve_qp(H, c, G, h, warm=None):
                 return None
         if m and np.any(G @ x < h - QP_TOL):
             return None
+        sol = exact_solve(kkt, rhs) if k else exact_solve(H, -c)
+        if sol is None:  # singular: LAPACK's solution came from rounding alone
+            return None
+        x, lam = sol[:n], sol[n:]
         full = np.zeros(m)
         for j, idx in enumerate(subset):
             full[idx] = max(lam[j], 0.0)
@@ -141,8 +178,17 @@ def unique_active_set(H, c, G, h, sol) -> bool:
     return True
 
 
+# A row nearly parallel to the q1 upper stop, both active: the multipliers
+# (8.2e5 and 2.0e4) cancel to a gradient of about 100, and an unrefined
+# elimination misses x by 1.1e-8.
+NEAR_PARALLEL = (100.0 * np.eye(3), np.array([300.0, 0.0, 0.0]),
+                 np.vstack([np.eye(3), -np.eye(3), [[0.0, 40.0, -2.44140625e-03]]]),
+                 np.array([0.0, 0.0, -1.0, -1.0, -1.0, -0.0, 40.0012207]))
+
+
 @settings(max_examples=400, deadline=None)
 @given(problem=qps())
+@example(problem=NEAR_PARALLEL)
 def test_float_qp_matches_reference(problem):
     H, c, G, h = problem
     ref = reference_solve_qp(H, c, G, h)
