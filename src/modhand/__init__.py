@@ -7,7 +7,7 @@ simulation against simple rigid objects.
 
 The exports below are loaded on first access (PEP 562), so a process imports
 only the modules it uses: the CLI's short reports never compile the grasp
-solver.
+solver.  ``_lazy`` is the one first-use loader: ``cli`` and ``grasp`` use it too.
 """
 
 from importlib import import_module
@@ -88,12 +88,19 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 __all__ = sorted(_MODULE_OF)
 
 
-def __getattr__(name):
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
-    globals()[name] = value
-    return value
+def _lazy(namespace: dict, table: dict):
+    """The ``__getattr__`` of the module with globals ``namespace``: a name in
+    ``table`` imports its sibling module ``table[name]`` and is bound there."""
+    def __getattr__(name):
+        if name not in table:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        module = import_module(f".{table[name]}", namespace["__package__"])
+        namespace[name] = value = getattr(module, name)
+        return value
+    return __getattr__
+
+
+__getattr__ = _lazy(globals(), _MODULE_OF)
 
 
 def __dir__():

@@ -13,7 +13,7 @@ double precision.  The environment variable UCM_SEED overrides the default
 sampling seed (0) when --seed is not given.
 
 drive-map, ucm-report and envelop compute on floats and never import numpy;
-workspace and hand-fk import it with the modules they load on first use.
+envelop, workspace and hand-fk bind their modules on first use (``_lazy``).
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ import json
 import math
 import os
 import sys
-from importlib import import_module
 
-from . import __version__
+from . import __version__, _lazy
 from .drive import drive_to_mcp, rigid_coupled_flexion
 from .errors import ModhandError, SweepError, ValidationError
 from .params import (
@@ -39,17 +38,12 @@ from .params import (
 )
 from .ucm import constraint_rank, motion_subspaces, stiffness_matrices, transmission_jacobians
 
-# The array subcommands' names and their modules, bound on first use (PEP 562)
-# so that the short reports never import numpy.
-_LAZY = {**dict.fromkeys(("points_to_csv", "project_workspace", "sample_workspace"), "kinematics"),
+# The names of envelop, workspace and hand-fk and their modules, bound on
+# first use so that the short reports load neither the solver nor numpy.
+_LAZY = {**dict.fromkeys(("EquilibriumTrace", "RigidObject", "envelop_sweep"), "grasp"),
+         **dict.fromkeys(("points_to_csv", "project_workspace", "sample_workspace"), "kinematics"),
          **dict.fromkeys(("default_layout", "hand_fk", "load_layout"), "hand")}
-
-
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value = getattr(import_module(f".{_LAZY[name]}", __package__), name)
-    return value
+__getattr__ = _lazy(globals(), _LAZY)
 
 
 def _bind(*names) -> None:
@@ -241,8 +235,6 @@ def _drive_schedule(a_max: float, steps: int) -> list:
 
 
 def cmd_envelop(args) -> int:
-    from .grasp import EquilibriumTrace, RigidObject, envelop_sweep  # only envelop needs it
-
     params = resolve_params(args.config)
     try:
         center = [float(v) for v in args.center.split(",")]
@@ -254,6 +246,7 @@ def cmd_envelop(args) -> int:
         raise ValidationError("--sphere-d must be positive")
     if args.steps < 1:
         raise ValidationError("--steps must be >= 1")
+    _bind("RigidObject", "envelop_sweep", "EquilibriumTrace")
     obj = RigidObject.sphere(tuple(center), args.sphere_d / 2.0)
     schedule = _drive_schedule(args.a_max, args.steps)
     try:

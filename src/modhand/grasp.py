@@ -34,7 +34,8 @@ rested on first, then the subsets nearest them.  Certification fits the
 multipliers of those rows by modified Gram-Schmidt, and the curved model's
 rank test and eigenproblems (at most 2x2, on the active rows' null space)
 are closed forms.  The stiffness blocks arrive as float tuples and the swing
-frame is built on floats; this module imports no numpy and no ``kinematics``.
+frame is built on floats; this module imports no numpy and no ``kinematics``
+(the package's first-use loader ``_lazy`` binds ``forward_kinematics``).
 """
 
 from __future__ import annotations
@@ -42,11 +43,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from importlib import import_module
 from itertools import chain, combinations
 from operator import add, mul, neg, sub
 from typing import NamedTuple
 
+from . import _lazy
 from .drive import coupled_flexion_range, rigid_coupled_flexion
 from .errors import (
     InfeasibleStartError,
@@ -79,10 +80,8 @@ _BOX_ROWS = dict(enumerate(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
                             (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))))
 
 
-def __getattr__(name):  # PEP 562, for bench/tracer.py's wrap point; grasp never calls it
-    if name == "forward_kinematics":
-        return import_module(".kinematics", __package__).forward_kinematics
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# Loaded on first access for bench/tracer.py's wrap point; grasp never calls it.
+__getattr__ = _lazy(globals(), {"forward_kinematics": "kinematics"})
 
 
 @dataclass(frozen=True)

@@ -205,5 +205,5 @@ def layout_from_dict(doc: Mapping) -> HandLayout:
 
 
 def load_layout(source) -> HandLayout:
-    """Load a hand layout from a JSON file path, JSON text, or mapping."""
+    """Load a hand layout from a JSON file path or a mapping."""
     return layout_from_dict(_read_json(source))

@@ -413,26 +413,25 @@ def params_to_dict(p: FingerParams) -> dict:
 
 
 def _read_json(source, option: str | None = None) -> Any:
-    """A JSON document given as a mapping, a file path, or JSON text.
+    """A JSON document given as a mapping or a file path.
 
     Read and parse errors name ``option`` (a CLI option such as "--joints")
     or else ``<file>`` and ``<document>``.
     """
     if isinstance(source, Mapping):
         return source
-    if isinstance(source, Path) or not source.lstrip().startswith("{"):
-        try:
-            source = Path(source).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigSchemaError(option or "<file>", f"cannot read {source}: {exc}") from exc
     try:
-        return json.loads(source)
+        text = Path(source).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigSchemaError(option or "<file>", f"cannot read {source}: {exc}") from exc
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigSchemaError(option or "<document>", f"invalid JSON: {exc}") from exc
 
 
 def load_params(source) -> FingerParams:
-    """Load finger parameters from a JSON file path, JSON text, or mapping."""
+    """Load finger parameters from a JSON file path or a mapping."""
     return params_from_dict(_read_json(source))
 
 

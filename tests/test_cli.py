@@ -167,6 +167,18 @@ def test_envelop_successful_trace(tmp_path, capsys):
     assert all(len(r["q_deg"]) == 4 for r in records)
 
 
+def test_envelop_limit_saturated_exits_0(capsys):
+    # Out of reach: every flexion joint ends on its 100 deg stop.
+    code, out, err = run_cli(["envelop", "--sphere-d", "10", "--center", "500,500,0",
+                              "--a-max", "120", "--steps", "80"], capsys)
+    assert (code, err) == (0, "")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 69
+    assert records[-1]["status"] == "limit-saturated"
+    assert records[-1]["q_deg"][1:] == [100.0, 100.0, 100.0]
+    assert all(r["status"] == "ok" for r in records[:-1])
+
+
 def test_envelop_names_the_failing_step_and_cause(tmp_path, capsys):
     # A small sphere that the distal phalanx grazes: the solver fails at
     # step 116, at a fold of the quasi-static branch, where its QPs rest on
@@ -410,6 +422,25 @@ def _layout(index, **entry):
     return json.dumps({"fingers": fingers})
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["ucm-report", "--config"], json.dumps(params_to_dict(default_params()))),
+        (["hand-fk", "--layout"], _layout(0)),
+    ],
+    ids=["config", "layout"],
+)
+def test_input_path_beginning_with_a_brace_names_a_file(tmp_path, monkeypatch, capsys, argv, text):
+    # Inputs are files: a relative path such as "{finger}.json" is read, not
+    # parsed as JSON text, and reports what the same file under a plain name does.
+    monkeypatch.chdir(tmp_path)
+    for name in ("{finger}.json", "finger.json"):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    code, out, err = run_cli(argv + ["{finger}.json"], capsys)
+    assert (code, err) == (0, "")
+    assert out == run_cli(argv + ["finger.json"], capsys)[1]
+
+
 ENVELOP = ["envelop", "--sphere-d", "20"]
 MISSING = object()  # names an input file that is never written
 
@@ -441,10 +472,14 @@ MISSING = object()  # names an input file that is never written
         (None, ENVELOP + ["--a-max", "5", "--center", "30,a,0"], "--center: "),
         (None, ENVELOP + ["--a-max", "5", "--center", "nan,0,0"], "sphere center must be finite"),
         (None, ENVELOP + ["--a-max", "nan", "--center", "60,10,0"], "drive schedule must be finite"),
+        (None, ["envelop", "--sphere-d", "0", "--a-max", "5", "--center", "60,10,0"],
+         "--sphere-d must be positive"),
+        (None, ENVELOP + ["--a-max", "5", "--center", "60,10,0", "--steps", "0"],
+         "--steps must be >= 1"),
     ],
     ids=["short-row", "string-entry", "bad-json", "missing-joints", "missing-layout",
          "short-translation", "string-spring", "nan-translation", "inf-angle", "bad-center",
-         "nan-center", "nan-drive"],
+         "nan-center", "nan-drive", "zero-diameter", "zero-steps"],
 )
 def test_bad_outside_input_exits_1(tmp_path, capsys, text, argv, error):
     if text is not None:

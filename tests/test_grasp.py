@@ -340,6 +340,19 @@ def min_gap(joints, obj) -> float:
     return min(c.gap for c in every)
 
 
+def test_unreachable_object_ends_limit_saturated():
+    # A sphere far out of reach: the drive presses every flexion joint into
+    # its upper stop with no contact load, so the sweep stops there.
+    obj = RigidObject.sphere((500.0, 500.0, 0.0), 5.0)
+    trace = envelop_sweep(np.linspace(0.0, 120.0, 80), P, obj)
+    assert trace.status == "limit-saturated"
+    assert trace.error is None
+    assert len(trace.steps) == 69
+    assert trace.final.contacts == ()
+    for q, (_, hi) in zip(trace.final.joints.flexion(), P.joint_limits[1:]):
+        assert hi - 1e-12 <= q <= hi
+
+
 def test_ejection_flag_fires():
     center, diameter, a_max = EJECT_SCENE
     obj = RigidObject.sphere(center, diameter / 2.0)
