@@ -6,8 +6,9 @@ Carlo workspace analysis, and quasi-static adaptive-enveloping grasp
 simulation against simple rigid objects.
 
 The exports below are loaded on first access (PEP 562), so a process imports
-only the modules it uses: the CLI's short reports never compile the grasp
-solver.  ``_lazy`` is the one first-use loader: ``cli`` and ``grasp`` use it too.
+only the modules it uses.  ``_EXPORTS`` is the one name->module map and
+``_lazy`` the one first-use loader: ``cli`` binds every subcommand's names
+through both, and ``grasp`` uses the loader too.
 """
 
 from importlib import import_module
@@ -54,6 +55,7 @@ _EXPORTS = {
         "FingerPoseChain",
         "WorkspaceCloud",
         "forward_kinematics",
+        "points_to_csv",
         "project_workspace",
         "sample_workspace",
     ),

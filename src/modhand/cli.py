@@ -12,8 +12,9 @@ All numeric output is fixed at 9 significant digits; computation is full
 double precision.  The environment variable UCM_SEED overrides the default
 sampling seed (0) when --seed is not given.
 
-drive-map, ucm-report and envelop compute on floats and never import numpy;
-envelop, workspace and hand-fk bind their modules on first use (``_lazy``).
+drive-map, ucm-report and envelop compute on floats and never import numpy.
+Every subcommand binds the library names it calls on first use (``_bind``),
+through the package's export table, so each loads only its own modules.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import math
 import os
 import sys
 
-from . import __version__, _lazy
-from .drive import drive_to_mcp, rigid_coupled_flexion
+from . import _MODULE_OF, __version__, _lazy
 from .errors import ModhandError, SweepError, ValidationError
 from .params import (
     DriveState,
@@ -36,14 +36,8 @@ from .params import (
     params_to_dict,
     resolve_params,
 )
-from .ucm import constraint_rank, motion_subspaces, stiffness_matrices, transmission_jacobians
 
-# The names of envelop, workspace and hand-fk and their modules, bound on
-# first use so that the short reports load neither the solver nor numpy.
-_LAZY = {**dict.fromkeys(("EquilibriumTrace", "RigidObject", "envelop_sweep"), "grasp"),
-         **dict.fromkeys(("points_to_csv", "project_workspace", "sample_workspace"), "kinematics"),
-         **dict.fromkeys(("default_layout", "hand_fk", "load_layout"), "hand")}
-__getattr__ = _lazy(globals(), _LAZY)
+__getattr__ = _lazy(globals(), _MODULE_OF)
 
 
 def _bind(*names) -> None:
@@ -109,6 +103,7 @@ def _emit(text: str, args, manifest: dict) -> None:
 
 def cmd_drive_map(args) -> int:
     params = resolve_params(args.config)
+    _bind("drive_to_mcp", "rigid_coupled_flexion")
     train = params.differential
     coupling = params.coupling_model()
     theta, (q_aa, q_fe) = drive_to_mcp(DriveState(args.a1, args.a2), train)
@@ -159,6 +154,7 @@ def cmd_workspace(args) -> int:
 
 def cmd_ucm_report(args) -> int:
     params = resolve_params(args.config)
+    _bind("transmission_jacobians", "stiffness_matrices", "constraint_rank", "motion_subspaces")
     jac = transmission_jacobians(params)
     stiff = stiffness_matrices(params)
     rank = constraint_rank(params)

@@ -441,8 +441,8 @@ def _refined(kkt, sol):
 
 def _lstsq(cols, b):
     """Coefficients f minimizing |b - sum_i f_i cols_i| over 3-vectors, by
-    modified Gram-Schmidt with b as the last column; a column within rounding
-    of the span of those before it gets 0."""
+    modified Gram-Schmidt with b as the last column; a column whose remainder
+    orthogonal to the kept columns before it is at most 1e-12 of its norm gets 0."""
     qs, R, kept = [], [], []
     for j, a in enumerate([*cols, b]):
         (v0, v1, v2), r = a, []

@@ -18,8 +18,7 @@ import json
 import math
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
-from functools import cache
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -273,17 +272,11 @@ class FingerParams:
         return _total(self.link_lengths)
 
 
-@cache
-def _field_names(cls) -> tuple:
-    """Field names of a dataclass, looked up once per class."""
-    return tuple(f.name for f in fields(cls))
-
-
 class _FiniteState:
     """Base of the state records: every field becomes a finite float."""
 
     def __post_init__(self):
-        for name in _field_names(type(self)):
+        for name in self.__dataclass_fields__:
             v = float(getattr(self, name))
             if not math.isfinite(v):
                 raise ValidationError(f"{name} must be finite")

@@ -211,7 +211,8 @@ def test_envelop_names_the_failing_step_and_cause(tmp_path, capsys):
     assert err == f"error: sweep failed at step 116: {cause}\n"
 
 
-# Every name the package exported when it imported its modules eagerly.
+# Every name the package exports, by module: those it exported when it
+# imported its modules eagerly, and points_to_csv.
 PACKAGE_EXPORTS = {
     "drive": "coupling_residual drive_to_mcp mcp_to_drive rigid_coupled_flexion",
     "errors": "ConfigSchemaError DegenerateCouplingError InfeasibleStartError ModhandError "
@@ -222,8 +223,8 @@ PACKAGE_EXPORTS = {
              "equilibrium_solve fingertip_force inscribed_sphere",
     "hand": "HandLayout FingerMount auxiliary_aa_deflection default_layout hand_fk "
             "hand_workspace load_layout",
-    "kinematics": "FingerPoseChain WorkspaceCloud forward_kinematics project_workspace "
-                  "sample_workspace",
+    "kinematics": "FingerPoseChain WorkspaceCloud forward_kinematics points_to_csv "
+                  "project_workspace sample_workspace",
     "params": "CouplingModel DifferentialTrain DriveState FingerParams JointState "
               "PlanetaryState default_params load_params params_from_dict params_to_dict "
               "resolve_params text_ratio_params",
@@ -252,74 +253,81 @@ print(json.dumps([loaded, differ]))
     assert json.loads(proc.stdout) == [False, []]
 
 
-SHORT_REPORTS = [
-    ["drive-map", "--a1", "0.3", "--a2", "-0.2"],
-    ["drive-map", "--a1", "0.3", "--a2", "-0.2", "--format", "json"],
-    ["ucm-report"],
-    ["ucm-report", "--format", "json"],
-    ["ucm-report", "--config", "text-ratio"],
-    ["ucm-report", "--config", "text-ratio", "--format", "json"],
+# Each run, in a fresh process: its argv (None imports the CLI alone), the
+# modules it loads beyond the CLI's own, and whether it loads numpy.
+RUN_LOADS = [
+    pytest.param(None, "", False, id="import"),
+    pytest.param(["drive-map", "--a1", "0.3", "--a2", "-0.2"], "drive", False, id="drive-map"),
+    pytest.param(["drive-map", "--a1", "0.3", "--a2", "-0.2", "--format", "json"], "drive", False,
+                 id="drive-map-json"),
+    pytest.param(["ucm-report"], "ucm", False, id="ucm-report"),
+    pytest.param(["ucm-report", "--format", "json"], "ucm", False, id="ucm-report-json"),
+    pytest.param(["ucm-report", "--config", "text-ratio"], "ucm", False,
+                 id="ucm-report-text-ratio"),
+    pytest.param(["ucm-report", "--config", "text-ratio", "--format", "json"], "ucm", False,
+                 id="ucm-report-text-ratio-json"),
+    pytest.param(["envelop", "--sphere-d", "40", "--center", "34,28,0", "--a-max", "27.5",
+                  "--steps", "20"], "drive ucm grasp", False, id="envelop"),
+    pytest.param(["hand-fk"], "drive kinematics hand", True, id="hand-fk"),
+    pytest.param(["workspace", "--n", "3", "--seed", "0"], "drive kinematics", True,
+                 id="workspace"),
 ]
 
 
-def test_short_reports_load_no_numpy():
-    # In a fresh process: drive-map and ucm-report compute on floats, so
-    # neither numpy nor the array modules are ever imported.
+@pytest.mark.parametrize("argv, modules, numpy_loaded", RUN_LOADS)
+def test_each_run_loads_only_its_modules(argv, modules, numpy_loaded):
+    # The CLI imports only what every subcommand uses and binds the rest on
+    # first use: drive-map, ucm-report and envelop compute on floats without
+    # numpy, and no run loads another subcommand's modules.
     script = """
 import contextlib, io, json, sys
 from modhand import cli
+argv = json.loads(sys.argv[1])
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-loaded = [m for m in ("numpy", "modhand.kinematics", "modhand.hand") if m in sys.modules]
-print(json.dumps([codes, loaded]))
+    code = 0 if argv is None else cli.main(argv)
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "modhand")
+print(json.dumps([code, loaded, "numpy" in sys.modules]))
 """
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(SHORT_REPORTS)],
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
                           capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout) == [[0] * len(SHORT_REPORTS), []]
+    expected = sorted({"modhand", "modhand.cli", "modhand.params", "modhand.errors",
+                       "modhand.floats", *(f"modhand.{m}" for m in modules.split())})
+    assert json.loads(proc.stdout) == [0, expected, numpy_loaded]
 
 
 def test_array_subcommands_call_the_names_bound_on_the_cli_module():
-    # In a fresh process, as a tracer wraps them: the kinematics and hand
-    # names resolve on the CLI module without its import loading them, a
-    # wrapper set there is what workspace calls, and restoring it holds.
+    # In a fresh process, as a tracer wraps them: the library names resolve
+    # on the CLI module without its import loading their modules, a wrapper
+    # set there is what the subcommand calls, and restoring it holds.
     script = """
 import contextlib, io, json, sys
 import modhand.cli as cli
-unloaded = not {"modhand.kinematics", "modhand.hand"} & set(sys.modules)
-from modhand import hand, kinematics
-names = {"sample_workspace": kinematics, "points_to_csv": kinematics, "hand_fk": hand}
+unloaded = not {"modhand." + m for m in ("drive", "ucm", "kinematics", "hand")} & set(sys.modules)
+from modhand import drive, hand, kinematics, ucm
+names = {"drive_to_mcp": drive, "stiffness_matrices": ucm, "sample_workspace": kinematics,
+         "points_to_csv": kinematics, "hand_fk": hand}
 resolved = all(getattr(cli, name) is getattr(module, name) for name, module in names.items())
-original, calls = cli.sample_workspace, []
-def wrapper(*args, **kwargs):
-    calls.append(args[1])
-    return original(*args, **kwargs)
-cli.sample_workspace = wrapper
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(["workspace", "--n", "3", "--seed", "0"])]
-    cli.sample_workspace = original
-    codes.append(cli.main(["workspace", "--n", "4", "--seed", "0"]))
-print(json.dumps([unloaded, resolved, codes, calls, cli.sample_workspace is original]))
+runs = {"sample_workspace": ["workspace", "--n", "3", "--seed", "0"],
+        "drive_to_mcp": ["drive-map", "--a1", "0.3", "--a2", "-0.2"],
+        "stiffness_matrices": ["ucm-report"]}
+codes, calls, restored = [], [], []
+for name, argv in runs.items():
+    original = getattr(cli, name)
+    def wrapper(*args, name=name, original=original, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    setattr(cli, name, wrapper)
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+        setattr(cli, name, original)
+        codes.append(cli.main(argv))
+    restored.append(getattr(cli, name) is original)
+print(json.dumps([unloaded, resolved, codes, calls, restored]))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           check=True)
-    assert json.loads(proc.stdout) == [True, True, [0, 0], [3], True]
-
-
-def test_envelop_loads_no_numpy():
-    # In a fresh process: envelop builds its schedule and its swing frame on
-    # floats, so neither numpy nor the array modules are ever imported.
-    script = """
-import contextlib, io, json, sys
-from modhand import cli
-argv = ["envelop", "--sphere-d", "40", "--center", "34,28,0", "--a-max", "27.5", "--steps", "20"]
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(argv)
-loaded = [m for m in ("numpy", "modhand.kinematics", "modhand.hand") if m in sys.modules]
-print(json.dumps([code, loaded]))
-"""
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          check=True)
-    assert json.loads(proc.stdout) == [0, []]
+    wrapped = ["sample_workspace", "drive_to_mcp", "stiffness_matrices"]
+    assert json.loads(proc.stdout) == [True, True, [0] * 6, wrapped, [True] * 3]
 
 
 def test_grasp_resolves_the_forward_kinematics_wrap_point():
