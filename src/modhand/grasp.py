@@ -30,12 +30,12 @@ matrices are at most 6x6, so a numpy call would cost more than its few dozen
 flops, and its 3-vector arithmetic is written out on local floats.  H is
 ill-conditioned, so each KKT system is solved in full space by Gaussian
 elimination with partial pivoting; the QP tries the rows its last solve
-rested on first, then the subsets nearest them.  Certification fits the
-multipliers of those rows by modified Gram-Schmidt, and the curved model's
-rank test and eigenproblems (at most 2x2, on the active rows' null space)
-are closed forms.  The stiffness blocks arrive as float tuples and the swing
-frame is built on floats; this module imports no numpy and no ``kinematics``
-(the package's first-use loader ``_lazy`` binds ``forward_kinematics``).
+rested on first, then the subsets nearest them.  One Gram-Schmidt pass
+decides which of those rows are independent, for certification's fit and the
+curved model alike, whose eigenproblems (at most 2x2, on the active rows'
+null space) are closed forms.  The stiffness blocks arrive as float tuples
+and the swing frame is built on floats; this module imports no numpy and no
+``kinematics`` (the package loader ``_lazy`` binds ``forward_kinematics``).
 """
 
 from __future__ import annotations
@@ -439,28 +439,39 @@ def _refined(kkt, sol):
     return [*map(add, sol, step)] if step and all(map(math.isfinite, step)) else sol
 
 
-def _lstsq(cols, b):
-    """Coefficients f minimizing |b - sum_i f_i cols_i| over 3-vectors, by
-    modified Gram-Schmidt with b as the last column; a column whose remainder
-    orthogonal to the kept columns before it is at most 1e-12 of its norm gets 0."""
-    qs, R, kept = [], [], []
-    for j, a in enumerate([*cols, b]):
+def _gram_schmidt(cols):
+    """Modified Gram-Schmidt over 3-vectors: the indices of the ``cols`` it
+    keeps, and each column's coordinates on the unit vectors of the kept ones
+    before it, then, if kept, its remainder's norm.  It keeps a column whose
+    remainder exceeds 1e-12 of its norm, an angle of 1e-12 rad: the one rank
+    rule for resting rows (Golub and Van Loan, Matrix Computations, 5.4)."""
+    qs, coords, kept = [], [], []
+    for j, a in enumerate(cols):
         (v0, v1, v2), r = a, []
         for q0, q1, q2 in qs:
             d = q0 * v0 + q1 * v1 + q2 * v2
             r.append(d)
             v0, v1, v2 = v0 - d * q0, v1 - d * q1, v2 - d * q2
         norm = math.hypot(v0, v1, v2)
-        if j < len(cols) and norm > 1e-12 * math.hypot(*a):
+        if norm > 1e-12 * math.hypot(*a):
             qs.append((v0 / norm, v1 / norm, v2 / norm))
-            R.append(r + [norm])  # a column of the triangular factor
+            r.append(norm)  # r is now a column of the triangular factor
             kept.append(j)
-    f = [0.0] * len(cols)  # r now holds b's coordinates
-    for i in range(len(qs) - 1, -1, -1):  # back substitution on the triangular factor
-        value = r[i]
-        for j in range(i + 1, len(qs)):
-            value -= R[j][i] * f[kept[j]]
-        f[kept[i]] = value / R[i][i]
+        coords.append(r)
+    return kept, coords
+
+
+def _lstsq(cols, b):
+    """Coefficients f minimizing |b - sum_i f_i cols_i| over 3-vectors: back
+    substitution on ``_gram_schmidt``'s factor, b its last column; a column
+    that its rank rule drops gets 0."""
+    kept, R = _gram_schmidt([*cols, b])
+    kept, f = [j for j in kept if j < len(cols)], [0.0] * len(cols)
+    for i in range(len(kept) - 1, -1, -1):
+        value = R[-1][i]  # b's coordinates
+        for j in kept[i + 1:]:
+            value -= R[j][i] * f[j]
+        f[kept[i]] = value / R[kept[i]][i]
     return f
 
 
@@ -632,42 +643,11 @@ def _unit(v) -> tuple:
 
 
 def _active_span(rows):
-    """Rank of at most three ``rows`` by numpy's test, Gram eigenvalues above
-    1e-12 max(largest, 1), and a unit vector spanning the rows (rank 1) or
-    their null space (rank 2).  The eigenvalues come from the Gram matrix's
-    invariants, T = trace, S = sum |a_i x a_j|^2 and D = det(A)^2, not from
-    an orthogonalization, whose rank can differ on near-parallel rows: the
-    largest root l1 of l^3 - T l^2 + S l - D, then the other two from their
-    sum (S - D/l1)/l1 and product D/l1, l3 capped by l2 where D is rounding."""
-    if len(rows) == 1:
-        T = _dot(rows[0], rows[0])
-        return (1, _unit(rows[0])) if T > 1e-12 * max(T, 1.0) else (0, None)
-    crosses = [_cross(u, v) for u, v in combinations(rows, 2)]
-    T = _total(_dot(v, v) for v in rows)
-    S = _total(_dot(v, v) for v in crosses)
-    D = _dot(rows[0], crosses[2]) ** 2 if len(rows) == 3 else 0.0
-    floor = 1e-12 * max(T, 1.0)  # rank 3 if l2 >= S/(3 T) and l3 >= D/S clear it
-    if D > floor * S and S > 3.0 * floor * T:
-        return 3, None
-    l1, p = T / 3.0, S - T * T / 3.0
-    if D == 0.0:
-        l1 = 0.5 * T + math.sqrt(max(0.25 * T * T - S, 0.0))
-    elif p < 0.0:  # trigonometric form; p = 0 when the three are equal
-        arg = 1.5 * (T * (S / 3.0 - 2.0 * T * T / 27.0) - D) / p * math.sqrt(-3.0 / p)
-        l1 += 2.0 * math.sqrt(-p / 3.0) * math.cos(math.acos(max(-1.0, min(1.0, arg))) / 3.0)
-    total, prod = ((S - D / l1) / l1, D / l1) if l1 > 0.0 else (0.0, 0.0)
-    l2 = 0.5 * total + math.sqrt(max(0.25 * total * total - prod, 0.0))
-    l3 = min(prod / l2, l2) if l2 > 0.0 else 0.0
-    floor = 1e-12 * max(l1, 1.0)
-    rank = (l1 > floor) + (l2 > floor) + (l3 > floor)
-    if rank in (0, 3):
-        return rank, None
-    if len(rows) == rank:
-        return rank, _unit(rows[0] if rank == 1 else crosses[0])
-    shift = l1 if rank == 1 else l3  # the Gram matrix's eigenvector of l1 or l3
-    M = [[_total(a[i] * a[j] for a in rows) - shift * (i == j) for j in range(3)] for i in range(3)]
-    crosses = [_cross(u, v) for u, v in combinations(M, 2)]
-    return rank, _unit(max(crosses, key=lambda v: _dot(v, v)))
+    """Rank of at most three ``rows`` by ``_gram_schmidt``'s rule, and a unit
+    vector spanning the kept rows (rank 1) or their null space (rank 2), else None."""
+    kept = [rows[j] for j in _gram_schmidt(rows)[0]]
+    v = _unit(kept[0]) if len(kept) == 1 else _unit(_cross(*kept)) if len(kept) == 2 else None
+    return len(kept), v
 
 
 def _reduced_curvature(frame, rows, curv):

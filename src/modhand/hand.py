@@ -152,6 +152,8 @@ def auxiliary_aa_deflection(torque: float, spring: float, limit: float) -> float
     linear spring response clamped to the travel limit."""
     if not spring > 0:
         raise ValidationError("swing spring stiffness must be strictly positive")
+    if not (math.isfinite(torque) and math.isfinite(limit)):
+        raise ValidationError("swing torque and travel limit must be finite")
     angle = torque / spring
     return min(max(angle, -abs(limit)), abs(limit))
 

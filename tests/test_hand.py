@@ -106,6 +106,20 @@ def test_aux_deflection_rejects_bad_spring():
         auxiliary_aa_deflection(1.0, 0.0, 0.3)
 
 
+@pytest.mark.parametrize("torque", [math.nan, math.inf, -math.inf])
+def test_aux_deflection_rejects_non_finite_torque(torque):
+    # A NaN torque returned nan instead of an error.
+    with pytest.raises(ValidationError):
+        auxiliary_aa_deflection(torque, 200.0, 0.3)
+
+
+@pytest.mark.parametrize("limit", [math.nan, math.inf])
+def test_aux_deflection_rejects_non_finite_limit(limit):
+    # A NaN limit returned the unclamped angle: (1000, 200, nan) gave 5.0 rad.
+    with pytest.raises(ValidationError):
+        auxiliary_aa_deflection(1000.0, 200.0, limit)
+
+
 @settings(max_examples=200, deadline=None)
 @given(torque=st.floats(-1e4, 1e4), k=st.floats(1.0, 1e3), limit=st.floats(0.01, 1.0))
 def test_aux_deflection_odd(torque, k, limit):

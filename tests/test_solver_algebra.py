@@ -279,15 +279,22 @@ def evaluation_noise(A, f) -> float:
     return 4.0 * np.finfo(float).eps * float(np.linalg.norm(np.abs(A.T) @ np.abs(f)))
 
 
-def kept_rows(A, f) -> list:
-    """The rows of A that a fit f keeps, in order: a row with f_j = 0 whose
-    remainder orthogonal to the kept rows before it, projected by numpy,
-    is at most 1e-12 of its norm is dropped; every other row is kept."""
+def projection(a, B):
+    """numpy's least-squares coefficients x of a on the rows B, and a's
+    remainder a - B'x orthogonal to their span."""
+    x = np.linalg.lstsq(B.T, a, rcond=None)[0]
+    return x, a - B.T @ x
+
+
+def kept_rows(A, f=None) -> list:
+    """The rows of A that the 1e-12 remainder cut keeps, in order: a row
+    whose remainder orthogonal to the kept rows before it, projected by
+    numpy, is at most 1e-12 of its norm is dropped, unless the fit f gives
+    it a nonzero multiplier; every other row is kept."""
     kept = []
     for j, a in enumerate(A):
-        B = A[kept].T
-        remainder = a - B @ np.linalg.lstsq(B, a, rcond=None)[0]
-        if f[j] != 0.0 or np.linalg.norm(remainder) > 1e-12 * np.linalg.norm(a):
+        remainder = np.linalg.norm(projection(a, A[kept])[1])
+        if f is not None and f[j] != 0.0 or remainder > 1e-12 * np.linalg.norm(a):
             kept.append(j)
     return kept
 
@@ -361,18 +368,19 @@ def test_qp_rejects_subset_missing_its_own_rows(a, proximal, middle):
 
 
 def reference_curved_hessian(H, H_fro, rows, forces, hessians):
-    """The curved model with numpy's eigh: P H P + Z floor(Z'WZ) Z', with W
-    the Lagrangian Hessian, P the projector onto the rows' span and Z an
-    orthonormal basis of their null space.  Returns the model, the rank and
-    the Gram eigenvalues."""
+    """The curved model with numpy: P H P + Z floor(Z'WZ) Z', with W the
+    Lagrangian Hessian, P the projector onto the span of the rows that
+    ``kept_rows`` keeps and Z an orthonormal basis of its null space, both
+    from their SVD.  Returns the model and Y, an orthonormal basis of the
+    span, whose width is the rank."""
     W = H - sum(f * Hk for f, Hk in zip(forces, hessians))
-    w, v = np.linalg.eigh(rows.T @ rows)
-    across = w > 1e-12 * max(w[-1], 1.0)
-    Y, Z = v[:, across], v[:, ~across]
+    kept = kept_rows(rows)
+    v = np.linalg.svd(rows[kept])[2] if kept else np.eye(3)
+    Y, Z = v[:len(kept)].T, v[len(kept):].T
     mu, u = np.linalg.eigh(Z.T @ W @ Z)
     floor = 1e-6 * H_fro
     model = Y @ (Y.T @ H @ Y) @ Y.T + Z @ ((u * np.maximum(mu, floor)) @ u.T) @ Z.T
-    return model, int(across.sum()), w
+    return model, Y
 
 
 @st.composite
@@ -409,16 +417,32 @@ def curvatures(draw):
     return H, np.array(rows), forces, hessians
 
 
+# Two rows 1e-6 rad apart: the remainder cut keeps both (rank 2), where a
+# cut on the Gram eigenvalues at 1e-12 of the largest rated them rank 1.
+NEAR_PARALLEL_PAIR = (1000.0 * np.eye(3), np.array([[0.0, 40.0, 0.0], [0.0, 40.0, 4e-5]]),
+                      [0.0, 0.0], [np.zeros((3, 3))] * 2)
+
+
 @settings(max_examples=400, deadline=None)
 @given(problem=curvatures())
+@example(problem=NEAR_PARALLEL_PAIR)
 def test_reduced_curvature_matches_reference(problem):
     H, rows, forces, hessians = problem
     eps = np.finfo(float).eps
     H_fro = float(np.linalg.norm(H))
-    ref, rank, w = reference_curved_hessian(H, H_fro, rows, forces, hessians)
-    # numpy's own rounding must not straddle the rank threshold
-    threshold = 1e-12 * max(w[-1], 1.0)
-    assume(np.all(np.abs(w - threshold) > 64 * eps * w[-1]))
+    # numpy's own rounding must not straddle the rank cut: each row's
+    # remainder stays farther from 1e-12 of its norm than a first-order bound
+    # on its rounding, 64 eps (|B| |x| + cond(B) |r| + |a|) for the kept rows
+    # B before it, coefficients x and remainder r (Wedin's bound; Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 20).
+    kept, norm = kept_rows(rows), np.linalg.norm
+    for j, a in enumerate(rows):
+        B = rows[[k for k in kept if k < j]]
+        x, r = projection(a, B)
+        scale = norm(a) + (norm(B, 2) * norm(x) + np.linalg.cond(B) * norm(r) if len(B) else 0.0)
+        assume(abs(norm(r) - 1e-12 * norm(a)) > 64 * eps * scale)
+    ref, Y = reference_curved_hessian(H, H_fro, rows, forces, hessians)
+    rank = Y.shape[1]
     got_rank, _ = grasp._active_span(as_rows(rows))
     assert got_rank == rank
 
@@ -432,9 +456,9 @@ def test_reduced_curvature_matches_reference(problem):
     # gap between the kept and the dropped Gram eigenvalues amplifies.
     F = sum(f * Hk for f, Hk in zip(forces, hessians))
     size = np.abs(H).max() + np.abs(F).max()
+    w = np.linalg.svd(rows, compute_uv=False)[::-1] ** 2  # Gram eigenvalues, to full digits
     gap = w[-rank] if 0 < rank < 3 else w[-1]
     tol = (1e-9 + 64 * eps * w[-1] / gap) * size
-    Y = np.linalg.eigh(rows.T @ rows)[1][:, 3 - rank:]
     B = H - F + Y @ Y.T @ F @ Y @ Y.T
     lowest = np.linalg.eigvalsh(0.5 * (B + B.T))[0] - 1e-6 * H_fro
     assume(abs(lowest) > tol)
@@ -443,12 +467,27 @@ def test_reduced_curvature_matches_reference(problem):
 
 
 def test_rank_ignores_a_determinant_at_rounding_level():
-    # Two equal rows and a third within 5e-9 of parallel to them: the
-    # computed triple product is rounding noise, larger than the sum S of the
-    # squared cross products, and must not make the rows rank 2 or 3.
+    # Two equal rows and a third 5e-9 longer, parallel to them to rounding:
+    # its remainder orthogonal to the first is rounding noise, far below
+    # 1e-12 of its norm, and must not make the rows rank 2 or 3.
     a = [19.94232871997105, 24.58207131959039, 2.4718530146546147]
     c = [19.94232881646857, 24.58207143853883, 2.471853026615489]
     rows = np.array([a, a, c])
     w = np.linalg.eigvalsh(rows.T @ rows)
     assert int(np.sum(w > 1e-12 * max(w[-1], 1.0))) == 1
     assert grasp._active_span(as_rows(rows))[0] == 1
+
+
+def test_fold_vertex_is_rank_three_for_both_callers():
+    # The rows the grazing sweep's failing step 116 rests on (8 mm sphere at
+    # (70, 30, 0)): the q1 and q2 stops and a distal row 7.1e-5 rad off
+    # their span, sigma_3 / sigma_1 = 9.5e-7.  The one rank rule rates them
+    # rank 3 for the curved model and keeps all three columns in the fit.
+    rows = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+            (-70.00525787343992, -25.005258564853534, -0.005258948972213097)]
+    sigma = np.linalg.svd(np.array(rows), compute_uv=False)
+    assert 9e-7 < sigma[-1] / sigma[0] < 1e-6
+    assert grasp._active_span(rows) == (3, None)
+    assert grasp._gram_schmidt(rows)[0] == [0, 1, 2]
+    f = grasp._lstsq(rows, tuple(map(sum, zip(*rows))))
+    assert all(abs(v - 1.0) < 1e-6 for v in f)
