@@ -20,10 +20,16 @@ few ulp, not bit for bit, so a cloud row whose 9-significant-digit text
 could differ between them (a coordinate near a rounding midpoint or a
 decade boundary) takes the DH product instead: cloud CSVs are byte for byte
 the DH chain's.
+
+One tie rule (``_rounding_ties``) serves tips and text.  CSV text is
+``'%.9g'`` value by value: off the ties the digits come from integer
+arithmetic and digit tables, and only the values at a tie go through
+``'%.9g'`` itself.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,27 +196,34 @@ def _closed_form_tips(qs: np.ndarray, params: FingerParams) -> tuple:
     return tips, slack
 
 
-def _rounding_ties(tips: np.ndarray, slack: np.ndarray) -> np.ndarray:
-    """Rows of ``tips`` with a coordinate ``w`` whose ``'%.9g'`` text may
-    change within ``slack`` of ``w``: the interval holds a rounding midpoint
-    of 9 significant digits or a decade boundary, or the test itself is not
-    finite.  The 9-digit grid of ``|w|`` is ``10**(e - 8)`` with ``e`` its
-    decade, so ``|w|`` over the grid lies in ``[1e8, 1e9)`` and the midpoints
-    sit at half-integers there; a decade misjudged by ``log10`` falls outside
-    that range and counts as a tie.  Every ``|w|`` below ``2e8 * slack``
-    (about 2e-4 mm on the stock finger) has grid steps finer than twice the
-    slack, so zero and the sign of zero always count as ties.  The distance
-    to a midpoint, computed through the rounded grid and quotient, may come
-    out up to ``4 e |w|`` too long (``e = 2**-53``), so a coordinate is clear
-    only when that distance exceeds the slack by ``4 e |w|``: every value
-    within the slack, not just the DH tip, then prints as ``w`` does."""
-    a = np.abs(tips)
+def _rounding_ties(values: np.ndarray, slack) -> tuple:
+    """Per coordinate ``w`` of ``values``: whether its ``'%.9g'`` text may
+    change within ``slack`` of ``w`` (a number or an array that broadcasts
+    against ``values``), with the decade ``e`` of ``|w|`` and ``r = |w| / 10**(e -
+    8)``, its quotient by the 9-digit grid.
+
+    A tie is a coordinate whose interval holds a rounding midpoint of 9
+    significant digits or a decade boundary, or whose test is not finite.
+    ``r`` lies in ``[1e8, 1e9)`` and the midpoints sit at half-integers
+    there; a decade misjudged by ``log10`` falls outside that range and
+    counts as a tie.  Every ``|w|`` below ``2e8 * slack`` (about 2e-4 mm on
+    the stock finger) has grid steps finer than twice the slack, so zero and
+    the sign of zero always count as ties.  The distance to a midpoint,
+    computed through the rounded grid and quotient, may come out up to ``4 e
+    |w|`` too long (``e = 2**-53``), so a coordinate is clear only when that
+    distance exceeds the slack by ``4 e |w|``: every value within the slack,
+    not just ``w``, then prints as ``w`` does, and ``rint(r)`` is the 9-digit
+    mantissa of ``w``.  The one rule serves tips and text: ``_cloud_tips``
+    takes the DH product for the rows with a tie, and ``points_to_csv``, at
+    zero slack, hands the tie values alone to ``'%.9g'``."""
+    a = np.abs(values)
     with np.errstate(divide="ignore", invalid="ignore"):
-        grid = 10.0 ** (np.floor(np.log10(a)) - 8.0)
+        e = np.floor(np.log10(a))
+        grid = 10.0 ** (e - 8.0)
         r = a / grid
         steps = np.minimum(np.abs(r - np.floor(r) - 0.5), np.minimum(r - 1e8, 1e9 - r))
-        clear = steps * grid > slack[:, None] + 2.0**-51 * a
-    return ~(clear[:, 0] & clear[:, 1] & clear[:, 2])
+        clear = steps * grid > slack + 2.0**-51 * a
+    return ~clear, e, r
 
 
 def _cloud_tips(qs: np.ndarray, params: FingerParams) -> np.ndarray:
@@ -219,7 +232,8 @@ def _cloud_tips(qs: np.ndarray, params: FingerParams) -> np.ndarray:
     rounding tie (``_rounding_ties``), which take the DH product.  Each row
     depends only on itself, not on the block around it."""
     tips, slack = _closed_form_tips(qs, params)
-    ties = _rounding_ties(tips, slack)
+    ties = _rounding_ties(tips, slack[:, None])[0]
+    ties = ties[:, 0] | ties[:, 1] | ties[:, 2]
     if ties.any():
         tips[ties] = batch_fingertips(qs[ties], params)
     return tips
@@ -328,12 +342,72 @@ def project_workspace(cloud: WorkspaceCloud, plane: str) -> np.ndarray:
     return cloud.points[:, (i, j)]
 
 
+@functools.cache
+def _digit_words() -> tuple:
+    """The 4-digit chunks 0000 .. 9999 as ASCII words, one ``uint32`` each,
+    in four tables: all digits, leading zeros blanked to NUL, leading zeros
+    blanked except the units digit, and trailing zeros blanked."""
+    digits = np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1) % 10
+    chars = (digits + ord("0")).astype(np.uint8)
+    leading = np.cumsum(digits, axis=1) == 0
+    trailing = np.cumsum(digits[:, ::-1], axis=1)[:, ::-1] == 0
+
+    def words(blank):
+        return np.where(blank, np.uint8(0), chars).view(np.uint32)[:, 0]
+
+    return words(False), words(leading), words(leading & [True, True, True, False]), words(trailing)
+
+
+_POWERS_OF_TEN = 10 ** np.arange(10, dtype=np.int64)
+
+# The text slot of one CSV value: sign, integer part in two 4-digit chunks,
+# point, fraction in three, separator.  The NUL bytes are dropped from the
+# text, and a value that goes through ``'%.9g'`` has that text written over
+# everything but the separator.
+_TEXT_SLOT = np.dtype({
+    "names": ["sign", "int_hi", "int_lo", "point", "frac_1", "frac_2", "frac_3", "sep", "text"],
+    "formats": ["u1", "u4", "u4", "u1", "u4", "u4", "u4", "u1", "S22"],
+    "offsets": [0, 1, 5, 9, 10, 14, 18, 22, 0],
+    "itemsize": 23,
+})
+
+
 def points_to_csv(points: np.ndarray, header: tuple) -> str:
-    """CSV text with 9 significant digits, stable across platforms."""
-    points = np.asarray(points)
-    row = ",".join(["%.9g"] * points.shape[1]) + "\n"
-    parts = [",".join(header) + "\n"]
+    """CSV text of ``points`` with 9 significant digits: ``'%.9g'`` of each
+    value, stable across platforms.
+
+    A value clear of every 9-digit rounding tie (``_rounding_ties`` at zero
+    slack) with ``1e-4 <= |w| < 1e6`` is written from integer digits: its
+    9-digit mantissa ``rint(r)`` times ``10**(e + 4)`` is ``|w|``, rounded to
+    9 digits, times ``10**12`` on int64, whose 4-digit chunks are looked up
+    in ``_digit_words``.  The
+    other values, the ties, zero, the other decades and the non-finite,
+    go through ``'%.9g'``.
+    """
+    points = np.asarray(points, dtype=float)
+    digits, leading, units, trailing = _digit_words()
+    text = bytearray((",".join(header) + "\n").encode())
     for first in range(0, len(points), _BLOCK_ROWS):
         block = points[first:first + _BLOCK_ROWS]
-        parts.append(row * len(block) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+        ties, e, r = _rounding_ties(block, 0.0)
+        fast = ~ties & (e >= -4.0) & (e <= 5.0)
+        shift = np.where(fast, e + 4.0, 0.0).astype(np.intp)
+        fixed = np.where(fast, np.rint(r), 0.0).astype(np.int64) * _POWERS_OF_TEN[shift]
+        whole, frac = np.divmod(fixed, 10**12)
+        hi, lo = np.divmod(whole, 10**4)
+        frac_12, frac_3 = np.divmod(frac, 10**4)
+        frac_1, frac_2 = np.divmod(frac_12, 10**4)
+        slots = np.empty(block.shape, _TEXT_SLOT)
+        slots["sign"] = np.signbit(block) * np.uint8(ord("-"))
+        slots["int_hi"] = leading[hi]
+        slots["int_lo"] = np.where(hi > 0, digits[lo], units[lo])
+        slots["point"] = (frac > 0) * np.uint8(ord("."))
+        slots["frac_1"] = np.where(frac_2 | frac_3, digits[frac_1], trailing[frac_1])
+        slots["frac_2"] = np.where(frac_3, digits[frac_2], trailing[frac_2])
+        slots["frac_3"] = trailing[frac_3]
+        slots["sep"] = ord(",")
+        slots["sep"][:, -1] = ord("\n")
+        if not fast.all():
+            slots["text"][~fast] = ["%.9g" % w for w in block[~fast].tolist()]
+        text += slots.tobytes().translate(None, b"\0")
+    return text.decode()

@@ -378,6 +378,57 @@ def test_csv_special_values_equal_row_formatter():
         assert points_to_csv(points, ("a", "b", "c")) == row_csv(points, ("a", "b", "c"))
 
 
+def nudged(w: float, ulps: int) -> float:
+    """``w`` moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        w = math.nextafter(w, math.copysign(math.inf, ulps))
+    return w
+
+
+ULPS = st.integers(-4, 4)
+SIGNED = st.sampled_from([1.0, -1.0])
+# Values where integer digits and '%.9g' are hardest to keep equal: a few ulp
+# either side of a 9-digit rounding midpoint (m + 1/2) * 10**(e - 8) and of
+# a power of ten, across the edges of the integer-digit decades (1e-4 and
+# 1e6); zero, subnormals and non-finite values; and arbitrary bits.
+CSV_VALUES = st.one_of(
+    st.builds(
+        lambda m, e, ulps, sign: sign * nudged((m + 0.5) * 10.0 ** (e - 8), ulps),
+        st.integers(10**8, 10**9 - 1), st.integers(-6, 7), ULPS, SIGNED,
+    ),
+    st.builds(lambda k, ulps, sign: sign * nudged(10.0**k, ulps), st.integers(-9, 10), ULPS, SIGNED),
+    st.builds(lambda w, sign: sign * w, st.floats(9e-5, 1.1e-4) | st.floats(9e5, 1.1e6), SIGNED),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, np.uint64).view(np.float64))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(CSV_VALUES, min_size=1, max_size=64),
+    rows=st.integers(1, 8) | st.integers(BLOCK - 3, BLOCK + 3),
+    cols=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+# r just below 1e8: log10 rounds a value just below a power of ten up a decade
+@example(values=[99999.99999999999, 0.0009999999999999998], rows=BLOCK, cols=3, seed=0)
+# r just below 1e9: a tie, and clear values whose mantissa rounds up to 1e9
+@example(values=[99.99999999999997, 999.9999999999994, -999999.999999999], rows=BLOCK, cols=3, seed=0)
+# midpoint distance at the 2**-51 |w| margin: just clear, just a tie, and a
+# tie whose computed quotient lies on the wrong side of its midpoint
+@example(values=[0.20132302050000012, -53.687799149999975, 1157.035805], rows=BLOCK, cols=3,
+         seed=0)
+def test_csv_equals_row_formatter_near_ties(values, rows, cols, seed):
+    # The drawn values, repeated and shuffled to fill the array, print as
+    # the per-value formatter prints them, in every column and block.  Small
+    # arrays, and lines compared as a list, keep a failure's report quick.
+    points = np.random.default_rng(seed).permutation(np.resize(values, rows * cols))
+    points = points.reshape(rows, cols)
+    header = ("a", "b", "c")[:cols]
+    assert points_to_csv(points, header).split("\n") == row_csv(points, header).split("\n")
+
+
 # --------------------------------------------------------------------------
 # Closed-form cloud tips: within the slack of the DH product, DH at ties
 # --------------------------------------------------------------------------
@@ -430,7 +481,7 @@ def test_values_left_on_the_closed_form_print_alike_across_the_slack(
     params = FingerParams(link_lengths=lengths, joint_limits=limits)
     qs = drawn_rows(params.joint_limits, seed, inside)
     tips, slack = kinematics._closed_form_tips(qs, params)
-    kept = ~kinematics._rounding_ties(tips, slack)
+    kept = ~kinematics._rounding_ties(tips, slack[:, None])[0].any(axis=1)
     for row, d in zip(tips[kept].tolist(), slack[kept].tolist()):
         for w in row:
             assert "%.9g" % (w - d) == "%.9g" % w == "%.9g" % (w + d), (w, d)

@@ -452,13 +452,13 @@ def test_reduced_curvature_matches_reference(problem):
 
     # B = W + P F P when B - 1e-6 |H|_F I is positive definite, else the
     # floored model; both within 1e-9 of the scale of H and F, plus the
-    # rounding of the split into the rows' span and null space, which the
-    # gap between the kept and the dropped Gram eigenvalues amplifies.
+    # rounding of the split into the rows' span and null space, of order
+    # eps times the kept rows' condition sigma_1 / sigma_rank.
     F = sum(f * Hk for f, Hk in zip(forces, hessians))
     size = np.abs(H).max() + np.abs(F).max()
-    w = np.linalg.svd(rows, compute_uv=False)[::-1] ** 2  # Gram eigenvalues, to full digits
-    gap = w[-rank] if 0 < rank < 3 else w[-1]
-    tol = (1e-9 + 64 * eps * w[-1] / gap) * size
+    sigma = np.linalg.svd(rows, compute_uv=False)[::-1]  # ascending
+    gap = sigma[-rank] if 0 < rank < 3 else sigma[-1]
+    tol = (1e-9 + 64 * eps * sigma[-1] / gap) * size
     B = H - F + Y @ Y.T @ F @ Y @ Y.T
     lowest = np.linalg.eigvalsh(0.5 * (B + B.T))[0] - 1e-6 * H_fro
     assume(abs(lowest) > tol)
