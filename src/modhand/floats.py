@@ -1,6 +1,6 @@
 """The package's one float sum (left to right, the same on every interpreter),
-its one normalizer, its one Gaussian elimination and its cross product, shared
-by the modules that compute on floats."""
+its normalizer (grasp keeps ``math.hypot`` for null-space vectors), its one
+Gaussian elimination and its cross product, shared by the float modules."""
 
 import math
 import sys

@@ -36,6 +36,9 @@ curved model alike, whose eigenproblems (at most 2x2, on the active rows'
 null space) are closed forms.  The stiffness blocks arrive as float tuples
 and the swing frame is built on floats; this module imports no numpy and no
 ``kinematics`` (the package loader ``_lazy`` binds ``forward_kinematics``).
+
+Input records validate (``RigidObject``); the result records (``Contact``,
+``TraceStep``, ``EquilibriumTrace``) are built final, with tuple fields.
 """
 
 from __future__ import annotations
@@ -141,10 +144,6 @@ class Contact:
     gap: float
     force: float = 0.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "point", tuple(map(float, self.point)))
-        object.__setattr__(self, "normal", tuple(map(float, self.normal)))
-
 
 # --------------------------------------------------------------------------
 # Swing-frame contact kernel
@@ -174,8 +173,8 @@ class _Frame:
 
     def contact(self, hit, force: float = 0.0) -> Contact:
         """World-coordinate contact of a kernel hit."""
-        point = [_dot(r, hit.point) + o for r, o in zip(self.rotation, self.origin)]
-        normal = [_dot(r, hit.normal) for r in self.rotation]
+        point = tuple(_dot(r, hit.point) + o for r, o in zip(self.rotation, self.origin))
+        normal = tuple(_dot(r, hit.normal) for r in self.rotation)
         return Contact(hit.phalanx, point, normal, hit.gap, force)
 
 
@@ -761,18 +760,12 @@ class TraceStep:
     energy: float
     object_present: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "contacts", tuple(self.contacts))
-
 
 @dataclass(frozen=True)
 class EquilibriumTrace:
     steps: tuple
     status: str  # completed | ejected | limit-saturated | non-converged
     error: SweepError | None = None  # non-converged: the step that failed and why
-
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
 
     @property
     def final(self) -> TraceStep:
@@ -819,7 +812,8 @@ def envelop_sweep(a_schedule, params: FingerParams, obj: RigidObject,
         except ModhandError as exc:
             raise SweepError(i, exc) from exc
 
-        steps.append(TraceStep(a, *sol.triple, _stored_energy(sol.transmission, params), present))
+        steps.append(TraceStep(a, sol.joints, sol.transmission, tuple(sol.contacts),
+                               _stored_energy(sol.transmission, params), present))
         touching = sum(map(touches, sol.contacts))
         if present and held and touching == 0 and a > schedule[i - 1]:
             return EquilibriumTrace(steps=tuple(steps), status="ejected")
@@ -838,12 +832,11 @@ def touches(contact: Contact) -> bool:
     return contact.gap <= TOUCH_TOL or contact.force > 0.0
 
 
-def fingertip_force(a: float, params: FingerParams, obj: RigidObject,
-                    q_init: JointState | None = None) -> float:
+def fingertip_force(a: float, params: FingerParams, obj: RigidObject) -> float:
     """Normal force at a single distal-phalanx contact, from the equilibrium
-    multiplier.  Raises PreconditionError unless the distal phalanx is the
-    only contact touching or pressing the object."""
-    _, _, contacts = equilibrium_solve(a, q_init or JointState(), params, obj)
+    multiplier, from the straight finger.  Raises PreconditionError unless the
+    distal phalanx is the only contact touching or pressing the object."""
+    _, _, contacts = equilibrium_solve(a, JointState(), params, obj)
     touching = [c for c in contacts if touches(c)]
     if len(touching) != 1 or touching[0].phalanx != 3:
         raise PreconditionError("fingertip force requires a single distal-phalanx contact")

@@ -106,11 +106,11 @@ class HandLayout:
         raise KeyError(name)
 
 
-def default_layout(params: FingerParams | None = None) -> HandLayout:
+def default_layout() -> HandLayout:
     """Documented stock palm: index/middle/ring/little parallel at 20 mm
     lateral pitch, thumb root offset palmward and rotated 90 degrees into
     opposition.  Ring and little are auxiliary with passive swing springs."""
-    p = params if params is not None else FingerParams()
+    p = FingerParams()
     mounts = [
         FingerMount(
             name="thumb",
@@ -158,15 +158,15 @@ def auxiliary_aa_deflection(torque: float, spring: float, limit: float) -> float
     return min(max(angle, -abs(limit)), abs(limit))
 
 
-def hand_workspace(layout: HandLayout, n: int, seed: int, coupled: bool = False):
-    """Per-finger fingertip clouds in the palm frame plus their union.
+def hand_workspace(layout: HandLayout, n: int, seed: int):
+    """Per-finger free-mode fingertip clouds in the palm frame plus their union.
 
     Each finger consumes its own derived sub-stream so clouds stay
     reproducible regardless of evaluation order."""
     clouds = {}
     for index, mount in enumerate(layout.fingers):
         sub = derive_subseed(seed, index)
-        cloud = sample_workspace(mount.params, n, seed=sub, coupled=coupled)
+        cloud = sample_workspace(mount.params, n, seed=sub)
         pts = (mount.base[:3, :3] @ cloud.points.T).T + mount.base[:3, 3]
         clouds[mount.name] = pts
     union = np.vstack(list(clouds.values()))

@@ -25,6 +25,9 @@ One tie rule (``_rounding_ties``) serves tips and text.  CSV text is
 ``'%.9g'`` value by value: off the ties the digits come from integer
 arithmetic and digit tables, and only the values at a tie go through
 ``'%.9g'`` itself.
+
+The pose chains and clouds returned here are built final, their arrays made
+read-only where they are computed, and do not copy or check them again.
 """
 
 from __future__ import annotations
@@ -63,15 +66,6 @@ class FingerPoseChain:
     base: np.ndarray
     frames: tuple  # 4 world transforms: swing, proximal, middle, distal
     joint_state: JointState
-
-    def __post_init__(self):
-        base = np.array(self.base, dtype=float)
-        base.setflags(write=False)
-        frames = tuple(np.array(f, dtype=float) for f in self.frames)
-        for f in frames:
-            f.setflags(write=False)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "frames", frames)
 
     @property
     def tip(self) -> np.ndarray:
@@ -137,11 +131,10 @@ def forward_kinematics(
     ``base`` is an optional world transform of the finger root (4 x 4).
     """
     stacks = _chain(np.array([q.as_array()]), params, base)
-    return FingerPoseChain(
-        base=np.eye(4) if base is None else base,
-        frames=tuple(stack[0] for stack in stacks),
-        joint_state=q,
-    )
+    base = np.eye(4) if base is None else np.array(base, dtype=float)
+    for frozen in (base, *stacks):
+        frozen.setflags(write=False)
+    return FingerPoseChain(base, tuple(stack[0] for stack in stacks), q)
 
 
 def batch_fingertips(
@@ -277,11 +270,6 @@ class WorkspaceCloud:
     coupled: bool
     joint_limits: tuple
 
-    def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
     @property
     def count(self) -> int:
         return self.points.shape[0]
@@ -326,9 +314,8 @@ def sample_workspace(
             q1 = qs[:, 1]
             qs = np.column_stack([qs[:, 0], q1, *rigid_coupled_flexion(q1, coupling)])
         points[first:first + rows] = _cloud_tips(qs, params)
-    return WorkspaceCloud(
-        points=points, seed=seed, coupled=coupled, joint_limits=limits
-    )
+    points.setflags(write=False)
+    return WorkspaceCloud(points=points, seed=seed, coupled=coupled, joint_limits=limits)
 
 
 def project_workspace(cloud: WorkspaceCloud, plane: str) -> np.ndarray:

@@ -6,6 +6,9 @@ quantity here is linear in the joint angles and the drive coordinate, so the
 Jacobians, stiffness matrices, and motion subspaces depend only on the
 structural parameters.  The matrices are at most 4x3, so they are computed
 on floats and held in float tuples; nothing here imports numpy.
+
+The records returned here are built final, with float-tuple fields, and do
+not check or convert them again; their input, ``FingerParams``, validates.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import SingularStiffnessError, ValidationError
+from .errors import SingularStiffnessError
 from .floats import _cross, _gauss, _total, unit_vector
 from .params import FingerParams
 
@@ -25,10 +28,6 @@ class TransmissionState:
 
     serial: float
     parallel: tuple  # 3 floats
-
-    def __post_init__(self):
-        object.__setattr__(self, "serial", float(self.serial))
-        object.__setattr__(self, "parallel", tuple(map(float, self.parallel)))
 
     def as_array(self) -> tuple:
         return self.serial, *self.parallel
@@ -46,17 +45,6 @@ class TransmissionJacobians:
     serial_joint: tuple
     serial_drive: float
     parallel: tuple
-
-    def __post_init__(self):
-        sj = tuple(float(x) for x in self.serial_joint)
-        if len(sj) != 3:
-            raise ValidationError("serial_joint must have 3 entries")
-        par = tuple(tuple(float(x) for x in row) for row in self.parallel)
-        if len(par) != 3 or any(len(r) != 3 for r in par):
-            raise ValidationError("parallel block must be 3x3")
-        object.__setattr__(self, "serial_joint", sj)
-        object.__setattr__(self, "serial_drive", float(self.serial_drive))
-        object.__setattr__(self, "parallel", par)
 
 
 def jacobians_from_geometry(teeth, drive_radii, coupling_radii) -> TransmissionJacobians:
@@ -91,7 +79,8 @@ def transmission_state(q_fe, a: float, params: FingerParams) -> TransmissionStat
     q1, q2, q3 = map(float, q_fe)
     s1, s2, s3 = jac.serial_joint
     serial = float(a) * jac.serial_drive + (s1 * q1 + s2 * q2 + s3 * q3)
-    return TransmissionState(serial, [p1 * q1 + p2 * q2 + p3 * q3 for p1, p2, p3 in jac.parallel])
+    parallel = tuple(p1 * q1 + p2 * q2 + p3 * q3 for p1, p2, p3 in jac.parallel)
+    return TransmissionState(serial, parallel)
 
 
 def _singular_values(rows) -> list:

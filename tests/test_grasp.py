@@ -33,9 +33,9 @@ from modhand.grasp import (
     inscribed_sphere,
     touches,
 )
-from modhand.kinematics import forward_kinematics
+from modhand.kinematics import forward_kinematics, sample_workspace
 from modhand.params import JointState, default_params
-from modhand.ucm import transmission_state
+from modhand.ucm import transmission_jacobians, transmission_state
 
 P = default_params()
 LINE = np.array([6.0, 7.0, 4.2])
@@ -656,6 +656,41 @@ def test_reported_joints_stay_in_the_joint_box():
                     assert lo <= value <= hi, f"seed {seed}: {value} outside [{lo}, {hi}]"
 
 
+def test_result_records_are_built_final():
+    # The result records neither convert nor copy their fields, so each
+    # builder must hand over float tuples and read-only arrays itself.
+    def floats(v, n=3):
+        return type(v) is tuple and len(v) == n and all(type(x) is float for x in v)
+
+    def final(contacts):
+        return all(floats(c.point) and floats(c.normal) for c in contacts)
+
+    for params, obj, schedule in bench_scenes(0):
+        trace = envelop_sweep(schedule, params, obj)
+        assert type(trace.steps) is tuple
+        for step in trace.steps:
+            assert type(step.contacts) is tuple and final(step.contacts)
+            state = step.transmission
+            assert type(state.serial) is float and floats(state.parallel)
+    jac = transmission_jacobians(P)
+    assert floats(jac.serial_joint) and type(jac.serial_drive) is float
+    assert type(jac.parallel) is tuple and all(floats(row) for row in jac.parallel)
+    chain = forward_kinematics(JointState(), P)
+    for obj in (RigidObject.sphere((70.0, 12.0, 0.0), 10.0),
+                RigidObject.half_space((0.0, 5.0, 0.0), (1.0, -2.0, 0.0))):
+        contacts = detect_contacts(chain, P, obj)
+        assert contacts and final(contacts)
+
+    assert not sample_workspace(P, 10).points.flags.writeable
+    base = np.eye(4)
+    base[:3, 3] = (1.0, 2.0, 3.0)
+    based = forward_kinematics(JointState(), P, base=base)
+    for c in (chain, based):
+        assert not any(a.flags.writeable for a in (c.base, *c.frames))
+    assert base.flags.writeable and not np.shares_memory(based.base, base)
+    assert (based.base == base).all()
+
+
 def profiled(fn, calls):
     """``fn`` run under a profile hook that counts in ``calls`` each numpy call
     it makes: a C function of numpy or a method of a numpy object, or a frame
@@ -1066,20 +1101,28 @@ def test_kernel_hessians_match_gradient_differences(q_aa, x, data):
         assert 0.0 < target.t < 1.0
     else:
         assert target.t in (0.0, 1.0)
-    for k, hit in enumerate(hits):
-        if hit.gap > ACTIVATION_THRESHOLD:
-            assert hit.hess is None
-            continue
+
+    def differences(k, step):
         fd = np.zeros((3, 3))
         for j in range(3):
             xp = np.array(x, dtype=float)
             xm = np.array(x, dtype=float)
-            xp[j] += h
-            xm[j] -= h
+            xp[j] += step
+            xm[j] -= step
             fd[:, j] = (
                 np.asarray(kernel_at(xp, q_aa, P, obj)[k].grad)
                 - np.asarray(kernel_at(xm, q_aa, P, obj)[k].grad)
-            ) / (2 * h)
+            ) / (2 * step)
+        return fd
+
+    for k, hit in enumerate(hits):
+        if hit.gap > ACTIVATION_THRESHOLD:
+            assert hit.hess is None
+            continue
+        # Richardson extrapolation cancels the central differences' h**2
+        # error, which exceeds the tolerance when a sphere centre lies within
+        # 0.02 mm of another phalanx's axis (curvature of order 1/distance).
+        fd = (4.0 * differences(k, h / 2) - differences(k, h)) / 3.0
         hess = np.asarray(hit.hess)
         assert np.array_equal(hess, hess.T)
         assert np.abs(hess - fd).max() <= 1e-5 * (1.0 + np.abs(hess).max())
