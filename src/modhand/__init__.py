@@ -53,7 +53,6 @@ _EXPORTS = {
     ),
     "kinematics": (
         "FingerPoseChain",
-        "WorkspaceCloud",
         "forward_kinematics",
         "points_to_csv",
         "project_workspace",

@@ -142,12 +142,11 @@ def cmd_workspace(args) -> int:
     params = resolve_params(args.config)
     seed = _default_seed(args)
     _bind("sample_workspace", "project_workspace", "points_to_csv")
-    cloud = sample_workspace(params, args.n, seed=seed, coupled=args.coupled)
+    points = sample_workspace(params, args.n, seed=seed, coupled=args.coupled)
     if args.project:
-        pts = project_workspace(cloud, args.project)
-        text = points_to_csv(pts, ("u_mm", "v_mm"))
+        text = points_to_csv(project_workspace(points, args.project), ("u_mm", "v_mm"))
     else:
-        text = points_to_csv(cloud.points, ("x_mm", "y_mm", "z_mm"))
+        text = points_to_csv(points, ("x_mm", "y_mm", "z_mm"))
     _emit(text, args, _manifest(args, params_to_dict(params), seed))
     return 0
 

@@ -166,9 +166,8 @@ def hand_workspace(layout: HandLayout, n: int, seed: int):
     clouds = {}
     for index, mount in enumerate(layout.fingers):
         sub = derive_subseed(seed, index)
-        cloud = sample_workspace(mount.params, n, seed=sub)
-        pts = (mount.base[:3, :3] @ cloud.points.T).T + mount.base[:3, 3]
-        clouds[mount.name] = pts
+        points = sample_workspace(mount.params, n, seed=sub)
+        clouds[mount.name] = (mount.base[:3, :3] @ points.T).T + mount.base[:3, 3]
     union = np.vstack(list(clouds.values()))
     return clouds, union
 

@@ -26,8 +26,9 @@ One tie rule (``_rounding_ties``) serves tips and text.  CSV text is
 arithmetic and digit tables, and only the values at a tie go through
 ``'%.9g'`` itself.
 
-The pose chains and clouds returned here are built final, their arrays made
-read-only where they are computed, and do not copy or check them again.
+The pose chains returned here are built final, their frames made read-only
+where they are computed, and clouds are read-only (n, 3) arrays: nothing
+copies or checks them again.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drive import coupled_flexion_range, rigid_coupled_flexion
-from .errors import PreconditionError, ValidationError
+from .errors import ValidationError
 from .params import FingerParams, JointState
 
 # Fixed alignment from the first link frame to the base convention above.
@@ -63,7 +64,6 @@ class FingerPoseChain:
     end of the phalanx), so consecutive origins span the phalanx segments.
     """
 
-    base: np.ndarray
     frames: tuple  # 4 world transforms: swing, proximal, middle, distal
     joint_state: JointState
 
@@ -131,10 +131,9 @@ def forward_kinematics(
     ``base`` is an optional world transform of the finger root (4 x 4).
     """
     stacks = _chain(np.array([q.as_array()]), params, base)
-    base = np.eye(4) if base is None else np.array(base, dtype=float)
-    for frozen in (base, *stacks):
-        frozen.setflags(write=False)
-    return FingerPoseChain(base, tuple(stack[0] for stack in stacks), q)
+    for stack in stacks:
+        stack.setflags(write=False)
+    return FingerPoseChain(tuple(stack[0] for stack in stacks), q)
 
 
 def batch_fingertips(
@@ -261,24 +260,11 @@ def derive_subseed(seed: int, index: int) -> int:
     return int(splitmix64_words(seed, index, 1)[0])
 
 
-@dataclass(frozen=True)
-class WorkspaceCloud:
-    """Monte Carlo fingertip cloud with enough metadata to reproduce it."""
-
-    points: np.ndarray  # (n, 3) mm
-    seed: int
-    coupled: bool
-    joint_limits: tuple
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
-
 def sample_workspace(
     params: FingerParams, n: int, seed: int = 0, coupled: bool = False
-) -> WorkspaceCloud:
-    """Fingertip cloud from ``n`` i.i.d. uniform joint samples.
+) -> np.ndarray:
+    """Fingertip cloud from ``n`` i.i.d. uniform joint samples: a read-only
+    (n, 3) float array, mm.
 
     Per sample the stream is consumed in a fixed order: swing angle, then
     each flexion angle (free mode), or swing angle then the single coupled
@@ -315,18 +301,17 @@ def sample_workspace(
             qs = np.column_stack([qs[:, 0], q1, *rigid_coupled_flexion(q1, coupling)])
         points[first:first + rows] = _cloud_tips(qs, params)
     points.setflags(write=False)
-    return WorkspaceCloud(points=points, seed=seed, coupled=coupled, joint_limits=limits)
+    return points
 
 
-def project_workspace(cloud: WorkspaceCloud, plane: str) -> np.ndarray:
-    """Orthogonal projection of the cloud onto a coordinate plane, (n, 2)."""
+def project_workspace(points: np.ndarray, plane: str) -> np.ndarray:
+    """Orthogonal projection of an (n, 3) cloud onto a coordinate plane,
+    (n, 2)."""
     key = plane.lower()
     if key not in _PLANES:
         raise ValidationError(f"plane must be one of xoy/xoz/yoz, got {plane!r}")
-    if cloud.count == 0:
-        raise PreconditionError("cannot project an empty workspace cloud")
     i, j = _PLANES[key]
-    return cloud.points[:, (i, j)]
+    return points[:, (i, j)]
 
 
 @functools.cache

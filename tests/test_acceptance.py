@@ -187,7 +187,7 @@ def test_criterion_06_fk_oracle_equivalence():
 def test_criterion_07_workspace():
     start = time.perf_counter()
     cloud = sample_workspace(P, 100_000, seed=0, coupled=True)
-    radii3 = np.linalg.norm(cloud.points, axis=1)
+    radii3 = np.linalg.norm(cloud, axis=1)
     assert np.all(radii3 <= P.reach + 1e-9)
 
     proj = project_workspace(cloud, "xoy")
@@ -206,8 +206,8 @@ def test_criterion_07_workspace():
     assert np.all(planar >= inner_bound - 1e-9)
 
     again = sample_workspace(P, 100_000, seed=0, coupled=True)
-    csv_a = points_to_csv(cloud.points, ("x_mm", "y_mm", "z_mm"))
-    csv_b = points_to_csv(again.points, ("x_mm", "y_mm", "z_mm"))
+    csv_a = points_to_csv(cloud, ("x_mm", "y_mm", "z_mm"))
+    csv_b = points_to_csv(again, ("x_mm", "y_mm", "z_mm"))
     assert csv_a.encode() == csv_b.encode()
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

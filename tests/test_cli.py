@@ -223,7 +223,7 @@ PACKAGE_EXPORTS = {
              "equilibrium_solve fingertip_force inscribed_sphere",
     "hand": "HandLayout FingerMount auxiliary_aa_deflection default_layout hand_fk "
             "hand_workspace load_layout",
-    "kinematics": "FingerPoseChain WorkspaceCloud forward_kinematics points_to_csv "
+    "kinematics": "FingerPoseChain forward_kinematics points_to_csv "
                   "project_workspace sample_workspace",
     "params": "CouplingModel DifferentialTrain DriveState FingerParams JointState "
               "PlanetaryState default_params load_params params_from_dict params_to_dict "

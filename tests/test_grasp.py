@@ -247,6 +247,21 @@ def test_non_converged_error_carries_last_iterate():
     assert all(c.force == 0.0 for c in contacts)
 
 
+def test_start_that_only_more_flexion_could_clear_has_no_feasible_equilibrium():
+    # q1 rests on its upper stop, and the sphere presses 0.05 mm (within
+    # RECOVERY_TOL) into the proximal phalanx on the side that only more q1
+    # flexion could clear: the first QP's rows admit no point.
+    q = JointState(q1=math.radians(100.0))
+    obj = RigidObject.sphere((9.280296848169488, 21.944898961030905, 0.0), 5.0)
+    assert q.q1 == P.joint_limits[1][1]
+    [contact] = detect_contacts(forward_kinematics(q, P), P, obj)
+    assert contact.phalanx == 1 and contact.gap == pytest.approx(-0.05, abs=1e-9)
+    reason = "^constraint system admits no feasible equilibrium$"
+    with pytest.raises(NonConvergedError, match=reason) as info:
+        equilibrium_solve(0.0, q, P, obj)
+    assert info.value.best is None
+
+
 def test_non_converged_sweep_keeps_solved_steps():
     schedule = np.linspace(0.0, 10.0, 20)
     full = envelop_sweep(schedule, P, BLOCKER)
@@ -681,14 +696,13 @@ def test_result_records_are_built_final():
         contacts = detect_contacts(chain, P, obj)
         assert contacts and final(contacts)
 
-    assert not sample_workspace(P, 10).points.flags.writeable
+    assert not sample_workspace(P, 10).flags.writeable
     base = np.eye(4)
     base[:3, 3] = (1.0, 2.0, 3.0)
     based = forward_kinematics(JointState(), P, base=base)
     for c in (chain, based):
-        assert not any(a.flags.writeable for a in (c.base, *c.frames))
-    assert base.flags.writeable and not np.shares_memory(based.base, base)
-    assert (based.base == base).all()
+        assert not any(a.flags.writeable for a in c.frames)
+    assert base.flags.writeable and not any(np.shares_memory(f, base) for f in based.frames)
 
 
 def profiled(fn, calls):

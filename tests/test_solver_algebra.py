@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from modhand import grasp
@@ -162,8 +162,17 @@ def qps(draw):
 def unique_active_set(H, c, G, h, sol) -> bool:
     """Whether the reference's solution has one active set beyond doubt:
     linearly independent active rows, every active multiplier and every
-    inactive slack clear of zero."""
+    inactive slack clear of zero.
+
+    A subset whose KKT system is singular to rounding but not exactly can
+    pass the reference's LAPACK tests and then solve exactly to a point far
+    outside the box (1e243 on a draw with row entries near 1e-242).  Such a
+    reference cannot judge the draw; it is rejected, and counted as an
+    event, before any norm of it is taken, as those norms would overflow."""
     x, mult, active = sol
+    if not (np.all(x >= h[:3] - QP_TOL) and np.all(x <= -h[3:6] + QP_TOL)):
+        event("reference point outside the box")
+        return False
     scale = np.linalg.norm(H @ x + c) + 1.0
     slack = G @ x - h
     inactive = [i for i in range(len(G)) if i not in active]
