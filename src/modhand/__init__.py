@@ -36,16 +36,12 @@ _EXPORTS = {
         "detect_contacts",
         "elastic_energy",
         "elastic_energy_gradient",
-        "enveloping_pose_for_radius",
         "envelop_sweep",
         "equilibrium_solve",
-        "fingertip_force",
-        "inscribed_sphere",
     ),
     "hand": (
         "HandLayout",
         "FingerMount",
-        "auxiliary_aa_deflection",
         "default_layout",
         "hand_fk",
         "hand_workspace",
@@ -78,7 +74,6 @@ _EXPORTS = {
         "TransmissionJacobians",
         "TransmissionState",
         "constraint_rank",
-        "is_transmission_stable",
         "motion_subspaces",
         "stiffness_matrices",
         "transmission_jacobians",

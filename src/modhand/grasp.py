@@ -51,7 +51,6 @@ from operator import add, mul, neg, sub
 from typing import NamedTuple
 
 from . import _lazy
-from .drive import coupled_flexion_range, rigid_coupled_flexion
 from .errors import (
     InfeasibleStartError,
     ModhandError,
@@ -830,60 +829,3 @@ def touches(contact: Contact) -> bool:
     """Whether a contact's surfaces touch: its gap is at most ``TOUCH_TOL``
     or it carries force.  A candidate with a visible gap does not."""
     return contact.gap <= TOUCH_TOL or contact.force > 0.0
-
-
-def fingertip_force(a: float, params: FingerParams, obj: RigidObject) -> float:
-    """Normal force at a single distal-phalanx contact, from the equilibrium
-    multiplier, from the straight finger.  Raises PreconditionError unless the
-    distal phalanx is the only contact touching or pressing the object."""
-    _, _, contacts = equilibrium_solve(a, JointState(), params, obj)
-    touching = [c for c in contacts if touches(c)]
-    if len(touching) != 1 or touching[0].phalanx != 3:
-        raise PreconditionError("fingertip force requires a single distal-phalanx contact")
-    return touching[0].force
-
-
-# --------------------------------------------------------------------------
-# Scene construction
-# --------------------------------------------------------------------------
-
-def inscribed_sphere(params: FingerParams, q1: float):
-    """Sphere tangent to all three phalanx surfaces at a coupled-line posture.
-
-    With the distal joints on the coupled line at MCP angle ``q1``, the
-    phalanx axes are lines in the flexion plane; center and radius solve the
-    linear system placing the center capsule-radius-plus-R from each axis on
-    the palmar side.  Returns (center, radius), the center at z = 0."""
-    q2, q3 = rigid_coupled_flexion(q1, params.coupling_model())
-    px, py, aug = 0.0, 0.0, []
-    for L, r, cum in zip(params.link_lengths, params.link_radii, (q1, q1 + q2, q1 + q2 + q3)):
-        nx, ny = -math.sin(cum), math.cos(cum)  # inward normal of the axis
-        aug.append([nx, ny, -1.0, nx * px + ny * py + r])
-        px, py = px + L * math.cos(cum), py + L * math.sin(cum)
-    sol = _gauss(aug)
-    if sol is None or not sol[2] > 0:
-        raise ValidationError("posture admits no inscribed sphere")
-    cx, cy, radius = sol
-    return (cx, cy, 0.0), radius
-
-
-def enveloping_pose_for_radius(params: FingerParams, radius: float):
-    """MCP angle on the coupled line whose inscribed sphere has the given
-    radius, plus that sphere's center.  Bisection over the coupled flexion
-    range to a 1e-10 rad bracket; raises ValidationError when the radius is
-    out of reach."""
-    lo, hi = coupled_flexion_range(params)
-    lo = max(lo, 1e-3)
-    r_lo, r_hi = (inscribed_sphere(params, q1)[1] for q1 in (lo, hi))
-    if not (min(r_lo, r_hi) <= radius <= max(r_lo, r_hi)):
-        raise ValidationError(f"no coupled posture has an inscribed sphere of radius {radius} mm")
-    decreasing = r_lo > r_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        above = inscribed_sphere(params, mid)[1] > radius
-        lo, hi = (mid, hi) if above == decreasing else (lo, mid)
-        if hi - lo < 1e-10:
-            break
-    q1 = 0.5 * (lo + hi)
-    center, _ = inscribed_sphere(params, q1)
-    return q1, center

@@ -1,9 +1,11 @@
 """Five-finger hand composition.
 
-Thumb, index, and middle are full modular fingers; ring and little are
-auxiliary fingers that keep the coupled flexion chain but replace the driven
-lateral swing with a passive spring.  Base transforms place each finger root
-in the palm frame.
+Every mounted finger is a full modular finger.  A mount's ``kind``
+(active, or auxiliary with a passive swing spring) and its ``aa_spring`` are
+validated, and the ``hand-fk`` manifest digests them, but they are not
+modelled: ``hand_fk`` and ``hand_workspace`` move ring and little exactly
+like the active fingers.  Base transforms place each finger root in the palm
+frame.
 
 Layout documents are checked against the shipped schema
 (schema/hand_layout.schema.json), whose per-finger ``params`` is a finger
@@ -86,7 +88,7 @@ class FingerMount:
 
 @dataclass(frozen=True)
 class HandLayout:
-    """Exactly five mounted fingers; thumb/index/middle actively driven."""
+    """Exactly five mounted fingers with unique names."""
 
     fingers: tuple
 
@@ -109,7 +111,8 @@ class HandLayout:
 def default_layout() -> HandLayout:
     """Documented stock palm: index/middle/ring/little parallel at 20 mm
     lateral pitch, thumb root offset palmward and rotated 90 degrees into
-    opposition.  Ring and little are auxiliary with passive swing springs."""
+    opposition.  Ring and little are marked auxiliary, with the stock swing
+    spring recorded."""
     p = FingerParams()
     mounts = [
         FingerMount(
@@ -145,17 +148,6 @@ def hand_fk(joint_states, layout: HandLayout):
         forward_kinematics(q, mount.params, base=mount.base)
         for q, mount in zip(states, layout.fingers)
     ]
-
-
-def auxiliary_aa_deflection(torque: float, spring: float, limit: float) -> float:
-    """Passive lateral deflection of an auxiliary finger under a swing torque:
-    linear spring response clamped to the travel limit."""
-    if not spring > 0:
-        raise ValidationError("swing spring stiffness must be strictly positive")
-    if not (math.isfinite(torque) and math.isfinite(limit)):
-        raise ValidationError("swing torque and travel limit must be finite")
-    angle = torque / spring
-    return min(max(angle, -abs(limit)), abs(limit))
 
 
 def hand_workspace(layout: HandLayout, n: int, seed: int):

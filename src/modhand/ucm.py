@@ -120,12 +120,6 @@ def constraint_rank(params: FingerParams) -> int:
     return stacked_constraint_rank(transmission_jacobians(params))
 
 
-def is_transmission_stable(params: FingerParams) -> bool:
-    """Full column rank of the stacked constraints: the elastic network
-    grounds every joint direction, so the mechanism returns to equilibrium."""
-    return constraint_rank(params) == 3
-
-
 @dataclass(frozen=True)
 class StiffnessSet:
     """Quadratic-form blocks of the elastic energy in (q, a), as floats."""

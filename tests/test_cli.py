@@ -211,33 +211,30 @@ def test_envelop_names_the_failing_step_and_cause(tmp_path, capsys):
     assert err == f"error: sweep failed at step 116: {cause}\n"
 
 
-# Every name the package exports, by module: those it exported when it
-# imported its modules eagerly, and points_to_csv.
+# Every name the package exports, by module.
 PACKAGE_EXPORTS = {
     "drive": "coupling_residual drive_to_mcp mcp_to_drive rigid_coupled_flexion",
     "errors": "ConfigSchemaError DegenerateCouplingError InfeasibleStartError ModhandError "
               "NonConvergedError PreconditionError SingularStiffnessError SweepError "
               "ValidationError",
     "grasp": "Contact EquilibriumTrace RigidObject detect_contacts elastic_energy "
-             "elastic_energy_gradient enveloping_pose_for_radius envelop_sweep "
-             "equilibrium_solve fingertip_force inscribed_sphere",
-    "hand": "HandLayout FingerMount auxiliary_aa_deflection default_layout hand_fk "
-            "hand_workspace load_layout",
+             "elastic_energy_gradient envelop_sweep equilibrium_solve",
+    "hand": "HandLayout FingerMount default_layout hand_fk hand_workspace load_layout",
     "kinematics": "FingerPoseChain forward_kinematics points_to_csv "
                   "project_workspace sample_workspace",
     "params": "CouplingModel DifferentialTrain DriveState FingerParams JointState "
               "PlanetaryState default_params load_params params_from_dict params_to_dict "
               "resolve_params text_ratio_params",
     "ucm": "MotionSubspaces StiffnessSet TransmissionJacobians TransmissionState "
-           "constraint_rank is_transmission_stable motion_subspaces stiffness_matrices "
+           "constraint_rank motion_subspaces stiffness_matrices "
            "transmission_jacobians transmission_state",
 }
 
 
 def test_cli_import_leaves_the_grasp_solver_unloaded():
     # In a fresh process: the CLI's import does not load the grasp solver,
-    # and every export of the package resolves, on first access, to the
-    # object its module defines.
+    # the package exports exactly the table's names, and each resolves, on
+    # first access, to the object its module defines.
     script = """
 import importlib, json, sys
 import modhand.cli
@@ -246,11 +243,12 @@ import modhand
 differ = [name for module, names in json.loads(sys.argv[1]).items() for name in names.split()
           if getattr(modhand, name)
           is not getattr(importlib.import_module("modhand." + module), name)]
-print(json.dumps([loaded, differ]))
+print(json.dumps([loaded, modhand.__all__, differ]))
 """
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(PACKAGE_EXPORTS)],
                           capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout) == [False, []]
+    names = sorted(name for names in PACKAGE_EXPORTS.values() for name in names.split())
+    assert json.loads(proc.stdout) == [False, names, []]
 
 
 # Each run, in a fresh process: its argv (None imports the CLI alone), the
@@ -267,7 +265,7 @@ RUN_LOADS = [
     pytest.param(["ucm-report", "--config", "text-ratio", "--format", "json"], "ucm", False,
                  id="ucm-report-text-ratio-json"),
     pytest.param(["envelop", "--sphere-d", "40", "--center", "34,28,0", "--a-max", "27.5",
-                  "--steps", "20"], "drive ucm grasp", False, id="envelop"),
+                  "--steps", "20"], "ucm grasp", False, id="envelop"),
     pytest.param(["hand-fk"], "drive kinematics hand", True, id="hand-fk"),
     pytest.param(["workspace", "--n", "3", "--seed", "0"], "drive kinematics", True,
                  id="workspace"),

@@ -27,10 +27,7 @@ from modhand.grasp import (
     elastic_energy,
     elastic_energy_gradient,
     envelop_sweep,
-    enveloping_pose_for_radius,
     equilibrium_solve,
-    fingertip_force,
-    inscribed_sphere,
     touches,
 )
 from modhand.kinematics import forward_kinematics, sample_workspace
@@ -862,9 +859,13 @@ def distal_contact_scene(a0: float, radius: float, t: float, depth: float = 0.15
 
 
 def test_force_zero_at_contact_onset():
+    # A sphere tangent to the distal phalanx at the free posture: the distal
+    # contact alone touches, and it carries no force yet.
     obj = distal_contact_scene(6.0, 10.0, 0.6, depth=0.0)
-    force = fingertip_force(6.0, P, obj)
-    assert force == pytest.approx(0.0, abs=1e-6)
+    _, _, contacts = equilibrium_solve(6.0, JointState(), P, obj)
+    touching = [c for c in contacts if touches(c)]
+    assert [c.phalanx for c in touching] == [3]
+    assert touching[0].force == pytest.approx(0.0, abs=1e-6)
 
 
 def test_force_monotone_in_drive():
@@ -878,11 +879,6 @@ def test_force_monotone_in_drive():
         assert len(pressing) == 1 and pressing[0].phalanx == 3
         forces.append(pressing[0].force)
     assert all(b >= a - 1e-9 for a, b in zip(forces, forces[1:]))
-
-
-def test_force_requires_distal_contact():
-    with pytest.raises(PreconditionError):
-        fingertip_force(2.0, P, RigidObject.sphere((20.0, 200.0, 0.0), 5.0))
 
 
 def test_multiplier_matches_energy_derivative_20_scenes():
@@ -926,35 +922,6 @@ def test_multiplier_matches_energy_derivative_20_scenes():
         )
         checked += 1
     assert checked == 20
-
-
-# --------------------------------------------------------------------------
-# scene construction helpers
-# --------------------------------------------------------------------------
-
-def test_inscribed_sphere_tangent_to_all_three():
-    q1 = math.radians(50.0)
-    center, radius = inscribed_sphere(P, q1)
-    ratio = P.coupling_model().ratio
-    q = JointState(0.0, q1, q1 * ratio[1] / ratio[0], q1 * ratio[2] / ratio[0])
-    chain = forward_kinematics(q, P)
-    obj = RigidObject.sphere(center, radius)
-    cands = detect_contacts(chain, P, obj, threshold=1.0)
-    assert [c.phalanx for c in cands] == [1, 2, 3]
-    for c in cands:
-        assert abs(c.gap) < 1e-9
-
-
-def test_straight_finger_has_no_inscribed_sphere():
-    # All three phalanx normals coincide, so the tangency system is singular.
-    with pytest.raises(ValidationError, match="no inscribed sphere"):
-        inscribed_sphere(default_params(), 0.0)
-
-
-def test_enveloping_pose_bisection():
-    q1, center = enveloping_pose_for_radius(P, 20.0)
-    _, radius = inscribed_sphere(P, q1)
-    assert radius == pytest.approx(20.0, abs=1e-8)
 
 
 # --------------------------------------------------------------------------

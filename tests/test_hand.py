@@ -1,11 +1,10 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from modhand.errors import ConfigSchemaError, ValidationError
 from modhand.hand import (
@@ -13,7 +12,6 @@ from modhand.hand import (
     ACTIVE_KIND,
     FingerMount,
     HandLayout,
-    auxiliary_aa_deflection,
     base_transform,
     default_layout,
     hand_fk,
@@ -81,51 +79,25 @@ def test_union_workspace_contains_each_finger():
         assert {tuple(row) for row in np.round(pts, 12)} <= union_rows
 
 
-def test_aux_deflection_zero():
-    assert auxiliary_aa_deflection(0.0, 200.0, math.radians(20)) == 0.0
+def test_kind_and_swing_spring_are_recorded_not_modelled():
+    # Ring and little move exactly like the active fingers, whatever their
+    # kind and swing spring: no output models the passive spring yet.
+    def relabel(kind, aa_spring):
+        return HandLayout(fingers=tuple(
+            replace(m, kind=kind, aa_spring=aa_spring) if m.name in ("ring", "little") else m
+            for m in LAYOUT.fingers
+        ))
 
-
-def test_aux_deflection_linear_region():
-    k = 200.0
-    limit = math.radians(20)
-    torque = k * math.radians(10)
-    assert auxiliary_aa_deflection(torque, k, limit) == pytest.approx(
-        math.radians(10), abs=1e-15
-    )
-
-
-def test_aux_deflection_saturates():
-    k = 200.0
-    limit = math.radians(20)
-    torque = k * math.radians(50)
-    assert auxiliary_aa_deflection(torque, k, limit) == pytest.approx(limit, abs=0)
-
-
-def test_aux_deflection_rejects_bad_spring():
-    with pytest.raises(ValidationError):
-        auxiliary_aa_deflection(1.0, 0.0, 0.3)
-
-
-@pytest.mark.parametrize("torque", [math.nan, math.inf, -math.inf])
-def test_aux_deflection_rejects_non_finite_torque(torque):
-    # A NaN torque returned nan instead of an error.
-    with pytest.raises(ValidationError):
-        auxiliary_aa_deflection(torque, 200.0, 0.3)
-
-
-@pytest.mark.parametrize("limit", [math.nan, math.inf])
-def test_aux_deflection_rejects_non_finite_limit(limit):
-    # A NaN limit returned the unclamped angle: (1000, 200, nan) gave 5.0 rad.
-    with pytest.raises(ValidationError):
-        auxiliary_aa_deflection(1000.0, 200.0, limit)
-
-
-@settings(max_examples=200, deadline=None)
-@given(torque=st.floats(-1e4, 1e4), k=st.floats(1.0, 1e3), limit=st.floats(0.01, 1.0))
-def test_aux_deflection_odd(torque, k, limit):
-    assert auxiliary_aa_deflection(-torque, k, limit) == pytest.approx(
-        -auxiliary_aa_deflection(torque, k, limit), abs=1e-15
-    )
+    layouts = [LAYOUT, relabel(ACTIVE_KIND, None), relabel(AUXILIARY_KIND, 1e6)]
+    states = [JointState(q_aa=0.05 * i - 0.1, q1=0.3 + 0.1 * i, q2=0.4, q3=0.3)
+              for i in range(5)]
+    tips = [np.array([chain.tip for chain in hand_fk(states, layout)]) for layout in layouts]
+    clouds = [hand_workspace(layout, 300, seed=4) for layout in layouts]
+    for tip, (per_finger, union) in zip(tips[1:], clouds[1:]):
+        assert np.array_equal(tip, tips[0])
+        assert np.array_equal(union, clouds[0][1])
+        assert per_finger.keys() == clouds[0][0].keys()
+        assert all(np.array_equal(per_finger[name], clouds[0][0][name]) for name in per_finger)
 
 
 def test_layout_document_round_trip(tmp_path):

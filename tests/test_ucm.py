@@ -13,7 +13,6 @@ from modhand.errors import ValidationError
 from modhand.params import FingerParams, default_params, text_ratio_params
 from modhand.ucm import (
     constraint_rank,
-    is_transmission_stable,
     jacobians_from_geometry,
     motion_subspaces,
     stacked_constraint_rank,
@@ -47,7 +46,7 @@ results = [
     params.load_params(doc) == params.params_from_dict(doc), params.parse_angle("20deg"),
     drive.rigid_coupled_flexion(0.2, coupling), drive.coupling_residual(q.flexion(), coupling),
     ucm.TransmissionState(1.0, (2.0, 3.0, 4.0)).as_array(), jac == ucm.transmission_jacobians(p),
-    ucm.stacked_constraint_rank(jac), ucm.constraint_rank(p), ucm.is_transmission_stable(p),
+    ucm.stacked_constraint_rank(jac), ucm.constraint_rank(p),
     stiff.joint, stiff.min_eigenvalue, ms.active_direction, ms.passive_basis,
 ]
 assert all(type(v) in (tuple, bool, int, float) for v in results)
@@ -130,7 +129,6 @@ def test_jacobians_independent_of_state():
 
 def test_constraint_rank_default():
     assert constraint_rank(P) == 3
-    assert is_transmission_stable(P)
 
 
 def test_constraint_rank_degenerate_third_column():

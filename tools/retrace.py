@@ -29,8 +29,11 @@ Groups: ``bench`` (the benchmark's five envelop scenes at seeds 0-12),
 ``coarse`` (the ejection scene and the 8 mm scene at 38 and 75 steps),
 ``ejection`` (16 mm at (40, 50, 0), 150 steps), ``grazing`` (8 mm at
 (70, 30, 0)), ``vertex`` (24 mm at (70, 40, 0)), ``removal`` (40 mm, the
-object removed at step 100) and ``scan`` (radius 4 / 6 / 8 / 12 mm, centres
-x 20-90 by 10, y 5-50 by 5, 150 steps to a = 60).
+object removed at step 100), ``scan`` (radius 4 / 6 / 8 / 12 mm, centres
+x 20-90 by 10, y 5-50 by 5, 150 steps to a = 60) and ``found`` (four random
+scenes with a swing, each ending ``non-converged``: one sphere with the
+enveloping springs, 60 steps, and three half-spaces with default params, 150
+steps; all to a = 60).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from dataclasses import replace
 
 import numpy as np
 
-GROUPS = ("bench", "coarse", "ejection", "grazing", "vertex", "removal", "scan")
+GROUPS = ("bench", "coarse", "ejection", "grazing", "vertex", "removal", "scan", "found")
 MOVE_TOL = 1e-9  # rad, joint move that the diff lists step by step
 BITS_LISTED = 20  # steps with changed energy, gap or force bits listed per group
 # Record key -> the modhand.grasp function whose calls it counts, per step and per sweep.
@@ -53,7 +56,8 @@ COUNTED = {"kernel_calls": "_kernel", "qp_calls": "_solve_qp",
 
 
 def scenes(groups, env, base, sphere, half_space):
-    """(group, name, params, object, schedule, remove_at) of the corpus."""
+    """(group, name, params, object, schedule, remove_at, swing) of the corpus;
+    the swing is the start's ``q_aa``, the angle the sweep holds."""
     def sweep(n, a_max=60.0):
         return np.linspace(0.0, a_max, n)
 
@@ -69,29 +73,47 @@ def scenes(groups, env, base, sphere, half_space):
                     x += rng.uniform(-0.5, 0.5)
                     y += rng.uniform(0.0, 0.5)
                 yield ("bench", f"seed{seed}/{diameter:g}mm", env,
-                       sphere((x, y, z), diameter / 2.0), sweep(160, a_max), None)
-            yield "bench", f"seed{seed}/pinch", env, sphere((50.0, 20.0, 0.0), 8.0), sweep(150), None
+                       sphere((x, y, z), diameter / 2.0), sweep(160, a_max), None, 0.0)
+            yield ("bench", f"seed{seed}/pinch", env, sphere((50.0, 20.0, 0.0), 8.0), sweep(150),
+                   None, 0.0)
             ceiling = half_space((0.0, 25.0, 0.0), (0.0, -1.0, 0.0))
-            yield "bench", f"seed{seed}/ceiling", base, ceiling, sweep(160, 16.0), None
+            yield "bench", f"seed{seed}/ceiling", base, ceiling, sweep(160, 16.0), None, 0.0
     if "coarse" in groups:
         for n in (38, 75):
-            yield "coarse", f"eject/{n}", env, sphere((40.0, 50.0, 0.0), 8.0), sweep(n), None
-            yield "coarse", f"8mm/{n}", env, sphere((50.0, 40.0, 0.0), 4.0), sweep(n), None
+            yield "coarse", f"eject/{n}", env, sphere((40.0, 50.0, 0.0), 8.0), sweep(n), None, 0.0
+            yield "coarse", f"8mm/{n}", env, sphere((50.0, 40.0, 0.0), 4.0), sweep(n), None, 0.0
     if "ejection" in groups:
-        yield "ejection", "eject/150", env, sphere((40.0, 50.0, 0.0), 8.0), sweep(150), None
+        yield "ejection", "eject/150", env, sphere((40.0, 50.0, 0.0), 8.0), sweep(150), None, 0.0
     if "grazing" in groups:
-        yield "grazing", "8mm@70,30", env, sphere((70.0, 30.0, 0.0), 4.0), sweep(150), None
+        yield "grazing", "8mm@70,30", env, sphere((70.0, 30.0, 0.0), 4.0), sweep(150), None, 0.0
     if "vertex" in groups:
-        yield "vertex", "24mm@70,40", env, sphere((70.0, 40.0, 0.0), 12.0), sweep(150), None
+        yield "vertex", "24mm@70,40", env, sphere((70.0, 40.0, 0.0), 12.0), sweep(150), None, 0.0
     if "removal" in groups:
         yield ("removal", "40mm/removed@100", env, sphere((34.0, 28.0, 0.0), 20.0),
-               sweep(160, 27.5), 100)
+               sweep(160, 27.5), 100, 0.0)
     if "scan" in groups:
         for radius in (4.0, 6.0, 8.0, 12.0):
             for x in range(20, 100, 10):
                 for y in range(5, 55, 5):
                     yield ("scan", f"r{radius:g}@{x},{y}", env,
-                           sphere((float(x), float(y), 0.0), radius), sweep(150), None)
+                           sphere((float(x), float(y), 0.0), radius), sweep(150), None, 0.0)
+    if "found" in groups:
+        yield ("found", "sphere@28,52,3", env,
+               sphere((28.26328224535181, 51.62912260747881, 3.2017145527198245),
+                      8.88350046765036),
+               sweep(60), None, -0.17117139575650145)
+        for name, point, normal, swing in (
+            ("half-space@55,38", (54.81319907124242, 38.480838259253446, 0.0),
+             (-0.27405405149423917, -0.9617142906599615, 0.10860979140804056),
+             -0.22123271831517816),
+            ("half-space@30,53", (30.465450068396244, 52.64723720054389, 0.0),
+             (-0.2103718385857048, -0.9717587515588932, 0.10690471598003312),
+             0.028262484751023775),
+            ("half-space@57,45", (57.284573491249894, 45.33499724726051, 0.0),
+             (-0.21545656419239295, -0.9755544096967909, 0.043267339501697755),
+             -0.01646366562782897),
+        ):
+            yield "found", name, base, half_space(point, normal), sweep(150), None, swing
 
 
 def _flexion(joints) -> tuple:
@@ -142,7 +164,7 @@ def dump(src: str, out: str, groups) -> None:
     sys.path.insert(0, src)
     from modhand import grasp
     from modhand.errors import SweepError
-    from modhand.params import default_params
+    from modhand.params import JointState, default_params
 
     counts, step_calls = Counter(), []
     for name in COUNTED.values():
@@ -163,13 +185,14 @@ def dump(src: str, out: str, groups) -> None:
     env = replace(base, spring_serial=200.0, spring_parallel=(300.0, 300.0, 0.2))
     RigidObject = grasp.RigidObject
     with open(out, "w") as fh:
-        for group, name, params, obj, schedule, remove_at in scenes(
+        for group, name, params, obj, schedule, remove_at, swing in scenes(
             groups, env, base, RigidObject.sphere, RigidObject.half_space
         ):
             counts.clear()
             step_calls.clear()
             try:
-                trace = grasp.envelop_sweep(schedule, params, obj, remove_object_at=remove_at)
+                trace = grasp.envelop_sweep(schedule, params, obj, JointState(q_aa=swing),
+                                            remove_object_at=remove_at)
             except SweepError as exc:
                 status, steps = f"infeasible ({type(exc.cause).__name__})", ()
             else:
