@@ -80,9 +80,9 @@ class FingerMount:
         if self.kind not in (ACTIVE_KIND, AUXILIARY_KIND):
             raise ValidationError(f"{self.name}: unknown finger kind {self.kind!r}")
         if self.kind == AUXILIARY_KIND:
-            if self.aa_spring is None or not self.aa_spring > 0:
+            if self.aa_spring is None or not 0 < self.aa_spring < math.inf:
                 raise ValidationError(
-                    f"{self.name}: auxiliary fingers need a positive swing spring"
+                    f"{self.name}: auxiliary fingers need a positive finite swing spring"
                 )
 
 

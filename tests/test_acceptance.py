@@ -7,6 +7,7 @@ criterion; a failing criterion fails its test.
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +24,10 @@ from modhand.grasp import (
     elastic_energy_gradient,
     envelop_sweep,
     equilibrium_solve,
-    forward_kinematics,
 )
 from modhand.kinematics import (
     coupled_flexion_range,
+    forward_kinematics,
     points_to_csv,
     project_workspace,
     sample_workspace,
@@ -37,6 +38,7 @@ from modhand.params import (
     FingerParams,
     JointState,
     default_params,
+    load_params,
 )
 from modhand.ucm import (
     constraint_rank,
@@ -53,7 +55,7 @@ LINE_HAT = LINE / np.linalg.norm(LINE)
 # Documented enveloping scenario (see README): moderate coupling springs,
 # soft distal return spring, spheres seated against the proximal phalanx,
 # drive schedule ending inside the all-phalanges-pressing window.
-ENV_PARAMS = replace(P, spring_serial=200.0, spring_parallel=(300.0, 300.0, 0.2))
+ENV_PARAMS = load_params(Path(__file__).parent / "data" / "env_springs.json")
 ENV_SCENES = {
     30.0: ((33.0, 27.0, 0.0), 46.0),
     40.0: ((34.0, 28.0, 0.0), 27.5),

@@ -4,6 +4,7 @@ import math
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ import pytest
 from modhand import cli, grasp
 from modhand.cli import main
 from modhand.params import params_to_dict, default_params
+
+ENV_SPRINGS = str(Path(__file__).parent / "data" / "env_springs.json")
 
 
 def run_cli(argv, capsys):
@@ -141,15 +144,11 @@ def test_envelop_infeasible_exits_2(tmp_path, capsys):
 
 
 def test_envelop_successful_trace(tmp_path, capsys):
-    config = tmp_path / "springs.json"
-    doc = params_to_dict(default_params())
-    doc["springs"] = {"serial": 200.0, "parallel": [300.0, 300.0, 0.2]}
-    config.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "trace.jsonl"
     code, _, _ = run_cli(
         [
             "envelop",
-            "--config", str(config),
+            "--config", ENV_SPRINGS,
             "--sphere-d", "40",
             "--center", "34,28,0",
             "--a-max", "27.5",
@@ -185,15 +184,11 @@ def test_envelop_names_the_failing_step_and_cause(tmp_path, capsys):
     # a vertex with multipliers near 1e9 and the iteration runs to its cap.
     # The solved steps stay "ok", and a final record and stderr name the
     # failing step and why it failed.
-    config = tmp_path / "springs.json"
-    doc = params_to_dict(default_params())
-    doc["springs"] = {"serial": 200.0, "parallel": [300.0, 300.0, 0.2]}
-    config.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "trace.jsonl"
     code, _, err = run_cli(
         [
             "envelop",
-            "--config", str(config),
+            "--config", ENV_SPRINGS,
             "--sphere-d", "8",
             "--center", "70,30,0",
             "--a-max", "60",

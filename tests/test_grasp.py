@@ -4,6 +4,7 @@ import random
 import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,8 +32,9 @@ from modhand.grasp import (
     touches,
 )
 from modhand.kinematics import forward_kinematics, sample_workspace
-from modhand.params import JointState, default_params
+from modhand.params import JointState, default_params, load_params
 from modhand.ucm import transmission_jacobians, transmission_state
+from repo_scripts import bench_scenes, retrace
 
 P = default_params()
 LINE = np.array([6.0, 7.0, 4.2])
@@ -41,7 +43,7 @@ LINE_HAT = LINE / np.linalg.norm(LINE)
 # Documented enveloping scenario: moderate coupling springs with a soft
 # distal return element, spheres seated against the proximal phalanx.  The
 # drive endpoint sits inside the window where all three phalanges press.
-ENV_PARAMS = replace(P, spring_serial=200.0, spring_parallel=(300.0, 300.0, 0.2))
+ENV_PARAMS = load_params(Path(__file__).parent / "data" / "env_springs.json")
 ENV_SCENES = {
     30.0: ((33.0, 27.0, 0.0), 46.0),
     40.0: ((34.0, 28.0, 0.0), 27.5),
@@ -629,23 +631,6 @@ def test_reused_evaluations_change_no_result(diameter, remove_at):
     assert len(calls) - unshared < unshared
 
 
-def bench_scenes(seed):
-    """The benchmark's enveloping scenes at ``seed``: the three documented
-    spheres moved by x in [-0.5, 0.5] mm and y in [0, 0.5] mm (unmoved at
-    seed 0), the pinch scene and a half-space ceiling."""
-    rng = random.Random(seed)
-    for diameter, (center, a_max) in sorted(ENV_SCENES.items()):
-        x, y, z = center
-        if seed:
-            x += rng.uniform(-0.5, 0.5)
-            y += rng.uniform(0.0, 0.5)
-        yield ENV_PARAMS, RigidObject.sphere((x, y, z), diameter / 2.0), np.linspace(0.0, a_max, 160)
-    center, diameter, a_max = PINCH_SCENE
-    yield ENV_PARAMS, RigidObject.sphere(center, diameter / 2.0), np.linspace(0.0, a_max, 150)
-    ceiling = RigidObject.half_space((0.0, 25.0, 0.0), (0.0, -1.0, 0.0))
-    yield P, ceiling, np.linspace(0.0, 16.0, 160)
-
-
 def test_energy_gradient_is_the_certified_formula():
     # The public gradient is the one certification tests: H x + joint_drive a,
     # each row summed left to right from the stiffness blocks, bit for bit.
@@ -1149,27 +1134,9 @@ def assert_kkt(step, obj, params, tol=1e-6):
 
 
 def assert_local_min(step, obj, params):
-    """Second-order check of a trace step: the Lagrangian Hessian
-    H - sum f_k Hess g_k over the contacts carrying force, reduced to the
-    null space of their gradient rows and of the joint stops the step rests
-    on, has no direction of negative curvature, so the step is a local
-    minimum of the energy and not a saddle."""
-    frame = grasp._solve_frame(step.joints.q_aa, params, obj)
-    x = step.joints.flexion()
-    hits = {hit.phalanx: hit for hit in grasp._kernel(x, frame)}
-    W = np.array(frame.H_rows)
-    rows = []
-    for c in step.contacts:
-        if c.force > 0.0:
-            W -= c.force * np.asarray(hits[c.phalanx].hess)
-            rows.append(hits[c.phalanx].grad)
-    for j, (value, (lo, hi)) in enumerate(zip(x, params.joint_limits[1:])):
-        if value - lo <= 1e-9 or hi - value <= 1e-9:
-            rows.append(np.eye(3)[j])
-    Z = np.eye(3)
-    if rows:
-        _, s, vt = np.linalg.svd(np.asarray(rows, dtype=float))
-        Z = vt[int(np.sum(s > 1e-9 * max(s[0], 1.0))):].T
-    if Z.shape[1]:
-        lowest = np.linalg.eigvalsh(Z.T @ W @ Z).min()
-        assert lowest >= -1e-6 * np.linalg.norm(frame.H_rows, 2), f"saddle at a = {step.a}"
+    """Second-order check of a trace step, the trace corpus's saddle test: the
+    Lagrangian Hessian H - sum f_k Hess g_k over the contacts carrying force,
+    reduced to the null space of their gradient rows and of the joint stops
+    the step rests on, has no eigenvalue below -1e-6 |H|_2, so the step is a
+    local minimum of the energy and not a saddle."""
+    assert retrace.optimality(grasp, step, params, obj)[1] >= -1e-6, f"saddle at a = {step.a}"

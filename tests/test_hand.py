@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from modhand.cli import main
 from modhand.errors import ConfigSchemaError, ValidationError
 from modhand.hand import (
     AUXILIARY_KIND,
@@ -117,6 +118,18 @@ def test_layout_document_round_trip(tmp_path):
     layout = load_layout(path)
     assert [f.name for f in layout.fingers] == ["thumb", "index", "middle", "ring", "little"]
     assert layout.by_name("ring").aa_spring == 150.0
+
+
+def test_layout_rejects_an_infinite_swing_spring(tmp_path, capsys):
+    fingers = [{"name": name, "kind": ACTIVE_KIND} for name in ("thumb", "index", "middle")]
+    fingers += [{"name": "ring", "kind": AUXILIARY_KIND, "aa_spring": float("inf")},
+                {"name": "little", "kind": AUXILIARY_KIND, "aa_spring": 150.0}]
+    path = tmp_path / "hand.json"
+    path.write_text(json.dumps({"fingers": fingers}), encoding="utf-8")
+    with pytest.raises(ValidationError, match="ring"):
+        load_layout(path)
+    assert main(["hand-fk", "--layout", str(path)]) == 1
+    assert "ring" in capsys.readouterr().err
 
 
 def test_layout_document_rejects_unknown_key():

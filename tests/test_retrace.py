@@ -3,22 +3,16 @@ exactly the step that a doctored copy changed, each step's KKT residual is
 recorded and its largest reported, and each step's call counts add up to its
 sweep's."""
 
-import importlib.util
 import io
 import json
 import math
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from modhand.grasp import KKT_REL_TOL
-
-ROOT = Path(__file__).resolve().parent.parent
-spec = importlib.util.spec_from_file_location("retrace", ROOT / "tools" / "retrace.py")
-retrace = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(retrace)
+from repo_scripts import ROOT, retrace
 
 
 @pytest.fixture(scope="module")

@@ -6,9 +6,9 @@ against.
 """
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 
 from modhand import grasp
 from modhand.grasp import QP_TOL
-from modhand.params import default_params
+from modhand.params import load_params
+from repo_scripts import bench_scenes
 
-ENV_PARAMS = replace(default_params(), spring_serial=200.0, spring_parallel=(300.0, 300.0, 0.2))
+ENV_PARAMS = load_params(Path(__file__).parent / "data" / "env_springs.json")
 
 
 def rounded(q: Fraction) -> float:
@@ -211,8 +212,12 @@ def test_float_qp_matches_reference(problem):
 @settings(max_examples=400, deadline=None)
 @given(problem=qps(), data=st.data())
 def test_float_qp_matches_reference_from_any_warm_subset(problem, data):
-    # The warm subset only orders the search: a wrong one, or one holding
-    # both stops of a joint, leads to the same minimizer.
+    # The warm subset only orders the search.  On the draws judged here,
+    # whose active set is beyond doubt, any warm subset (a wrong one, or one
+    # holding both stops of a joint) leads to the same minimizer.  Not on
+    # every QP: a warm subset holding a row that the minimizer leaves slack by
+    # a few QP_TOL can return the point on that row, when the row's multiplier
+    # there is negative by less than QP_TOL.
     H, c, G, h = problem
     ref = reference_solve_qp(H, c, G, h)
     assume(ref is not None and unique_active_set(H, c, G, h, ref))
@@ -228,15 +233,6 @@ def test_warm_started_qp_rarely_falls_back():
     # The benchmark's envelop scenes at seed 0.  A sweep step's QP starts
     # from the rows its last QP rested on; when those fail, the search tries
     # the subsets nearest them first, so it seldom needs more eliminations.
-    base = default_params()
-    ceiling = grasp.RigidObject.half_space((0.0, 25.0, 0.0), (0.0, -1.0, 0.0))
-    scenes = [
-        (ENV_PARAMS, grasp.RigidObject.sphere(center, diameter / 2.0), np.linspace(0.0, a_max, n))
-        for center, diameter, a_max, n in (
-            ((33.0, 27.0, 0.0), 30.0, 46.0, 160), ((34.0, 28.0, 0.0), 40.0, 27.5, 160),
-            ((32.0, 34.5, 0.0), 50.0, 22.5, 160), ((50.0, 20.0, 0.0), 16.0, 60.0, 150),
-        )
-    ] + [(base, ceiling, np.linspace(0.0, 16.0, 160))]
     counts = {"qp": 0, "gauss": 0, "open": 0}
     solve_qp, gauss = grasp._solve_qp, grasp._gauss
 
@@ -255,7 +251,7 @@ def test_warm_started_qp_rarely_falls_back():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grasp, "_solve_qp", counted_qp)
         mp.setattr(grasp, "_gauss", counted_gauss)
-        for params, obj, schedule in scenes:
+        for params, obj, schedule in bench_scenes(0):
             assert grasp.envelop_sweep(schedule, params, obj).status != "non-converged"
     assert counts["gauss"] <= 1.25 * counts["qp"]
 

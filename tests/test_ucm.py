@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from modhand import ucm
 from modhand.errors import ValidationError
-from modhand.params import FingerParams, default_params, text_ratio_params
+from modhand.params import FingerParams, default_params, load_params, text_ratio_params
 from modhand.ucm import (
     constraint_rank,
     jacobians_from_geometry,
@@ -243,7 +244,7 @@ INTEGER_FINGERS = st.builds(
     FingerParams, drive_teeth=TEETH, drive_radii=triples(st.integers(1, 30)),
     coupling_radii=triples(st.integers(1, 30)), spring_serial=st.integers(1, 10_000),
     spring_parallel=triples(st.integers(1, 10_000)))
-ENV_SPRINGS = FingerParams(spring_serial=200.0, spring_parallel=(300.0, 300.0, 0.2))
+ENV_SPRINGS = load_params(Path(__file__).parent / "data" / "env_springs.json")
 
 
 @pytest.mark.parametrize("params", [P, text_ratio_params(), ENV_SPRINGS],

@@ -25,7 +25,9 @@ the largest KKT residual, and the kernel, QP, elimination and fit calls per
 step on each side.  It exits 1 when any status, set or joint (beyond 1e-9 rad)
 differs, else 0: changed bits and residuals alone are reported, not failed.
 
-Groups: ``bench`` (the benchmark's five envelop scenes at seeds 0-12),
+Groups: ``bench`` (the benchmark's own envelop scenes at seeds 0-12, built by
+``Envelop`` of this checkout's ``bench/workloads.py`` and named
+``seed<s>/<label>`` by its labels, so the group follows the benchmark),
 ``coarse`` (the ejection scene and the 8 mm scene at 38 and 75 steps),
 ``ejection`` (16 mm at (40, 50, 0), 150 steps), ``grazing`` (8 mm at
 (70, 30, 0)), ``vertex`` (24 mm at (70, 40, 0)), ``removal`` (40 mm, the
@@ -39,13 +41,17 @@ steps; all to a = 60).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
-import random
 import sys
 from collections import Counter, defaultdict
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import Envelop  # noqa: E402  the bench group's scenes
 
 GROUPS = ("bench", "coarse", "ejection", "grazing", "vertex", "removal", "scan", "found")
 MOVE_TOL = 1e-9  # rad, joint move that the diff lists step by step
@@ -55,29 +61,23 @@ COUNTED = {"kernel_calls": "_kernel", "qp_calls": "_solve_qp",
            "gauss_calls": "_gauss", "lstsq_calls": "_lstsq"}
 
 
-def scenes(groups, env, base, sphere, half_space):
-    """(group, name, params, object, schedule, remove_at, swing) of the corpus;
+def scenes(groups, modules):
+    """(group, name, params, object, schedule, remove_at, swing) of the corpus,
+    built with ``modules``, the ``modhand.grasp`` and ``modhand.params`` of the
+    tree under test keyed by name, as the benchmark's workloads take them;
     the swing is the start's ``q_aa``, the angle the sweep holds."""
+    grasp = modules["modhand.grasp"]
+    base = modules["modhand.params"].default_params()
+    env = replace(base, spring_serial=200.0, spring_parallel=(300.0, 300.0, 0.2))
+    sphere, half_space = grasp.RigidObject.sphere, grasp.RigidObject.half_space
+
     def sweep(n, a_max=60.0):
         return np.linspace(0.0, a_max, n)
 
     if "bench" in groups:
         for seed in range(13):
-            rng = random.Random(seed)
-            for diameter, (x, y, z), a_max in (
-                (30.0, (33.0, 27.0, 0.0), 46.0),
-                (40.0, (34.0, 28.0, 0.0), 27.5),
-                (50.0, (32.0, 34.5, 0.0), 22.5),
-            ):
-                if seed:
-                    x += rng.uniform(-0.5, 0.5)
-                    y += rng.uniform(0.0, 0.5)
-                yield ("bench", f"seed{seed}/{diameter:g}mm", env,
-                       sphere((x, y, z), diameter / 2.0), sweep(160, a_max), None, 0.0)
-            yield ("bench", f"seed{seed}/pinch", env, sphere((50.0, 20.0, 0.0), 8.0), sweep(150),
-                   None, 0.0)
-            ceiling = half_space((0.0, 25.0, 0.0), (0.0, -1.0, 0.0))
-            yield "bench", f"seed{seed}/ceiling", base, ceiling, sweep(160, 16.0), None, 0.0
+            for label, (params, obj, schedule, _) in Envelop(modules, seed, None).scenes.items():
+                yield "bench", f"seed{seed}/{label}", params, obj, schedule, None, 0.0
     if "coarse" in groups:
         for n in (38, 75):
             yield "coarse", f"eject/{n}", env, sphere((40.0, 50.0, 0.0), 8.0), sweep(n), None, 0.0
@@ -162,9 +162,9 @@ def optimality(grasp, step, params, obj) -> tuple:
 
 def dump(src: str, out: str, groups) -> None:
     sys.path.insert(0, src)
-    from modhand import grasp
+    modules = {name: importlib.import_module(name) for name in ("modhand.grasp", "modhand.params")}
+    grasp, JointState = modules["modhand.grasp"], modules["modhand.params"].JointState
     from modhand.errors import SweepError
-    from modhand.params import JointState, default_params
 
     counts, step_calls = Counter(), []
     for name in COUNTED.values():
@@ -181,13 +181,8 @@ def dump(src: str, out: str, groups) -> None:
             step_calls.append(counts - before)
     grasp._solve = solve
 
-    base = default_params()
-    env = replace(base, spring_serial=200.0, spring_parallel=(300.0, 300.0, 0.2))
-    RigidObject = grasp.RigidObject
     with open(out, "w") as fh:
-        for group, name, params, obj, schedule, remove_at, swing in scenes(
-            groups, env, base, RigidObject.sphere, RigidObject.half_space
-        ):
+        for group, name, params, obj, schedule, remove_at, swing in scenes(groups, modules):
             counts.clear()
             step_calls.clear()
             try:
