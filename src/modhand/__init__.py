@@ -20,7 +20,6 @@ _EXPORTS = {
     "drive": ("coupling_residual", "drive_to_mcp", "mcp_to_drive", "rigid_coupled_flexion"),
     "errors": (
         "ConfigSchemaError",
-        "DegenerateCouplingError",
         "InfeasibleStartError",
         "ModhandError",
         "NonConvergedError",

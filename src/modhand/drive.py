@@ -9,7 +9,7 @@ deflect.  Every map here is 2x2 or 2x3, so it is computed on floats.
 
 from __future__ import annotations
 
-from .errors import DegenerateCouplingError, ValidationError
+from .errors import ValidationError
 from .floats import _gauss, _total
 from .params import CouplingModel, DifferentialTrain, DriveState, FingerParams, PlanetaryState
 
@@ -40,17 +40,13 @@ def mcp_to_drive(q_aa: float, q_fe: float, train: DifferentialTrain) -> DriveSta
 def rigid_coupled_flexion(q1: float, coupling: CouplingModel):
     """Distal joint angles under intact rigid coupling, given the MCP angle."""
     r = coupling.ratio
-    if r[0] == 0.0:
-        raise DegenerateCouplingError("coupling ratio has a zero leading entry")
     return q1 * r[1] / r[0], q1 * r[2] / r[0]
 
 
 def coupled_flexion_range(params: FingerParams):
     """MCP flexion interval reachable with distal joints on the coupled line
     while every joint stays inside its own limits."""
-    r0, r1, r2 = params.coupling_model().ratio
-    if r1 <= 0 or r2 <= 0 or r0 <= 0:
-        raise ValidationError("coupled sampling requires a positive ratio")
+    r0, r1, r2 = params.coupling_model().ratio  # finite and positive
     (_, _), (lo1, hi1), (lo2, hi2), (lo3, hi3) = params.joint_limits
     lo = max(lo1, lo2 * r0 / r1, lo3 * r0 / r2)
     hi = min(hi1, hi2 * r0 / r1, hi3 * r0 / r2)

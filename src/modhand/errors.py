@@ -31,10 +31,6 @@ class ValidationError(ModhandError):
     """A structurally well-formed value violates a model invariant."""
 
 
-class DegenerateCouplingError(ModhandError):
-    """The rigid coupling ratio has a zero leading entry."""
-
-
 class SingularStiffnessError(ModhandError):
     """The joint stiffness matrix is singular or not positive definite."""
 

@@ -18,7 +18,7 @@ import json
 import math
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -176,42 +176,27 @@ class DifferentialTrain:
 
 @dataclass(frozen=True)
 class CouplingModel:
-    """Rigid inter-joint coupling of the three flexion joints.
+    """Rigid inter-joint coupling of the three flexion joints, built from the
+    three coupling gear radii.
 
-    ``constraint`` annihilates any joint vector on the coupled line;
-    ``ratio`` is that line's direction, conventionally scaled to 6 : 7 : 4.2
-    for the stock gear set.
+    Zero deflection of the two inter-joint elements means r1*q1 = r2*q2 and
+    r2*q2 = r3*q3: ``constraint`` holds those two rows, and ``ratio`` is the
+    coupled line they annihilate, (6, 6*r1/r2, 6*r1/r3), so 6 : 7 : 4.2 for
+    the stock gear set.
     """
 
-    constraint: tuple = ((7.0, -6.0, 0.0), (0.0, 6.0, -10.0))
-    ratio: tuple = (6.0, 7.0, 4.2)
+    radii: InitVar[tuple]
+    constraint: tuple = field(init=False)
+    ratio: tuple = field(init=False)
 
-    def __post_init__(self):
-        rows = tuple(tuple(float(x) for x in row) for row in self.constraint)
-        if len(rows) != 2 or any(len(r) != 3 for r in rows):
-            raise ValidationError("coupling constraint must be 2x3")
-        ratio = tuple(float(x) for x in self.ratio)
-        if len(ratio) != 3:
-            raise ValidationError("coupling ratio must have 3 entries")
-        object.__setattr__(self, "constraint", rows)
-        object.__setattr__(self, "ratio", ratio)
-        residual = [_total(c * x for c, x in zip(row, ratio)) for row in rows]
-        if max(map(abs, residual)) > 1e-12 * max(1.0, *(abs(x) for row in rows for x in row)):
-            raise ValidationError("coupling constraint does not annihilate the ratio")
-
-    @classmethod
-    def from_coupling_radii(cls, radii) -> "CouplingModel":
-        """Build the constraint rows and coupled line from the gear radii.
-
-        Zero deflection of the two inter-joint elements means
-        r_c2*q2 = r_c1*q1 and r_c3*q3 = r_c2*q2; the ratio is scaled so its
-        leading entry is 6, matching the conventional presentation.
-        """
+    def __post_init__(self, radii):
         r1, r2, r3 = (float(r) for r in radii)
-        constraint = ((r1, -r2, 0.0), (0.0, r2, -r3))
-        raw = (r2 * r3, r1 * r3, r1 * r2)
-        scale = raw[0] / 6.0
-        return cls(constraint=constraint, ratio=tuple(x / scale for x in raw))
+        ratio = (6.0, 6.0 * r1 / r2, 6.0 * r1 / r3)
+        if not all(0.0 < x < math.inf for x in ratio):
+            raise ValidationError(
+                f"coupling_radii {(r1, r2, r3)} give no finite, positive coupled ratio: {ratio}")
+        object.__setattr__(self, "constraint", ((r1, -r2, 0.0), (0.0, r2, -r3)))
+        object.__setattr__(self, "ratio", ratio)
 
 
 @dataclass(frozen=True)
@@ -262,9 +247,10 @@ class FingerParams:
 
         if not isinstance(self.differential, DifferentialTrain):
             raise ValidationError("differential must be a DifferentialTrain")
+        self.coupling_model()  # the radii must give a finite, positive coupled ratio
 
     def coupling_model(self) -> CouplingModel:
-        return CouplingModel.from_coupling_radii(self.coupling_radii)
+        return CouplingModel(self.coupling_radii)
 
     @property
     def reach(self) -> float:

@@ -47,24 +47,18 @@ class TransmissionJacobians:
     parallel: tuple
 
 
-def jacobians_from_geometry(teeth, drive_radii, coupling_radii) -> TransmissionJacobians:
-    """Jacobians from raw gear geometry; no positivity checks, so degenerate
-    gear sets can be analyzed."""
-    z1, z2, z3 = (float(z) for z in teeth)
-    rd1, rd2, rd3 = (float(r) for r in drive_radii)
-    rc1, rc2, rc3 = (float(r) for r in coupling_radii)
+@lru_cache(maxsize=16)
+def transmission_jacobians(params: FingerParams) -> TransmissionJacobians:
+    """``params``' Jacobians, cached: a sweep evaluates the transmission at
+    every step of one finger, and the record is frozen, so sharing is safe."""
+    z1, z2, z3 = (float(z) for z in params.drive_teeth)
+    rd1, rd2, rd3 = params.drive_radii
+    rc1, rc2, rc3 = params.coupling_radii
     return TransmissionJacobians(
         serial_joint=(-rd1, -(z1 / z2) * rd2, -(z1 / z3) * rd3),
         serial_drive=1.0,
         parallel=((-rc1, rc2, 0.0), (0.0, -rc2, rc3), (0.0, 0.0, rc3)),
     )
-
-
-@lru_cache(maxsize=16)
-def transmission_jacobians(params: FingerParams) -> TransmissionJacobians:
-    """``params``' Jacobians, cached: a sweep evaluates the transmission at
-    every step of one finger, and the record is frozen, so sharing is safe."""
-    return jacobians_from_geometry(params.drive_teeth, params.drive_radii, params.coupling_radii)
 
 
 def transmission_state(q_fe, a: float, params: FingerParams) -> TransmissionState:
@@ -109,15 +103,12 @@ def _singular_values(rows) -> list:
     return sorted((math.sqrt(_total(x * x for x in col)) for col in cols), reverse=True)
 
 
-def stacked_constraint_rank(jac: TransmissionJacobians) -> int:
+def constraint_rank(params: FingerParams) -> int:
     """Numerical rank of the stacked 4x3 constraint matrix, the serial row
     over the parallel block: its singular values above 1e-10 times the largest."""
+    jac = transmission_jacobians(params)
     sv = _singular_values((jac.serial_joint, *jac.parallel))
     return sum(s > 1e-10 * sv[0] for s in sv)
-
-
-def constraint_rank(params: FingerParams) -> int:
-    return stacked_constraint_rank(transmission_jacobians(params))
 
 
 @dataclass(frozen=True)
@@ -125,7 +116,6 @@ class StiffnessSet:
     """Quadratic-form blocks of the elastic energy in (q, a), as floats."""
 
     joint: tuple        # 3 rows of 3, symmetric
-    drive: float
     joint_drive: tuple  # 3-vector coupling block
     positive_definite: bool
     min_eigenvalue: float
@@ -147,7 +137,7 @@ def _cholesky_runs(H) -> bool:
 
 
 def stiffness_matrices(params: FingerParams) -> StiffnessSet:
-    """Joint, drive, and joint-drive stiffness blocks.
+    """Joint and joint-drive stiffness blocks.
 
     The joint block ks s's + P' diag(kp) P (serial row s, parallel block P) is
     A'A for A the rows sqrt(ks) s over sqrt(kp_i) P_i, so its least eigenvalue
@@ -164,7 +154,6 @@ def stiffness_matrices(params: FingerParams) -> StiffnessSet:
     scaled = [[math.sqrt(k) * x for x in row] for k, row in zip((ks, *kp), (sj, *jac.parallel))]
     return StiffnessSet(
         joint=joint,
-        drive=ks * sd**2,
         joint_drive=tuple(u * ks * sd for u in sj),
         positive_definite=_cholesky_runs(joint),
         min_eigenvalue=_singular_values(scaled)[-1] ** 2,
@@ -180,14 +169,12 @@ class MotionSubspaces:
     motions the gear train admits without drive motion.
     passive_normal: coefficients of that plane equation.
     active_force: joint-torque row the drive applies per unit actuator force.
-    drive_sensitivity: unnormalized joint response to drive input.
     """
 
     active_direction: tuple
     passive_basis: tuple
     passive_normal: tuple
     active_force: tuple
-    drive_sensitivity: tuple
 
 
 def _plane_basis(normal) -> tuple:
@@ -214,12 +201,10 @@ def motion_subspaces(params: FingerParams) -> MotionSubspaces:
     # the drive row is -serial_joint, and -H^-1 b solves H x = -b bit for bit
     serial_joint = transmission_jacobians(params).serial_joint
     response = _gauss([[*row, -s] for row, s in zip(stiff.joint, serial_joint)])
-    sensitivity = _gauss([[*row, -d] for row, d in zip(stiff.joint, stiff.joint_drive)])
     normal = (rc1 * z1 / z3, rc2 * z2 / z3, rc3)
     return MotionSubspaces(
         active_direction=unit_vector(response),
         passive_basis=_plane_basis(normal),
         passive_normal=normal,
         active_force=((z1 / z3) * rd1, (z2 / z3) * rd2, rd3),
-        drive_sensitivity=tuple(sensitivity),
     )

@@ -122,6 +122,22 @@ def test_drive_map_rigid_chain(capsys):
     assert q3 == pytest.approx(q1 * 0.7, rel=1e-8)
 
 
+@pytest.mark.parametrize("radius", [1e200, 1e-200])
+def test_extreme_equal_coupling_radii_couple_the_joints_one_to_one(tmp_path, capsys, radius):
+    config = tmp_path / "finger.json"
+    config.write_text(json.dumps({"coupling_radii_mm": [radius] * 3}), encoding="utf-8")
+    code, out, _ = run_cli(["drive-map", "--a1", "1", "--a2", "-1", "--config", str(config)],
+                           capsys)
+    assert code == 0
+    rows = dict(line.split() for line in out.splitlines())
+    q1, q2, q3 = (float(rows[f"q{i}_rad"]) for i in (1, 2, 3))
+    assert math.isfinite(q1) and q1 != 0.0 and q2 == q3 == q1
+    code, out, _ = run_cli(["workspace", "--n", "50", "--coupled", "--config", str(config)],
+                           capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 51 and "nan" not in out
+
+
 def test_envelop_infeasible_exits_2(tmp_path, capsys):
     out = tmp_path / "trace.jsonl"
     code, _, err = run_cli(
@@ -209,9 +225,8 @@ def test_envelop_names_the_failing_step_and_cause(tmp_path, capsys):
 # Every name the package exports, by module.
 PACKAGE_EXPORTS = {
     "drive": "coupling_residual drive_to_mcp mcp_to_drive rigid_coupled_flexion",
-    "errors": "ConfigSchemaError DegenerateCouplingError InfeasibleStartError ModhandError "
-              "NonConvergedError PreconditionError SingularStiffnessError SweepError "
-              "ValidationError",
+    "errors": "ConfigSchemaError InfeasibleStartError ModhandError NonConvergedError "
+              "PreconditionError SingularStiffnessError SweepError ValidationError",
     "grasp": "Contact EquilibriumTrace RigidObject detect_contacts elastic_energy "
              "elastic_energy_gradient envelop_sweep equilibrium_solve",
     "hand": "HandLayout FingerMount default_layout hand_fk hand_workspace load_layout",
@@ -450,6 +465,8 @@ MISSING = object()  # names an input file that is never written
     "text, argv, error",
     [
         (json.dumps([[0, 0, 0]] * 5), ["hand-fk", "--joints"], "--joints[0]: "),
+        (json.dumps({"coupling_radii_mm": [1e300, 1e-10, 1.0]}),
+         ["drive-map", "--a1", "1", "--a2", "-1", "--config"], "coupling_radii (1e+300, "),
         (json.dumps([[0, "0.5", 0, 0]] * 5), ["hand-fk", "--joints"], "--joints[0][1]: "),
         ("[[0, 0, 0, 0],", ["hand-fk", "--joints"], "--joints: invalid JSON"),
         (MISSING, ["hand-fk", "--joints"], "--joints: cannot read "),
@@ -478,9 +495,9 @@ MISSING = object()  # names an input file that is never written
         (None, ENVELOP + ["--a-max", "5", "--center", "60,10,0", "--steps", "0"],
          "--steps must be >= 1"),
     ],
-    ids=["short-row", "string-entry", "bad-json", "missing-joints", "missing-layout",
-         "short-translation", "string-spring", "nan-translation", "inf-angle", "bad-center",
-         "nan-center", "nan-drive", "zero-diameter", "zero-steps"],
+    ids=["short-row", "overflowing-ratio", "string-entry", "bad-json", "missing-joints",
+         "missing-layout", "short-translation", "string-spring", "nan-translation", "inf-angle",
+         "bad-center", "nan-center", "nan-drive", "zero-diameter", "zero-steps"],
 )
 def test_bad_outside_input_exits_1(tmp_path, capsys, text, argv, error):
     if text is not None:

@@ -11,8 +11,7 @@ from modhand.drive import (
     mcp_to_drive,
     rigid_coupled_flexion,
 )
-from modhand.errors import DegenerateCouplingError
-from modhand.params import CouplingModel, DifferentialTrain, DriveState, default_params
+from modhand.params import DifferentialTrain, DriveState, default_params
 
 TRAIN = DifferentialTrain()
 COUPLING = default_params().coupling_model()
@@ -95,12 +94,6 @@ def test_rigid_outputs_annihilated_by_constraint():
         q2, q3 = rigid_coupled_flexion(q1, COUPLING)
         residual = coupling_residual((q1, q2, q3), COUPLING)
         assert np.max(np.abs(residual)) < 1e-12
-
-
-def test_degenerate_coupling_rejected():
-    bad = CouplingModel(constraint=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)), ratio=(0.0, 1.0, 1.0))
-    with pytest.raises(DegenerateCouplingError):
-        rigid_coupled_flexion(1.0, bad)
 
 
 def test_residual_on_ratio_direction():

@@ -190,15 +190,6 @@ def test_free_motion_rigid_limit_follows_coupling_line():
     assert np.linalg.norm(flex - oracle) / np.linalg.norm(flex) < 1e-3
 
 
-def test_rigid_limit_deviation_monotone():
-    deviations = []
-    for factor in (1e2, 1e4, 1e6):
-        params = replace(P, spring_parallel=(100.0 * factor, 100.0 * factor, 100.0))
-        q, _, _ = equilibrium_solve(5.0, JointState(), params, None)
-        deviations.append(line_deviation(q.flexion()))
-    assert deviations[0] > deviations[1] > deviations[2]
-
-
 def test_equilibrium_rejects_out_of_limit_start():
     with pytest.raises(PreconditionError):
         equilibrium_solve(0.0, JointState(q1=3.0), P, None)

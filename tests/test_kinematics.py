@@ -80,16 +80,6 @@ def test_right_angle_bend():
     assert chain.tip == pytest.approx([0.0, 90.0, 0.0], abs=1e-12)
 
 
-def test_fk_matches_planar_oracle_10k():
-    rng = np.random.default_rng(123)
-    worst = 0.0
-    for _ in range(10_000):
-        q = JointState(*rng.uniform(-math.pi, math.pi, size=4))
-        tip = forward_kinematics(q, P).tip
-        worst = max(worst, float(np.max(np.abs(tip - planar_oracle(q, P.link_lengths)))))
-    assert worst < 1e-9
-
-
 def test_batch_fingertips_matches_single_fk():
     rng = np.random.default_rng(5)
     qs = rng.uniform(-1.0, 1.5, size=(200, 4))

@@ -145,9 +145,23 @@ def test_differential_rejects_singular():
         DifferentialTrain(coupling=((1.0, 1.0), (1.0, 1.0)))
 
 
-def test_coupling_model_rejects_mismatched_ratio():
-    with pytest.raises(ValidationError):
-        CouplingModel(constraint=((7.0, -6.0, 0.0), (0.0, 6.0, -10.0)), ratio=(1.0, 1.0, 1.0))
+def test_coupling_model_is_built_from_the_radii_alone():
+    cm = CouplingModel((7.0, 6.0, 10.0))
+    assert cm == default_params().coupling_model()
+    assert cm.constraint == ((7.0, -6.0, 0.0), (0.0, 6.0, -10.0))
+    with pytest.raises(TypeError):
+        CouplingModel(constraint=cm.constraint, ratio=cm.ratio)
+
+
+@pytest.mark.parametrize("radius", [1e200, 1e-200])
+def test_equal_coupling_radii_give_the_one_to_one_ratio(radius):
+    # Equal radii, however large or small, put the joints on the 1 : 1 : 1 line.
+    assert FingerParams(coupling_radii=(radius,) * 3).coupling_model().ratio == (6.0, 6.0, 6.0)
+
+
+def test_coupling_radii_without_a_finite_ratio_rejected():
+    with pytest.raises(ValidationError, match="coupling_radii"):
+        FingerParams(coupling_radii=(1e300, 1e-10, 1.0))
 
 
 def test_joint_state_requires_finite():

@@ -45,7 +45,6 @@ import importlib
 import json
 import sys
 from collections import Counter, defaultdict
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +52,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from workloads import Envelop  # noqa: E402  the bench group's scenes
 
+# The enveloping springs, the goldens' --config.
+ENV_SPRINGS = Path(__file__).resolve().parent.parent / "tests" / "data" / "env_springs.json"
 GROUPS = ("bench", "coarse", "ejection", "grazing", "vertex", "removal", "scan", "found")
 MOVE_TOL = 1e-9  # rad, joint move that the diff lists step by step
 BITS_LISTED = 20  # steps with changed energy, gap or force bits listed per group
@@ -68,7 +69,7 @@ def scenes(groups, modules):
     the swing is the start's ``q_aa``, the angle the sweep holds."""
     grasp = modules["modhand.grasp"]
     base = modules["modhand.params"].default_params()
-    env = replace(base, spring_serial=200.0, spring_parallel=(300.0, 300.0, 0.2))
+    env = modules["modhand.params"].load_params(ENV_SPRINGS)
     sphere, half_space = grasp.RigidObject.sphere, grasp.RigidObject.half_space
 
     def sweep(n, a_max=60.0):
