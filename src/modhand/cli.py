@@ -20,6 +20,7 @@ through the package's export table, so each loads only its own modules.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -85,14 +86,18 @@ def _manifest(args, config, seed=None) -> dict:
     }
 
 
+def _write_manifest(args, manifest: dict) -> None:
+    with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _emit(text: str, args, manifest: dict) -> None:
     """Write ``text`` to --out, with ``manifest`` beside it, or to stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_manifest(args, manifest)
     else:
         sys.stdout.write(text)
 
@@ -142,12 +147,22 @@ def cmd_workspace(args) -> int:
     params = resolve_params(args.config)
     seed = _default_seed(args)
     _bind("sample_workspace", "project_workspace", "points_to_csv")
-    points = sample_workspace(params, args.n, seed=seed, coupled=args.coupled)
-    if args.project:
-        text = points_to_csv(project_workspace(points, args.project), ("u_mm", "v_mm"))
+    # The CSV is streamed: --out is opened before sampling, so a bad path
+    # fails first, and a failed write leaves a partial file and no manifest.
+    if args.out:
+        sink = open(args.out, "wb")
     else:
-        text = points_to_csv(points, ("x_mm", "y_mm", "z_mm"))
-    _emit(text, args, _manifest(args, params_to_dict(params), seed))
+        sys.stdout.flush()
+        sink = contextlib.nullcontext(sys.stdout.buffer)
+    with sink as out:
+        points = sample_workspace(params, args.n, seed=seed, coupled=args.coupled)
+        if args.project:
+            points_to_csv(project_workspace(points, args.project), ("u_mm", "v_mm"), out)
+        else:
+            points_to_csv(points, ("x_mm", "y_mm", "z_mm"), out)
+        out.flush()
+    if args.out:
+        _write_manifest(args, _manifest(args, params_to_dict(params), seed))
     return 0
 
 

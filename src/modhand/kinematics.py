@@ -34,6 +34,8 @@ copies or checks them again.
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,8 +237,52 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MASK = (1 << 64) - 1
 
 # Rows per block of the workspace path.  Each row's tip and CSV text do not
-# depend on the stack they sit in, so the block size changes memory, not bytes.
+# depend on the stack they sit in, so the block size and the worker that runs
+# a block change memory and time, not bytes.
 _BLOCK_ROWS = 4096
+
+_pool = None  # the block pool, built by ``_block_pool`` on first use
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """Drop the pool in a forked child, which has none of its threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _block_pool():
+    """The module's block pool: one worker thread per CPU this process may
+    use.  numpy's ufuncs release the interpreter lock, so blocks on different
+    workers overlap.  Built on first use, since importing
+    ``concurrent.futures`` alone costs several milliseconds."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            try:
+                workers = len(os.sched_getaffinity(0))
+            except AttributeError:  # a platform without CPU affinity
+                workers = os.cpu_count() or 1
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="modhand-block")
+        return _pool
+
+
+def _map_blocks(fn, n: int):
+    """``fn(first, rows)`` on each ``_BLOCK_ROWS``-row block of ``n`` rows:
+    an iterator of the results in row order.  One block runs in the calling
+    thread; more run on the block pool, and each result is yielded once it
+    and every block before it are done."""
+    firsts = range(0, n, _BLOCK_ROWS)
+    rows = [min(_BLOCK_ROWS, n - first) for first in firsts]
+    if len(rows) <= 1:
+        return map(fn, firsts, rows)
+    return _block_pool().map(fn, firsts, rows)
 
 
 def splitmix64_words(seed: int, start: int, count: int) -> np.ndarray:
@@ -278,7 +324,8 @@ def sample_workspace(
     ``batch_fingertips`` for the rows at a 9-digit rounding tie (a few per
     thousand on the stock finger).  So the points print with ``'%.9g'``
     exactly as the DH tips do, while their bits may differ from them by a
-    few ulp.
+    few ulp.  Blocks of ``_BLOCK_ROWS`` rows run on the block pool
+    (``_map_blocks``), each writing only its own rows.
     """
     if n < 1:
         raise ValidationError("sample count n must be >= 1")
@@ -291,8 +338,8 @@ def sample_workspace(
     lo, span = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
     draws = len(bounds)
     points = np.empty((n, 3))
-    for first in range(0, n, _BLOCK_ROWS):
-        rows = min(_BLOCK_ROWS, n - first)
+
+    def block(first, rows):
         words = splitmix64_words(seed, first * draws, rows * draws)
         u = (words >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
         qs = lo + span * u.reshape(rows, draws)
@@ -300,6 +347,9 @@ def sample_workspace(
             q1 = qs[:, 1]
             qs = np.column_stack([qs[:, 0], q1, *rigid_coupled_flexion(q1, coupling)])
         points[first:first + rows] = _cloud_tips(qs, params)
+
+    for _ in _map_blocks(block, n):
+        pass
     points.setflags(write=False)
     return points
 
@@ -344,9 +394,35 @@ _TEXT_SLOT = np.dtype({
 })
 
 
-def points_to_csv(points: np.ndarray, header: tuple) -> str:
-    """CSV text of ``points`` with 9 significant digits: ``'%.9g'`` of each
-    value, stable across platforms.
+def _csv_block(block: np.ndarray) -> bytes:
+    """CSV lines of the rows of ``block``, as ``points_to_csv`` writes them."""
+    digits, leading, units, trailing = _digit_words()
+    ties, e, r = _rounding_ties(block, 0.0)
+    fast = ~ties & (e >= -4.0) & (e <= 5.0)
+    shift = np.where(fast, e + 4.0, 0.0).astype(np.intp)
+    fixed = np.where(fast, np.rint(r), 0.0).astype(np.int64) * _POWERS_OF_TEN[shift]
+    whole, frac = np.divmod(fixed, 10**12)
+    hi, lo = np.divmod(whole, 10**4)
+    frac_12, frac_3 = np.divmod(frac, 10**4)
+    frac_1, frac_2 = np.divmod(frac_12, 10**4)
+    slots = np.empty(block.shape, _TEXT_SLOT)
+    slots["sign"] = np.signbit(block) * np.uint8(ord("-"))
+    slots["int_hi"] = leading[hi]
+    slots["int_lo"] = np.where(hi > 0, digits[lo], units[lo])
+    slots["point"] = (frac > 0) * np.uint8(ord("."))
+    slots["frac_1"] = np.where(frac_2 | frac_3, digits[frac_1], trailing[frac_1])
+    slots["frac_2"] = np.where(frac_3, digits[frac_2], trailing[frac_2])
+    slots["frac_3"] = trailing[frac_3]
+    slots["sep"] = ord(",")
+    slots["sep"][:, -1] = ord("\n")
+    if not fast.all():
+        slots["text"][~fast] = ["%.9g" % w for w in block[~fast].tolist()]
+    return slots.tobytes().translate(None, b"\0")
+
+
+def points_to_csv(points: np.ndarray, header: tuple, out) -> None:
+    """Write the CSV text of ``points`` with 9 significant digits, ``'%.9g'``
+    of each value, stable across platforms, to the binary stream ``out``.
 
     A value clear of every 9-digit rounding tie (``_rounding_ties`` at zero
     slack) with ``1e-4 <= |w| < 1e6`` is written from integer digits: its
@@ -355,31 +431,13 @@ def points_to_csv(points: np.ndarray, header: tuple) -> str:
     in ``_digit_words``.  The
     other values, the ties, zero, the other decades and the non-finite,
     go through ``'%.9g'``.
+
+    Blocks of ``_BLOCK_ROWS`` rows are formatted on the block pool
+    (``_map_blocks``), and each block's bytes are written in row order as
+    soon as they are ready, so the whole text is never held.
     """
     points = np.asarray(points, dtype=float)
-    digits, leading, units, trailing = _digit_words()
-    text = bytearray((",".join(header) + "\n").encode())
-    for first in range(0, len(points), _BLOCK_ROWS):
-        block = points[first:first + _BLOCK_ROWS]
-        ties, e, r = _rounding_ties(block, 0.0)
-        fast = ~ties & (e >= -4.0) & (e <= 5.0)
-        shift = np.where(fast, e + 4.0, 0.0).astype(np.intp)
-        fixed = np.where(fast, np.rint(r), 0.0).astype(np.int64) * _POWERS_OF_TEN[shift]
-        whole, frac = np.divmod(fixed, 10**12)
-        hi, lo = np.divmod(whole, 10**4)
-        frac_12, frac_3 = np.divmod(frac, 10**4)
-        frac_1, frac_2 = np.divmod(frac_12, 10**4)
-        slots = np.empty(block.shape, _TEXT_SLOT)
-        slots["sign"] = np.signbit(block) * np.uint8(ord("-"))
-        slots["int_hi"] = leading[hi]
-        slots["int_lo"] = np.where(hi > 0, digits[lo], units[lo])
-        slots["point"] = (frac > 0) * np.uint8(ord("."))
-        slots["frac_1"] = np.where(frac_2 | frac_3, digits[frac_1], trailing[frac_1])
-        slots["frac_2"] = np.where(frac_3, digits[frac_2], trailing[frac_2])
-        slots["frac_3"] = trailing[frac_3]
-        slots["sep"] = ord(",")
-        slots["sep"][:, -1] = ord("\n")
-        if not fast.all():
-            slots["text"][~fast] = ["%.9g" % w for w in block[~fast].tolist()]
-        text += slots.tobytes().translate(None, b"\0")
-    return text.decode()
+    out.write((",".join(header) + "\n").encode())
+    for text in _map_blocks(lambda first, rows: _csv_block(points[first:first + rows]),
+                            len(points)):
+        out.write(text)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import SingularStiffnessError
+from .errors import SingularStiffnessError, ValidationError
 from .floats import _cross, _gauss, _total, unit_vector
 from .params import FingerParams
 
@@ -111,6 +111,9 @@ def constraint_rank(params: FingerParams) -> int:
     return sum(s > 1e-10 * sv[0] for s in sv)
 
 
+_NORMAL_MIN = 2.0**-1022  # the least positive normal float
+
+
 @dataclass(frozen=True)
 class StiffnessSet:
     """Quadratic-form blocks of the elastic energy in (q, a), as floats."""
@@ -142,11 +145,22 @@ def stiffness_matrices(params: FingerParams) -> StiffnessSet:
     The joint block ks s's + P' diag(kp) P (serial row s, parallel block P) is
     A'A for A the rows sqrt(ks) s over sqrt(kp_i) P_i, so its least eigenvalue
     is A's least singular value squared.  FingerParams keeps the spring
-    constants strictly positive.
+    constants and radii strictly positive and finite, but their products can
+    still overflow or underflow: each term ks s_i^2 and kp_i P_ij^2 must be a
+    finite, normal float, or the radii and springs are rejected by name.
     """
     ks, kp = params.spring_serial, params.spring_parallel
     jac = transmission_jacobians(params)
     sj, sd, cols = jac.serial_joint, jac.serial_drive, tuple(zip(*jac.parallel))
+    serial = [ks * (u * u) for u in sj]
+    parallel = [p * (k * p) for k, row in zip(kp, jac.parallel) for p in row if p]
+    for terms, radii, spring in ((serial, "drive_radii", "spring_serial"),
+                                 (parallel, "coupling_radii", "spring_parallel")):
+        for term in terms:
+            if not _NORMAL_MIN <= abs(term) < math.inf:
+                raise ValidationError(
+                    f"{radii} {getattr(params, radii)} with {spring} {getattr(params, spring)} "
+                    f"give a stiffness term {term!r}, not a finite, normal float")
     joint = [[ks * (u * v) + _total(p * (k * q) for p, k, q in zip(ci, kp, cj))
               for v, cj in zip(sj, cols)] for u, ci in zip(sj, cols)]
     joint = tuple(tuple(0.5 * (a + b) for a, b in zip(row, col))  # exact symmetry

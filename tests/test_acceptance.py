@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
 criterion; a failing criterion fails its test.
 """
 
+import io
 import math
 import time
 from dataclasses import replace
@@ -208,9 +209,10 @@ def test_criterion_07_workspace():
     assert np.all(planar >= inner_bound - 1e-9)
 
     again = sample_workspace(P, 100_000, seed=0, coupled=True)
-    csv_a = points_to_csv(cloud, ("x_mm", "y_mm", "z_mm"))
-    csv_b = points_to_csv(again, ("x_mm", "y_mm", "z_mm"))
-    assert csv_a.encode() == csv_b.encode()
+    csv_a, csv_b = io.BytesIO(), io.BytesIO()
+    points_to_csv(cloud, ("x_mm", "y_mm", "z_mm"), csv_a)
+    points_to_csv(again, ("x_mm", "y_mm", "z_mm"), csv_b)
+    assert csv_a.getvalue() == csv_b.getvalue()
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report(7, f"100k coupled cloud in reach sphere, annulus inner radius "

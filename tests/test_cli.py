@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modhand import cli, grasp
+from modhand import cli, grasp, kinematics
 from modhand.cli import main
 from modhand.params import params_to_dict, default_params
 
@@ -92,6 +92,18 @@ def test_ucm_seed_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("UCM_SEED")
     run_cli(["workspace", "--n", "50", "--seed", "77", "--out", str(out_b)], capsys)
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_workspace_bad_out_fails_before_sampling(tmp_path, capsys, monkeypatch):
+    # --out is opened before the cloud is sampled: a path that cannot be
+    # written fails at once, with no tip computed and no manifest written.
+    calls = []
+    monkeypatch.setattr(kinematics, "_cloud_tips", lambda *args: calls.append(args))
+    out = tmp_path / "missing" / "c.csv"
+    code, stdout, err = run_cli(["workspace", "--n", "100000", "--out", str(out)], capsys)
+    assert (code, stdout, calls) == (1, "", [])
+    assert err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_malformed_ucm_seed_exits_1(capsys, monkeypatch):
@@ -286,12 +298,13 @@ RUN_LOADS = [
 def test_each_run_loads_only_its_modules(argv, modules, numpy_loaded):
     # The CLI imports only what every subcommand uses and binds the rest on
     # first use: drive-map, ucm-report and envelop compute on floats without
-    # numpy, and no run loads another subcommand's modules.
+    # numpy, and no run loads another subcommand's modules.  Stdout is text
+    # over a byte buffer, as a real one is: workspace writes to the buffer.
     script = """
 import contextlib, io, json, sys
 from modhand import cli
 argv = json.loads(sys.argv[1])
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
     code = 0 if argv is None else cli.main(argv)
 loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "modhand")
 print(json.dumps([code, loaded, "numpy" in sys.modules]))
@@ -301,6 +314,27 @@ print(json.dumps([code, loaded, "numpy" in sys.modules]))
     expected = sorted({"modhand", "modhand.cli", "modhand.params", "modhand.errors",
                        "modhand.floats", *(f"modhand.{m}" for m in modules.split())})
     assert json.loads(proc.stdout) == [0, expected, numpy_loaded]
+
+
+def test_one_block_workspace_starts_no_thread():
+    # In a fresh process: a cloud of one block runs in the calling thread and
+    # loads no executor; a cloud of three blocks starts the block pool.
+    script = """
+import contextlib, io, json, sys, threading
+from modhand import cli
+seen = []
+for n in ("2000", "10000"):
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
+        code = cli.main(["workspace", "--n", n])
+    seen.append([code, "concurrent.futures" in sys.modules, threading.active_count()])
+print(json.dumps(seen))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True)
+    (one_code, one_loaded, one_threads), (many_code, many_loaded, many_threads) = json.loads(
+        proc.stdout)
+    assert (one_code, one_loaded, one_threads) == (0, False, 1)
+    assert (many_code, many_loaded) == (0, True) and many_threads > 1
 
 
 def test_array_subcommands_call_the_names_bound_on_the_cli_module():
@@ -325,7 +359,7 @@ for name, argv in runs.items():
         calls.append(name)
         return original(*args, **kwargs)
     setattr(cli, name, wrapper)
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
         codes.append(cli.main(argv))
         setattr(cli, name, original)
         codes.append(cli.main(argv))
@@ -494,10 +528,23 @@ MISSING = object()  # names an input file that is never written
          "--sphere-d must be positive"),
         (None, ENVELOP + ["--a-max", "5", "--center", "60,10,0", "--steps", "0"],
          "--steps must be >= 1"),
+        # radii whose stiffness terms kp r^2 or ks s^2 overflow or underflow
+        (json.dumps({"coupling_radii_mm": [1e200] * 3}), ["ucm-report", "--config"],
+         "coupling_radii (1e+200, 1e+200, 1e+200) with spring_parallel "),
+        (json.dumps({"coupling_radii_mm": [1e-200] * 3}), ["ucm-report", "--config"],
+         "coupling_radii (1e-200, 1e-200, 1e-200) with spring_parallel "),
+        (json.dumps({"coupling_radii_mm": [1e200] * 3}),
+         ENVELOP + ["--a-max", "5", "--center", "60,10,0", "--config"], "coupling_radii (1e+200, "),
+        (json.dumps({"coupling_radii_mm": [1e-200] * 3}),
+         ENVELOP + ["--a-max", "5", "--center", "60,10,0", "--config"], "coupling_radii (1e-200, "),
+        (json.dumps({"drive_radii_mm": [1e200] * 3}), ["ucm-report", "--config"],
+         "drive_radii (1e+200, 1e+200, 1e+200) with spring_serial "),
     ],
     ids=["short-row", "overflowing-ratio", "string-entry", "bad-json", "missing-joints",
          "missing-layout", "short-translation", "string-spring", "nan-translation", "inf-angle",
-         "bad-center", "nan-center", "nan-drive", "zero-diameter", "zero-steps"],
+         "bad-center", "nan-center", "nan-drive", "zero-diameter", "zero-steps",
+         "overflowing-stiffness", "underflowing-stiffness", "overflowing-stiffness-envelop",
+         "underflowing-stiffness-envelop", "overflowing-serial-stiffness"],
 )
 def test_bad_outside_input_exits_1(tmp_path, capsys, text, argv, error):
     if text is not None:

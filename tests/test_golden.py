@@ -7,6 +7,7 @@ object is removed from both sides, since the manifest records the input
 paths and the tool version.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -61,3 +62,23 @@ def test_output_matches_golden(case, capsys):
     if case.endswith(".json"):
         got, want = _without_manifest(got), _without_manifest(want)
     assert got == want
+
+
+# sha256 of two clouds of three blocks, 10000 rows each: the workspace goldens
+# above are one block each.  Both sinks, stdout and --out, give these bytes.
+MULTI_BLOCK = {
+    "workspace": ([], "ebcb3e905ae3358118099900f859ca96390c1bfe1e9f8f24ba72e73499fd054b"),
+    "workspace-coupled-xoy": (["--coupled", "--project", "xoy"],
+                              "b82352cf637a61edad01ffb958d0b83f579b0525c69e363261d412e517635ab2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_BLOCK))
+def test_multi_block_cloud_digest(case, capsys, tmp_path):
+    extra, digest = MULTI_BLOCK[case]
+    argv = ["workspace", "--n", "10000", "--seed", "3"] + extra
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    out = tmp_path / "cloud.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

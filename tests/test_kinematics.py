@@ -1,4 +1,9 @@
+import io
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +26,14 @@ from modhand.hand import default_layout
 from modhand.params import FingerParams, JointState, default_params
 
 P = default_params()
+
+
+def csv_text(points, header) -> str:
+    """What ``points_to_csv`` writes to a binary stream, as text."""
+    out = io.BytesIO()
+    points_to_csv(points, header, out)
+    return out.getvalue().decode()
+
 
 # Base alignment of the documented frame convention (first link frame to base).
 BASE_ALIGN = np.array(
@@ -135,9 +148,7 @@ def test_workspace_deterministic():
     a = sample_workspace(P, 1000, seed=42)
     b = sample_workspace(P, 1000, seed=42)
     assert np.array_equal(a, b)
-    assert points_to_csv(a, ("x_mm", "y_mm", "z_mm")) == points_to_csv(
-        b, ("x_mm", "y_mm", "z_mm")
-    )
+    assert csv_text(a, ("x_mm", "y_mm", "z_mm")) == csv_text(b, ("x_mm", "y_mm", "z_mm"))
 
 
 def test_workspace_seed_changes_cloud():
@@ -230,7 +241,7 @@ def test_subseed_derivation_distinct():
 
 
 def test_csv_nine_significant_digits():
-    text = points_to_csv(np.array([[1.23456789012, -2.0, 3.5e-4]]), ("x", "y", "z"))
+    text = csv_text(np.array([[1.23456789012, -2.0, 3.5e-4]]), ("x", "y", "z"))
     assert text.splitlines()[1] == "1.23456789,-2,0.00035"
 
 
@@ -308,41 +319,123 @@ def test_subseed_is_word_index_plus_one(seed, index):
     assert derive_subseed(seed, index) == recurrence_words(seed, index + 1)[index]
 
 
-def recorded_blocks(monkeypatch) -> list:
+def recorded_blocks(monkeypatch) -> dict:
     """The joint blocks that ``sample_workspace`` hands to its tip helper
-    from now on, in order."""
-    blocks, cloud_tips = [], kinematics._cloud_tips
+    from now on, keyed by the stream offset each was drawn from.  Blocks run
+    on the block pool in any order, so each is keyed by the last draw made
+    on its own thread."""
+    blocks, drawn = {}, threading.local()
+    words, cloud_tips = kinematics.splitmix64_words, kinematics._cloud_tips
+
+    def drawing(seed, start, count):
+        drawn.start = start
+        return words(seed, start, count)
 
     def recording(qs, params):
-        blocks.append(np.array(qs))
+        blocks[drawn.start] = np.array(qs)
         return cloud_tips(qs, params)
 
+    monkeypatch.setattr(kinematics, "splitmix64_words", drawing)
     monkeypatch.setattr(kinematics, "_cloud_tips", recording)
     return blocks
+
+
+def in_row_order(blocks: dict) -> np.ndarray:
+    return np.concatenate([blocks[start] for start in sorted(blocks)])
 
 
 @pytest.mark.parametrize("coupled", [False, True])
 @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
 def test_blocked_sampling_equals_loop(monkeypatch, n, coupled):
-    # The sampler hands the loop's joints to its tip helper in blocks; the
-    # helper's rows do not depend on the block around them (one call on all
-    # rows, in either order, gives the same bits), and the cloud prints as
-    # the DH tips of the same joints do.
+    # The sampler hands the loop's joints to its tip helper in blocks, each
+    # drawn from its rows' stretch of the stream; the helper's rows do not
+    # depend on the block around them (one call on all rows, in either
+    # order, gives the same bits), and the cloud prints as the DH tips of
+    # the same joints do.
     seed = -3 if coupled else 2**64 + 5
     cloud_tips = kinematics._cloud_tips
     blocks = recorded_blocks(monkeypatch)
     cloud = sample_workspace(P, n, seed=seed, coupled=coupled)
     want_qs = loop_joints(P, n, seed, coupled)
-    assert max(len(b) for b in blocks) <= BLOCK
-    assert np.concatenate(blocks).tobytes() == want_qs.tobytes()
+    draws = 2 if coupled else 4
+    assert sorted(blocks) == [first * draws for first in range(0, n, BLOCK)]
+    assert max(len(b) for b in blocks.values()) <= BLOCK
+    assert in_row_order(blocks).tobytes() == want_qs.tobytes()
     assert cloud.tobytes() == cloud_tips(want_qs, P).tobytes()
     assert cloud.tobytes() == cloud_tips(want_qs[::-1].copy(), P)[::-1].tobytes()
     header = ("x", "y", "z")
-    lines = points_to_csv(cloud, header).split("\n")
-    assert lines == points_to_csv(batch_fingertips(want_qs, P), header).split("\n")
+    lines = csv_text(cloud, header).split("\n")
+    assert lines == csv_text(batch_fingertips(want_qs, P), header).split("\n")
     assert lines == row_csv(cloud, header).split("\n")
     proj = project_workspace(cloud, "xoz")
-    assert points_to_csv(proj, ("u", "v")).split("\n") == row_csv(proj, ("u", "v")).split("\n")
+    assert csv_text(proj, ("u", "v")).split("\n") == row_csv(proj, ("u", "v")).split("\n")
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_cloud_bytes_do_not_depend_on_block_scheduling(monkeypatch, coupled):
+    # The pool's blocks finish in any order; run serially last block first,
+    # they give the same points and the same CSV bytes.
+    n, header = 3 * BLOCK + 7, ("x", "y", "z")
+    cloud = sample_workspace(P, n, seed=9, coupled=coupled)
+    text = csv_text(cloud, header)
+    calls = []
+
+    def serial(fn, *iterables):  # the pool's map, run in one thread, last block first
+        calls.append(len(iterables[0]))
+        return reversed([fn(*args) for args in reversed(list(zip(*iterables)))])
+
+    monkeypatch.setattr(kinematics._block_pool(), "map", serial)
+    again = sample_workspace(P, n, seed=9, coupled=coupled)
+    assert again.tobytes() == cloud.tobytes()
+    assert csv_text(again, header) == text
+    assert calls == [4, 4]
+
+
+def test_concurrent_clouds_on_the_shared_pool():
+    # Several callers at once, with a short switch interval, share the block
+    # pool: every caller gets the cloud and text of a lone call.
+    n, header = 3 * BLOCK + 7, ("x", "y", "z")
+    want = sample_workspace(P, n, seed=4)
+    text = csv_text(want, header)
+    results = []
+
+    def caller():
+        cloud = sample_workspace(P, n, seed=4)
+        results.append((cloud.tobytes(), csv_text(cloud, header)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [(want.tobytes(), text)] * len(threads)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_forked_child_samples_on_a_pool_of_its_own():
+    # In a fresh process: a child forked after the block pool ran has none of
+    # its threads, so it builds its own and gets the parent's cloud.  The
+    # child's alarm ends it if it waits on threads that are not there.
+    script = """
+import os, signal
+from modhand.kinematics import sample_workspace
+from modhand.params import default_params
+cloud = sample_workspace(default_params(), 20000, seed=1).tobytes()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)
+    os._exit(0 if sample_workspace(default_params(), 20000, seed=1).tobytes() == cloud else 1)
+print(os.waitpid(pid, 0)[1])
+"""
+    proc = subprocess.run([sys.executable, "-W", "ignore::DeprecationWarning", "-c", script],
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout == "0\n"
 
 
 def test_csv_special_values_equal_row_formatter():
@@ -357,7 +450,7 @@ def test_csv_special_values_equal_row_formatter():
     bits = np.random.default_rng(8).integers(0, 2**64, size=(3 * BLOCK, 3), dtype=np.uint64)
     header = ("a", "b", "c")
     for points in (special, bits.view(np.float64), special[:, :1], np.zeros((0, 3))):
-        assert points_to_csv(points, header).split("\n") == row_csv(points, header).split("\n")
+        assert csv_text(points, header).split("\n") == row_csv(points, header).split("\n")
 
 
 def nudged(w: float, ulps: int) -> float:
@@ -408,7 +501,7 @@ def test_csv_equals_row_formatter_near_ties(values, rows, cols, seed):
     points = np.random.default_rng(seed).permutation(np.resize(values, rows * cols))
     points = points.reshape(rows, cols)
     header = ("a", "b", "c")[:cols]
-    assert points_to_csv(points, header).split("\n") == row_csv(points, header).split("\n")
+    assert csv_text(points, header).split("\n") == row_csv(points, header).split("\n")
 
 
 # --------------------------------------------------------------------------
@@ -468,7 +561,7 @@ def test_values_left_on_the_closed_form_print_alike_across_the_slack(
         for w in row:
             assert "%.9g" % (w - d) == "%.9g" % w == "%.9g" % (w + d), (w, d)
     header = ("x", "y", "z")
-    assert points_to_csv(kinematics._cloud_tips(qs, params), header) == points_to_csv(
+    assert csv_text(kinematics._cloud_tips(qs, params), header) == csv_text(
         batch_fingertips(qs, params), header
     )
 
@@ -488,11 +581,11 @@ def test_workspace_csv_equals_dh_csv(monkeypatch, capsys, seed, mode):
     monkeypatch.setattr(kinematics, "batch_fingertips", counting)
     assert main(["workspace", "--n", "100000", "--seed", str(seed)] + mode) == 0
     got = capsys.readouterr().out
-    dh = batch_fingertips(np.concatenate(blocks), P)
+    dh = batch_fingertips(in_row_order(blocks), P)
     assert 0 < sum(ties) < 1000  # the DH product serves the ties alone
     if "--project" in mode:
-        want = points_to_csv(dh[:, :2], ("u_mm", "v_mm"))
+        want = csv_text(dh[:, :2], ("u_mm", "v_mm"))
     else:
-        want = points_to_csv(dh, ("x_mm", "y_mm", "z_mm"))
+        want = csv_text(dh, ("x_mm", "y_mm", "z_mm"))
     assert len(dh) == 100_000
     assert got.split("\n") == want.split("\n")
